@@ -182,6 +182,20 @@ ChatService::runStage(uint32_t type_id, int stage,
     RHYTHM_PANIC("unknown chat page type");
 }
 
+bool
+ChatService::stageIsLaneParallel(uint32_t type_id, int stage) const
+{
+    // Audit (see DESIGN.md 6f): every handler stage is const and
+    // touches only its lane's HandlerContext — it reads the request and
+    // backend response and writes the lane's recorder, response
+    // writer, backend request and failure flag. The room store is touched
+    // by executeBackend alone, which the pipeline runs in its serial
+    // per-stage merge. So every stage is lane-parallel.
+    (void)type_id;
+    (void)stage;
+    return true;
+}
+
 // ---------------------------------------------------------------------
 // Backend: ROOMS, HIST|room|n, POST|room|user|text, POLL|room|since
 // ---------------------------------------------------------------------

@@ -64,6 +64,7 @@ class ChatService : public core::Service
     uint32_t responseBufferBytes(uint32_t type_id) const override;
     void runStage(uint32_t type_id, int stage,
                   specweb::HandlerContext &ctx) const override;
+    bool stageIsLaneParallel(uint32_t type_id, int stage) const override;
     std::string executeBackend(std::string_view request,
                                simt::TraceRecorder &rec) override;
 

@@ -144,9 +144,14 @@ struct RhythmServer::CohortRun
     std::vector<Follower> followers;
 };
 
-/** Host-execution products of one cohort, consumed by command building. */
-struct RhythmServer::HostExecState
+/**
+ * One member cohort of a launch: its context and run, plus the
+ * host-execution products that command building consumes.
+ */
+struct RhythmServer::LaunchMember
 {
+    CohortContext *ctx = nullptr;
+    std::shared_ptr<CohortRun> run;
     uint32_t type = 0;
     uint32_t n = 0;      //!< Cohort entries (before lane sampling).
     uint32_t sample = 0; //!< Executed lanes.
@@ -1048,6 +1053,86 @@ RhythmServer::completeRequest(uint64_t client_id,
 void
 RhythmServer::launchCohort(CohortContext &ctx)
 {
+    LaunchMember member = beginCohort(ctx);
+    launchMembers(std::span<LaunchMember>(&member, 1));
+}
+
+void
+RhythmServer::launchCohortGroup(const std::vector<CohortContext *> &ctxs)
+{
+    if (!config_.fusionEnabled || ctxs.size() <= 1) {
+        for (CohortContext *ctx : ctxs)
+            launchCohort(*ctx);
+        return;
+    }
+    // Begin every cohort first, in collection order — the order in
+    // which fusion off launches them one by one. Host execution is
+    // where backend state is read and mutated and response bytes are
+    // written, so running it before (and independently of) the
+    // grouping below keeps every delivered byte identical to
+    // --fusion=off no matter how the cohorts are packed into launches.
+    std::vector<LaunchMember> begun;
+    begun.reserve(ctxs.size());
+    for (CohortContext *ctx : ctxs)
+        begun.push_back(beginCohort(*ctx));
+
+    // Greedy grouping in collection order: each cohort joins the first
+    // compatible group. Collection order is deterministic (context-pool
+    // scan order), so the grouping — and everything downstream — is a
+    // pure function of the simulated schedule.
+    std::vector<std::vector<LaunchMember>> groups;
+    for (LaunchMember &member : begun) {
+        size_t g = 0;
+        while (g < groups.size() && !canFuse(groups[g], member))
+            ++g;
+        if (g == groups.size())
+            groups.emplace_back();
+        groups[g].push_back(std::move(member));
+    }
+    for (std::vector<LaunchMember> &group : groups)
+        launchMembers(group);
+}
+
+bool
+RhythmServer::canFuse(const std::vector<LaunchMember> &group,
+                      const LaunchMember &next) const
+{
+    if (group.size() >= config_.fusionMaxCohorts)
+        return false;
+    // Fused cohorts interleave their stage kernels and backend trips,
+    // so the pipeline shapes must match exactly.
+    if (next.stages != group.front().stages)
+        return false;
+    // Packing must actually save a warp over padding each cohort's
+    // tail separately — full warps gain nothing and would only widen
+    // the blast radius of a hang or hedge.
+    const uint32_t width =
+        static_cast<uint32_t>(config_.warpModel.warpWidth);
+    auto warps_of = [&](uint32_t lanes) {
+        return (lanes + width - 1) / width;
+    };
+    uint32_t lanes = 0;
+    uint32_t separate_warps = 0;
+    for (const LaunchMember &member : group) {
+        lanes += member.sample;
+        separate_warps += warps_of(member.sample);
+    }
+    if (warps_of(lanes + next.sample) >=
+        separate_warps + warps_of(next.sample))
+        return false;
+    // Control-flow compatibility against every member: O(1) reads of
+    // the online fingerprint (DESIGN.md Section 6j).
+    for (const LaunchMember &member : group) {
+        if (fingerprints_->pairSimilarity(member.type, next.type) <
+            config_.fusionSimilarityThreshold)
+            return false;
+    }
+    return true;
+}
+
+RhythmServer::LaunchMember
+RhythmServer::beginCohort(CohortContext &ctx)
+{
     if (config_.adaptiveBatching) {
         if (lastLaunch_ != 0)
             launchGapMs_.add(des::toMillis(queue_.now() - lastLaunch_));
@@ -1057,9 +1142,11 @@ RhythmServer::launchCohort(CohortContext &ctx)
     }
     ctx.markBusy();
     ++stats_.cohortsLaunched;
-    auto run = std::make_shared<CohortRun>();
-    run->seq = cohortSeq_++;
-    run->launchedAt = queue_.now();
+    LaunchMember member;
+    member.ctx = &ctx;
+    member.run = std::make_shared<CohortRun>();
+    member.run->seq = cohortSeq_++;
+    member.run->launchedAt = queue_.now();
     if (OBS_ENABLED()) {
         const uint32_t tr = obs::track::kCohortBase + ctx.id();
         OBS_TRACK_NAME(tr, "cohort ctx " + std::to_string(ctx.id()));
@@ -1071,171 +1158,30 @@ RhythmServer::launchCohort(CohortContext &ctx)
             {"type", std::string(service_.typeName(ctx.type()))});
         OBS_COUNTER_ADD("server.cohorts_launched", 1);
     }
-    executeCohort(ctx, *run);
-    maybeInjectHang(*run, /*hedge=*/false);
-    enqueueCohortPipeline(ctx, std::move(run));
+    executeCohortHost(member);
+    return member;
 }
 
 void
-RhythmServer::launchCohortGroup(const std::vector<CohortContext *> &ctxs)
+RhythmServer::launchMembers(std::span<LaunchMember> members)
 {
-    if (ctxs.empty())
-        return;
-    if (!config_.fusionEnabled || ctxs.size() == 1) {
-        for (CohortContext *ctx : ctxs)
-            launchCohort(*ctx);
-        return;
-    }
-    // Per-cohort launch bookkeeping and host execution first, in
-    // collection order — the exact order the unfused path would have
-    // used. Host execution is where backend state is read and mutated
-    // and response bytes are written, so running it before (and
-    // independently of) the grouping below keeps every delivered byte
-    // identical to --fusion=off no matter how the cohorts are packed
-    // into launches.
-    std::vector<std::shared_ptr<CohortRun>> runs;
-    runs.reserve(ctxs.size());
-    std::vector<HostExecState> states(ctxs.size());
-    for (size_t i = 0; i < ctxs.size(); ++i) {
-        CohortContext *ctx = ctxs[i];
-        if (config_.adaptiveBatching) {
-            if (lastLaunch_ != 0)
-                launchGapMs_.add(
-                    des::toMillis(queue_.now() - lastLaunch_));
-            lastLaunch_ = queue_.now();
-            launchSizeAvg_.add(
-                static_cast<double>(ctx->entries().size()));
-        }
-        ctx->markBusy();
-        ++stats_.cohortsLaunched;
-        auto run = std::make_shared<CohortRun>();
-        run->seq = cohortSeq_++;
-        run->launchedAt = queue_.now();
-        if (OBS_ENABLED()) {
-            const uint32_t tr = obs::track::kCohortBase + ctx->id();
-            OBS_TRACK_NAME(tr, "cohort ctx " + std::to_string(ctx->id()));
-            OBS_SPAN_COMPLETE(
-                tr, "dispatch", "stage", ctx->firstArrival(), queue_.now(),
-                {"requests", static_cast<uint64_t>(ctx->entries().size())},
-                {"type", std::string(service_.typeName(ctx->type()))});
-            OBS_COUNTER_ADD("server.cohorts_launched", 1);
-        }
-        runs.push_back(std::move(run));
-        executeCohortHost(*ctx, *runs[i], states[i]);
-    }
+    buildCommands(members);
 
-    // Greedy grouping in collection order: each cohort joins the first
-    // compatible group. Collection order is deterministic (context-pool
-    // scan order), so the grouping — and everything downstream — is a
-    // pure function of the simulated schedule.
-    std::vector<std::vector<CohortContext *>> groups;
-    std::vector<std::vector<size_t>> group_idx;
-    for (size_t i = 0; i < ctxs.size(); ++i) {
-        bool placed = false;
-        for (size_t g = 0; g < groups.size(); ++g) {
-            if (canFuse(groups[g], *ctxs[i])) {
-                groups[g].push_back(ctxs[i]);
-                group_idx[g].push_back(i);
-                placed = true;
-                break;
-            }
-        }
-        if (!placed) {
-            groups.push_back({ctxs[i]});
-            group_idx.push_back({i});
-        }
-    }
-    for (size_t g = 0; g < groups.size(); ++g) {
-        if (groups[g].size() == 1) {
-            const size_t i = group_idx[g].front();
-            buildCohortCommands(*runs[i], states[i]);
-            maybeInjectHang(*runs[i], /*hedge=*/false);
-            enqueueCohortPipeline(*ctxs[i], runs[i]);
-            continue;
-        }
-        std::vector<std::shared_ptr<CohortRun>> g_runs;
-        std::vector<HostExecState> g_states;
-        g_runs.reserve(groups[g].size());
-        g_states.reserve(groups[g].size());
-        for (size_t i : group_idx[g]) {
-            g_runs.push_back(runs[i]);
-            g_states.push_back(std::move(states[i]));
-        }
-        launchFusedCohorts(groups[g], g_runs, g_states);
-    }
-}
-
-bool
-RhythmServer::canFuse(const std::vector<CohortContext *> &group,
-                      const CohortContext &next) const
-{
-    if (group.size() >= config_.fusionMaxCohorts)
-        return false;
-    // Fused cohorts interleave their stage kernels and backend trips,
-    // so the pipeline shapes must match exactly.
-    if (service_.numStages(next.type()) !=
-        service_.numStages(group.front()->type()))
-        return false;
-    // Packing must actually save a warp over padding each cohort's
-    // tail separately — full warps gain nothing and would only widen
-    // the blast radius of a hang or hedge.
-    auto lanes_of = [&](const CohortContext &c) {
-        const uint32_t n = static_cast<uint32_t>(c.entries().size());
-        return config_.laneSample == 0 ? n
-                                       : std::min(n, config_.laneSample);
-    };
-    const uint32_t width =
-        static_cast<uint32_t>(config_.warpModel.warpWidth);
-    auto warps_of = [&](uint32_t lanes) {
-        return (lanes + width - 1) / width;
-    };
-    uint32_t lanes = 0;
-    uint32_t separate_warps = 0;
-    for (const CohortContext *member : group) {
-        lanes += lanes_of(*member);
-        separate_warps += warps_of(lanes_of(*member));
-    }
-    const uint32_t add = lanes_of(next);
-    if (warps_of(lanes + add) >= separate_warps + warps_of(add))
-        return false;
-    // Control-flow compatibility against every member: O(1) reads of
-    // the online fingerprint (DESIGN.md Section 6j).
-    for (const CohortContext *member : group) {
-        if (fingerprints_->pairSimilarity(member->type(), next.type()) <
-            config_.fusionSimilarityThreshold)
-            return false;
-    }
-    return true;
-}
-
-void
-RhythmServer::launchFusedCohorts(
-    const std::vector<CohortContext *> &group,
-    std::vector<std::shared_ptr<CohortRun>> &runs,
-    std::vector<HostExecState> &states)
-{
-    ++stats_.fusedLaunches;
-    stats_.fusedCohorts += group.size();
-    OBS_COUNTER_ADD("warp.fusion.fused_launches", 1);
-    OBS_COUNTER_ADD("warp.fusion.fused_cohorts",
-                    static_cast<uint64_t>(group.size()));
-
-    buildFusedCommands(group, runs, states);
-
-    // The leader run carries the fused command sequence, the watchdog
+    // The leader run carries the shared command sequence, the watchdog
     // and (for hedge replay) every member's backend calls; followers'
     // runs keep only their own buffers/responses for delivery.
-    const std::shared_ptr<CohortRun> &leader = runs.front();
-    for (size_t i = 1; i < runs.size(); ++i) {
+    const std::shared_ptr<CohortRun> &leader = members.front().run;
+    for (size_t i = 1; i < members.size(); ++i) {
+        CohortRun &follower = *members[i].run;
         leader->backendCalls.insert(leader->backendCalls.end(),
-                                    runs[i]->backendCalls.begin(),
-                                    runs[i]->backendCalls.end());
-        runs[i]->backendCalls.clear();
+                                    follower.backendCalls.begin(),
+                                    follower.backendCalls.end());
+        follower.backendCalls.clear();
         leader->followers.push_back(
-            CohortRun::Follower{group[i], runs[i]});
+            CohortRun::Follower{members[i].ctx, members[i].run});
     }
     maybeInjectHang(*leader, /*hedge=*/false);
-    enqueueCohortPipeline(*group.front(), leader);
+    enqueueCohortPipeline(*members.front().ctx, leader);
 }
 
 void
@@ -1274,17 +1220,10 @@ RhythmServer::maybeInjectHang(CohortRun &run, bool hedge)
 }
 
 void
-RhythmServer::executeCohort(CohortContext &ctx, CohortRun &run)
+RhythmServer::executeCohortHost(LaunchMember &m)
 {
-    HostExecState hx;
-    executeCohortHost(ctx, run, hx);
-    buildCohortCommands(run, hx);
-}
-
-void
-RhythmServer::executeCohortHost(CohortContext &ctx, CohortRun &run,
-                                HostExecState &hx)
-{
+    CohortContext &ctx = *m.ctx;
+    CohortRun &run = *m.run;
     const uint32_t type = ctx.type();
     const uint32_t n = static_cast<uint32_t>(ctx.entries().size());
     const uint32_t sample =
@@ -1297,11 +1236,11 @@ RhythmServer::executeCohortHost(CohortContext &ctx, CohortRun &run,
     RHYTHM_ASSERT(sample <= kTokenLaneSlots);
     const uint32_t lane_bytes = service_.responseBufferBytes(type);
 
-    hx.type = type;
-    hx.n = n;
-    hx.sample = sample;
-    hx.stages = stages;
-    hx.laneBytes = lane_bytes;
+    m.type = type;
+    m.n = n;
+    m.sample = sample;
+    m.stages = stages;
+    m.laneBytes = lane_bytes;
 
     CohortBufferConfig buf_cfg;
     buf_cfg.cohortSize = sample;
@@ -1319,7 +1258,7 @@ RhythmServer::executeCohortHost(CohortContext &ctx, CohortRun &run,
     CohortBuffer &buffer = *run.buffer;
 
     std::vector<std::vector<simt::ThreadTrace>> &stage_traces =
-        hx.stageTraces;
+        m.stageTraces;
     stage_traces.resize(static_cast<size_t>(stages));
     for (auto &v : stage_traces) {
         v = tracePool_.acquire();
@@ -1327,17 +1266,17 @@ RhythmServer::executeCohortHost(CohortContext &ctx, CohortRun &run,
     }
 
     run.failed.assign(sample, 0);
-    uint64_t &backend_insts = hx.backendInsts;
-    uint64_t &backend_calls = hx.backendCalls;
+    uint64_t &backend_insts = m.backendInsts;
+    uint64_t &backend_calls = m.backendCalls;
 
     // Cohort-level backend retry state: the budget is shared by all
     // lanes; per-stage retry rounds translate into backoff delays in
     // the simulated command sequence later.
     uint32_t retry_budget = config_.backendRetryBudget;
-    hx.retryRounds.assign(static_cast<size_t>(stages), 0);
-    hx.retriedCalls.assign(static_cast<size_t>(stages), 0);
-    std::vector<uint32_t> &retry_rounds = hx.retryRounds;
-    std::vector<uint64_t> &retried_calls = hx.retriedCalls;
+    m.retryRounds.assign(static_cast<size_t>(stages), 0);
+    m.retriedCalls.assign(static_cast<size_t>(stages), 0);
+    std::vector<uint32_t> &retry_rounds = m.retryRounds;
+    std::vector<uint64_t> &retried_calls = m.retriedCalls;
 
     // One backend call, with transient-failure injection when a fault
     // plan is armed. A self-injecting BackendService produces the same
@@ -1362,27 +1301,6 @@ RhythmServer::executeCohortHost(CohortContext &ctx, CohortRun &run,
     // Lanes whose backend calls exhausted the retry budget answer a
     // canned 503 instead of their buffer content.
     std::vector<uint8_t> unavailable(sample, 0);
-
-    // Host-stage execution. Two structurally different but
-    // output-identical drivers (DESIGN.md 6f):
-    //
-    //  - Lane-major (the legacy serial order): each lane runs all its
-    //    stages before the next lane starts. Used when the service has
-    //    not audited any stage of this type for lane parallelism —
-    //    cross-lane-visible mutations then see the exact historical
-    //    order.
-    //
-    //  - Stage-major: all lanes run stage s before any lane runs
-    //    s+1. Stages the service declared lane-parallel fan out over
-    //    the sim pool in lane chunks (each lane touches only its own
-    //    trace slot, buffer slot and handler context); the others run
-    //    serially in lane order. Backend calls and all shared-state
-    //    bookkeeping (retry budget, stats) happen in a serial merge
-    //    phase in canonical lane order after each stage's fork/join,
-    //    so results are byte-identical at any --sim-threads.
-    bool any_parallel_stage = false;
-    for (int s = 0; s < stages; ++s)
-        any_parallel_stage |= service_.stageIsLaneParallel(type, s);
 
     // Runs one (lane, stage) pair: bind the lane's recorder and writer,
     // execute the handler stage. Pure per-lane for parallel stages.
@@ -1451,40 +1369,34 @@ RhythmServer::executeCohortHost(CohortContext &ctx, CohortRun &run,
         ctxs[lane].request = &ctx.entries()[lane].request;
         ctxs[lane].sessions = sessions_.get();
     }
-    if (!any_parallel_stage) {
+
+    // Host-stage execution, stage-major (DESIGN.md 6f): all lanes run
+    // stage s before any lane runs s+1. Stages the service declared
+    // lane-parallel fan out over the sim pool in lane chunks (each lane
+    // touches only its own trace slot, buffer slot and handler context);
+    // the others run serially in lane order. Backend calls and all
+    // shared-state bookkeeping (retry budget, stats) happen in a serial
+    // merge phase in canonical lane order after each stage's fork/join,
+    // so results are byte-identical at any --sim-threads. The chunk
+    // size only affects scheduling, never results (outputs are
+    // index-addressed); aim for a few chunks per worker.
+    const size_t grain =
+        std::max<size_t>(1, sample / (4 * util::simPool().threads()));
+    std::vector<uint8_t> done(sample, 0);
+    for (int s = 0; s < stages; ++s) {
+        auto run_lanes = [&](size_t begin, size_t end) {
+            for (size_t lane = begin; lane < end; ++lane) {
+                if (!done[lane])
+                    run_lane_stage(static_cast<uint32_t>(lane), s);
+            }
+        };
+        if (service_.stageIsLaneParallel(type, s))
+            util::simPool().parallelRanges(sample, grain, run_lanes);
+        else
+            run_lanes(0, sample);
         for (uint32_t lane = 0; lane < sample; ++lane) {
-            for (int s = 0; s < stages; ++s) {
-                run_lane_stage(lane, s);
-                if (!merge_lane_stage(lane, s))
-                    break;
-            }
-        }
-    } else {
-        // Chunk size only affects scheduling, never results (outputs
-        // are index-addressed); aim for a few chunks per worker.
-        const size_t grain = std::max<size_t>(
-            1, sample / (4 * util::simPool().threads()));
-        std::vector<uint8_t> done(sample, 0);
-        for (int s = 0; s < stages; ++s) {
-            if (service_.stageIsLaneParallel(type, s)) {
-                util::simPool().parallelRanges(
-                    sample, grain, [&](size_t begin, size_t end) {
-                        for (size_t lane = begin; lane < end; ++lane) {
-                            if (!done[lane])
-                                run_lane_stage(
-                                    static_cast<uint32_t>(lane), s);
-                        }
-                    });
-            } else {
-                for (uint32_t lane = 0; lane < sample; ++lane) {
-                    if (!done[lane])
-                        run_lane_stage(lane, s);
-                }
-            }
-            for (uint32_t lane = 0; lane < sample; ++lane) {
-                if (!done[lane] && !merge_lane_stage(lane, s))
-                    done[lane] = 1;
-            }
+            if (!done[lane] && !merge_lane_stage(lane, s))
+                done[lane] = 1;
         }
     }
     run.responses.resize(sample);
@@ -1510,208 +1422,21 @@ RhythmServer::executeCohortHost(CohortContext &ctx, CohortRun &run,
 }
 
 void
-RhythmServer::buildCohortCommands(CohortRun &run, HostExecState &hx)
+RhythmServer::buildCommands(std::span<LaunchMember> members)
 {
-    const uint32_t type = hx.type;
-    const uint32_t n = hx.n;
-    const uint32_t sample = hx.sample;
-    const int stages = hx.stages;
-    const uint32_t lane_bytes = hx.laneBytes;
-    std::vector<std::vector<simt::ThreadTrace>> &stage_traces =
-        hx.stageTraces;
-    const uint64_t backend_insts = hx.backendInsts;
-    const uint64_t backend_calls = hx.backendCalls;
-    const std::vector<uint32_t> &retry_rounds = hx.retryRounds;
-    const std::vector<uint64_t> &retried_calls = hx.retriedCalls;
-
-    // ---- Build the simulated command sequence -----------------------
-    // Profile every pipeline stage in one engine region (warps of all
-    // stages share one index space, so small stages cannot strand pool
-    // workers), then assemble the command sequence serially in stage
-    // order — the canonical order the determinism contract requires.
-    std::vector<std::vector<const simt::ThreadTrace *>> stage_ptrs(
-        static_cast<size_t>(stages));
-    std::vector<simt::Engine::Launch> launches(
-        static_cast<size_t>(stages));
-    for (int s = 0; s < stages; ++s) {
-        const size_t si = static_cast<size_t>(s);
-        stage_ptrs[si].resize(sample);
-        for (uint32_t lane = 0; lane < sample; ++lane)
-            stage_ptrs[si][lane] = &stage_traces[si][lane];
-        launches[si].traces = &stage_ptrs[si];
-        launches[si].model = &config_.warpModel;
-        launches[si].name = std::string(service_.typeName(type)) +
-                            "-stage" + std::to_string(s);
-    }
-    std::vector<simt::KernelProfile> stage_profiles =
-        device_.engine().profileMany(launches);
-
-    using Cmd = CohortRun::Cmd;
-    const uint64_t backend_req_bytes =
-        static_cast<uint64_t>(n) * service_.backendRequestSlotBytes();
-    const uint64_t backend_resp_bytes =
-        static_cast<uint64_t>(n) * service_.backendResponseSlotBytes();
-
-    for (int s = 0; s < stages; ++s) {
-        simt::KernelProfile profile = scaleProfile(
-            std::move(stage_profiles[static_cast<size_t>(s)]), run.scale);
-        stats_.processIssueSlots +=
-            static_cast<double>(profile.totals.issueSlots);
-        stats_.processLaneInstructions +=
-            static_cast<double>(profile.totals.laneInstructions);
-        run.sequence.push_back(
-            Cmd{Cmd::Kind::Kernel,
-                computeKernelCost(profile, device_.config()), 0, 0});
-
-        if (s < stages - 1) {
-            stats_.backendRequests += n;
-            if (config_.backendOnDevice) {
-                // Device-resident backend (Titan B/C): one streaming
-                // kernel over the request/response records.
-                const uint32_t insts_per_thread = static_cast<uint32_t>(
-                    backend_calls ? backend_insts / backend_calls : 1000);
-                simt::KernelProfile bp = simt::KernelProfile::streaming(
-                    n, backend_req_bytes + backend_resp_bytes,
-                    insts_per_thread, config_.warpModel, "backend");
-                run.sequence.push_back(
-                    Cmd{Cmd::Kind::Kernel,
-                        computeKernelCost(bp, device_.config()), 0, 0});
-            } else {
-                // Host backend (Titan A): transpose → D2H → host service
-                // → H2D → transpose.
-                if (config_.transposeBuffers) {
-                    simt::KernelProfile tp =
-                        simt::KernelProfile::streaming(
-                            n, 2 * backend_req_bytes,
-                            kTransposeInstsPerThread, config_.warpModel,
-                            "breq-transpose");
-                    run.sequence.push_back(
-                        Cmd{Cmd::Kind::Kernel,
-                            computeKernelCost(tp, device_.config()), 0,
-                            0});
-                }
-                run.sequence.push_back(Cmd{Cmd::Kind::CopyToHost, {},
-                                           backend_req_bytes, 0});
-                run.sequence.push_back(
-                    Cmd{Cmd::Kind::HostDelay, {}, 0,
-                        des::fromSeconds(n /
-                                         config_.hostBackendReqsPerSec)});
-                run.sequence.push_back(Cmd{Cmd::Kind::CopyToDevice, {},
-                                           backend_resp_bytes, 0});
-                if (config_.transposeBuffers) {
-                    simt::KernelProfile tp =
-                        simt::KernelProfile::streaming(
-                            n, 2 * backend_resp_bytes,
-                            kTransposeInstsPerThread, config_.warpModel,
-                            "bresp-transpose");
-                    run.sequence.push_back(
-                        Cmd{Cmd::Kind::Kernel,
-                            computeKernelCost(tp, device_.config()), 0,
-                            0});
-                }
-            }
-
-            // Degradation costs for this cohort-stage: an injected
-            // backend brownout, exponential backoff between retry
-            // rounds, and the service time of the retried calls
-            // themselves. Zero on the default path, so the sequence is
-            // unchanged when no faults or retries occurred.
-            des::Time extra = 0;
-            if (faultPlan_) {
-                const fault::Decision slow =
-                    faultPlan_->at(fault::Site::BackendSlow, queue_.now());
-                if (slow.fire) {
-                    ++stats_.faultsInjected;
-                    OBS_INSTANT(obs::track::kEvents, "backend-slow",
-                                "fault",
-                                {"delay_us", des::toMicros(slow.delay)});
-                    extra += slow.delay;
-                }
-            }
-            const size_t si = static_cast<size_t>(s);
-            for (uint32_t r = 0; r < retry_rounds[si]; ++r)
-                extra += config_.retryBackoffBase
-                         << std::min<uint32_t>(r, 20);
-            if (retried_calls[si] > 0)
-                extra += des::fromSeconds(
-                    static_cast<double>(retried_calls[si]) /
-                    config_.hostBackendReqsPerSec);
-            if (extra > 0)
-                run.sequence.push_back(
-                    Cmd{Cmd::Kind::HostDelay, {}, 0, extra});
-        }
-    }
-
-    // Response path: transpose back to row-major (on device unless the
-    // Titan C offload handles it), then ship over PCIe if present.
-    run.responseBeginIdx = run.sequence.size();
-    if (config_.transposeBuffers && !config_.offloadResponseTranspose) {
-        simt::KernelProfile tp = simt::KernelProfile::streaming(
-            n, 2ull * lane_bytes * n, kTransposeInstsPerThread,
-            config_.warpModel, "resp-transpose");
-        run.sequence.push_back(Cmd{
-            Cmd::Kind::Kernel, computeKernelCost(tp, device_.config()), 0,
-            0});
-    }
-    if (config_.networkOverPcie) {
-        // The paper ships the full power-of-two response buffer across
-        // PCIe (26.4 KB per request on average, Section 6.1.1) — the
-        // loose-fit buffer overhead visible in Figures 9 and 10. With
-        // overlapPipeline the chunked DMA engines gather-scissor the
-        // download to the bytes actually occupied (content plus warp-max
-        // padding); the delivered responses are the same either way.
-        const uint64_t loose_fit = static_cast<uint64_t>(lane_bytes) * n;
-        const uint64_t ship_bytes =
-            config_.overlapPipeline
-                ? std::min(run.responseContentBytes + run.paddingBytes,
-                           loose_fit)
-                : loose_fit;
-        run.sequence.push_back(
-            Cmd{Cmd::Kind::CopyToHost, {}, ship_bytes, 0});
-    }
-
-    // Online fingerprint feed: every completed launch updates its
-    // type's self-similarity EWMA from the stage-0 traces (tracked
-    // only with fusion on; the fusion admission test reads it in O(1)).
-    if (fingerprints_)
-        fingerprints_->observeLaunch(
-            type, std::span<const simt::ThreadTrace *const>(
-                      stage_ptrs[0].data(), stage_ptrs[0].size()));
-
-    // Occupancy accounting: the tail lanes warp-width hardware would
-    // idle on each process-stage launch (executed-lane granularity).
-    const uint32_t width =
-        static_cast<uint32_t>(config_.warpModel.warpWidth);
-    const uint64_t padded =
-        static_cast<uint64_t>((sample + width - 1) / width * width -
-                              sample) *
-        static_cast<uint64_t>(stages);
-    stats_.paddedLanes += padded;
-    OBS_COUNTER_ADD("warp.fusion.padded_lanes", padded);
-
-    // The stage profiles are value copies; recycle the trace storage.
-    for (auto &v : stage_traces)
-        tracePool_.release(std::move(v));
-}
-
-void
-RhythmServer::buildFusedCommands(
-    const std::vector<CohortContext *> &group,
-    std::vector<std::shared_ptr<CohortRun>> &runs,
-    std::vector<HostExecState> &states)
-{
-    CohortRun &leader = *runs.front();
-    const int stages = states.front().stages;
+    const bool fused = members.size() > 1;
+    CohortRun &leader = *members.front().run;
+    const int stages = members.front().stages;
     uint32_t total_sample = 0;
     uint32_t total_n = 0;
     uint64_t backend_insts = 0;
     uint64_t backend_calls = 0;
-    for (const HostExecState &hx : states) {
-        RHYTHM_ASSERT(hx.stages == stages);
-        total_sample += hx.sample;
-        total_n += hx.n;
-        backend_insts += hx.backendInsts;
-        backend_calls += hx.backendCalls;
+    for (const LaunchMember &m : members) {
+        RHYTHM_ASSERT(m.stages == stages);
+        total_sample += m.sample;
+        total_n += m.n;
+        backend_insts += m.backendInsts;
+        backend_calls += m.backendCalls;
     }
     // One aggregate sampling scale for the shared kernels (per-cohort
     // scales are kept on each run for its own byte accounting).
@@ -1719,43 +1444,48 @@ RhythmServer::buildFusedCommands(
         static_cast<double>(total_n) / static_cast<double>(total_sample);
 
     // Divergence-aware lane placement: concatenate each cohort's lanes
-    // as a contiguous block, in collection order. The lockstep
-    // scheduler's majority-block selection then amortizes fetches over
-    // whole same-type runs and only pays divergence where the types
-    // genuinely split — which is what the similarity admission test
-    // predicted was cheap.
-    std::vector<uint32_t> lane_tags(total_sample);
-    {
-        size_t off = 0;
-        for (const HostExecState &hx : states) {
-            std::fill(lane_tags.begin() + static_cast<long>(off),
-                      lane_tags.begin() +
-                          static_cast<long>(off + hx.sample),
-                      hx.type);
-            off += hx.sample;
+    // as a contiguous block, in member order. The lockstep scheduler's
+    // majority-block selection then amortizes fetches over whole
+    // same-type runs and only pays divergence where the types genuinely
+    // split — which is what the similarity admission test predicted was
+    // cheap. A group of one keeps its plain kernel names and untagged
+    // profile-cache keys; a fused group is named after its members, and
+    // the per-lane tag layout keys the memoization fingerprint so a
+    // fused warp can never alias a single-type one.
+    std::string name;
+    std::vector<uint32_t> lane_tags;
+    if (!fused) {
+        name = service_.typeName(members.front().type);
+    } else {
+        name = "fused";
+        lane_tags.reserve(total_sample);
+        for (const LaunchMember &m : members) {
+            name += "+" + std::string(service_.typeName(m.type));
+            lane_tags.insert(lane_tags.end(), m.sample, m.type);
         }
     }
     std::vector<std::vector<const simt::ThreadTrace *>> stage_ptrs(
         static_cast<size_t>(stages));
     std::vector<simt::Engine::Launch> launches(
         static_cast<size_t>(stages));
-    std::string fused_name = "fused";
-    for (const HostExecState &hx : states)
-        fused_name += "+" + std::string(service_.typeName(hx.type));
     for (int s = 0; s < stages; ++s) {
         const size_t si = static_cast<size_t>(s);
         stage_ptrs[si].reserve(total_sample);
-        for (HostExecState &hx : states) {
-            for (uint32_t lane = 0; lane < hx.sample; ++lane)
-                stage_ptrs[si].push_back(&hx.stageTraces[si][lane]);
+        for (LaunchMember &m : members) {
+            for (uint32_t lane = 0; lane < m.sample; ++lane)
+                stage_ptrs[si].push_back(&m.stageTraces[si][lane]);
         }
         launches[si].traces = &stage_ptrs[si];
         launches[si].model = &config_.warpModel;
-        launches[si].name = fused_name + "-stage" + std::to_string(s);
-        // The per-lane tag layout keys the memoization fingerprint so
-        // a fused warp can never alias a single-type one.
-        launches[si].laneTags = &lane_tags;
+        launches[si].name = name + "-stage" + std::to_string(s);
+        if (fused)
+            launches[si].laneTags = &lane_tags;
     }
+    // Profile every pipeline stage in one engine region (warps of all
+    // stages share one index space, so small stages cannot strand pool
+    // workers); the command sequence is then assembled serially in
+    // stage order — the canonical order the determinism contract
+    // requires.
     std::vector<simt::KernelProfile> stage_profiles =
         device_.engine().profileMany(launches);
 
@@ -1766,47 +1496,54 @@ RhythmServer::buildFusedCommands(
         const std::span<const simt::ThreadTrace *const> all(
             stage_ptrs[0].data(), stage_ptrs[0].size());
         size_t off = 0;
-        std::vector<std::pair<size_t, size_t>> slices;
-        for (const HostExecState &hx : states) {
-            slices.emplace_back(off, hx.sample);
-            fingerprints_->observeLaunch(hx.type,
-                                         all.subspan(off, hx.sample));
-            off += hx.sample;
+        for (const LaunchMember &m : members) {
+            fingerprints_->observeLaunch(m.type, all.subspan(off, m.sample));
+            off += m.sample;
         }
-        for (size_t i = 1; i < states.size(); ++i)
+        off = 0;
+        for (size_t i = 1; i < members.size(); ++i) {
+            const LaunchMember &a = members[i - 1];
+            const LaunchMember &b = members[i];
             fingerprints_->observePair(
-                states[i - 1].type,
-                all.subspan(slices[i - 1].first, slices[i - 1].second),
-                states[i].type,
-                all.subspan(slices[i].first, slices[i].second));
+                a.type, all.subspan(off, a.sample), b.type,
+                all.subspan(off + a.sample, b.sample));
+            off += a.sample;
+        }
     }
 
-    // Occupancy accounting for the fused launch: one shared tail warp
-    // instead of one per cohort.
+    // Occupancy accounting: the tail lanes warp-width hardware would
+    // idle on each process-stage launch (executed-lane granularity).
+    // A fused launch shares one tail warp instead of one per cohort.
     const uint32_t width =
         static_cast<uint32_t>(config_.warpModel.warpWidth);
     auto warps_of = [&](uint32_t lanes) {
         return (lanes + width - 1) / width;
     };
-    uint64_t separate_warps = 0;
-    for (const HostExecState &hx : states)
-        separate_warps += warps_of(hx.sample);
     const uint64_t fused_warps = warps_of(total_sample);
     const uint64_t padded =
         static_cast<uint64_t>(fused_warps * width - total_sample) *
         static_cast<uint64_t>(stages);
-    const uint64_t saved =
-        (separate_warps - fused_warps) * static_cast<uint64_t>(stages);
     stats_.paddedLanes += padded;
-    stats_.fusionSavedWarps += saved;
     OBS_COUNTER_ADD("warp.fusion.padded_lanes", padded);
-    OBS_COUNTER_ADD("warp.fusion.saved_warps", saved);
+    if (fused) {
+        uint64_t separate_warps = 0;
+        for (const LaunchMember &m : members)
+            separate_warps += warps_of(m.sample);
+        const uint64_t saved =
+            (separate_warps - fused_warps) * static_cast<uint64_t>(stages);
+        ++stats_.fusedLaunches;
+        stats_.fusedCohorts += members.size();
+        stats_.fusionSavedWarps += saved;
+        OBS_COUNTER_ADD("warp.fusion.fused_launches", 1);
+        OBS_COUNTER_ADD("warp.fusion.fused_cohorts",
+                        static_cast<uint64_t>(members.size()));
+        OBS_COUNTER_ADD("warp.fusion.saved_warps", saved);
+    }
 
     // ---- Shared command sequence on the leader ----------------------
-    // Same shape as the unfused sequence, with every per-cohort count
-    // replaced by the group total: the fused kernels cover all lanes,
-    // the backend trips cover all cohorts' records, and the response
-    // path ships every cohort's buffer.
+    // Every count is the group total: the kernels cover all lanes, the
+    // backend trips cover all members' records, and the response path
+    // ships every member's buffer.
     using Cmd = CohortRun::Cmd;
     const uint64_t backend_req_bytes =
         static_cast<uint64_t>(total_n) *
@@ -1829,6 +1566,8 @@ RhythmServer::buildFusedCommands(
         if (s < stages - 1) {
             stats_.backendRequests += total_n;
             if (config_.backendOnDevice) {
+                // Device-resident backend (Titan B/C): one streaming
+                // kernel over the request/response records.
                 const uint32_t insts_per_thread = static_cast<uint32_t>(
                     backend_calls ? backend_insts / backend_calls : 1000);
                 simt::KernelProfile bp = simt::KernelProfile::streaming(
@@ -1838,6 +1577,8 @@ RhythmServer::buildFusedCommands(
                     Cmd{Cmd::Kind::Kernel,
                         computeKernelCost(bp, device_.config()), 0, 0});
             } else {
+                // Host backend (Titan A): transpose → D2H → host service
+                // → H2D → transpose.
                 if (config_.transposeBuffers) {
                     simt::KernelProfile tp =
                         simt::KernelProfile::streaming(
@@ -1871,12 +1612,15 @@ RhythmServer::buildFusedCommands(
                 }
             }
 
-            // Degradation extras, one draw per member cohort per stage
-            // (the same number of fault-plan consultations the unfused
-            // launches would have made), plus each member's retry
-            // backoff and retried-call service time.
+            // Degradation costs for this stage: an injected backend
+            // brownout (one fault-plan draw per member, the number of
+            // consultations separate launches would have made),
+            // exponential backoff between each member's retry rounds,
+            // and the service time of its retried calls. Zero on the
+            // default path, so the sequence is unchanged when no faults
+            // or retries occurred.
             des::Time extra = 0;
-            for (const HostExecState &hx : states) {
+            for (const LaunchMember &m : members) {
                 if (faultPlan_) {
                     const fault::Decision slow = faultPlan_->at(
                         fault::Site::BackendSlow, queue_.now());
@@ -1889,12 +1633,12 @@ RhythmServer::buildFusedCommands(
                     }
                 }
                 const size_t si = static_cast<size_t>(s);
-                for (uint32_t r = 0; r < hx.retryRounds[si]; ++r)
+                for (uint32_t r = 0; r < m.retryRounds[si]; ++r)
                     extra += config_.retryBackoffBase
                              << std::min<uint32_t>(r, 20);
-                if (hx.retriedCalls[si] > 0)
+                if (m.retriedCalls[si] > 0)
                     extra += des::fromSeconds(
-                        static_cast<double>(hx.retriedCalls[si]) /
+                        static_cast<double>(m.retriedCalls[si]) /
                         config_.hostBackendReqsPerSec);
             }
             if (extra > 0)
@@ -1903,14 +1647,20 @@ RhythmServer::buildFusedCommands(
         }
     }
 
-    // Response path: one transpose pass and one PCIe download covering
-    // every member's buffer.
+    // Response path: one transpose pass back to row-major (on device
+    // unless the Titan C offload handles it) covering every member's
+    // buffer, then one PCIe download if present. The paper ships the
+    // full power-of-two response buffer across PCIe (26.4 KB per
+    // request on average, Section 6.1.1) — the loose-fit buffer
+    // overhead visible in Figures 9 and 10. With overlapPipeline the
+    // chunked DMA engines gather-scissor the download to the bytes
+    // actually occupied (content plus warp-max padding); the delivered
+    // responses are the same either way.
     leader.responseBeginIdx = leader.sequence.size();
     if (config_.transposeBuffers && !config_.offloadResponseTranspose) {
         uint64_t resp_buf_bytes = 0;
-        for (const HostExecState &hx : states)
-            resp_buf_bytes +=
-                2ull * hx.laneBytes * static_cast<uint64_t>(hx.n);
+        for (const LaunchMember &m : members)
+            resp_buf_bytes += 2ull * m.laneBytes * static_cast<uint64_t>(m.n);
         simt::KernelProfile tp = simt::KernelProfile::streaming(
             total_n, resp_buf_bytes, kTransposeInstsPerThread,
             config_.warpModel, "resp-transpose");
@@ -1920,23 +1670,22 @@ RhythmServer::buildFusedCommands(
     }
     if (config_.networkOverPcie) {
         uint64_t ship_bytes = 0;
-        for (size_t i = 0; i < states.size(); ++i) {
+        for (const LaunchMember &m : members) {
             const uint64_t loose_fit =
-                static_cast<uint64_t>(states[i].laneBytes) * states[i].n;
-            ship_bytes +=
-                config_.overlapPipeline
-                    ? std::min(runs[i]->responseContentBytes +
-                                   runs[i]->paddingBytes,
-                               loose_fit)
-                    : loose_fit;
+                static_cast<uint64_t>(m.laneBytes) * m.n;
+            ship_bytes += config_.overlapPipeline
+                              ? std::min(m.run->responseContentBytes +
+                                             m.run->paddingBytes,
+                                         loose_fit)
+                              : loose_fit;
         }
         leader.sequence.push_back(
             Cmd{Cmd::Kind::CopyToHost, {}, ship_bytes, 0});
     }
 
-    (void)group;
-    for (HostExecState &hx : states) {
-        for (auto &v : hx.stageTraces)
+    // The stage profiles are value copies; recycle the trace storage.
+    for (LaunchMember &m : members) {
+        for (auto &v : m.stageTraces)
             tracePool_.release(std::move(v));
     }
 }

@@ -34,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -463,27 +464,23 @@ class RhythmServer
     // Forward decls for the launch-path signatures below; defined with
     // the pipeline-execution block in server.cc.
     struct CohortRun;
-    struct HostExecState;
+    struct LaunchMember;
+    /** Launches one cohort as a group of one (DESIGN.md 6j). */
     void launchCohort(CohortContext &ctx);
     /**
      * Launches a set of cohorts collected at one scan instant. With
-     * fusion off (or a single cohort) this is a plain launchCohort()
-     * loop; with fusion on, similarity-compatible partial cohorts are
-     * greedily grouped (collection order, so the grouping is
-     * deterministic) and each multi-cohort group launches fused.
+     * fusion off (or a single cohort) this is a launchCohort() loop in
+     * collection order. With fusion on, every cohort is begun first, in
+     * collection order; similarity-compatible ones are then greedily
+     * grouped (collection order, so the grouping is deterministic) and
+     * each group launches as one.
      */
     void launchCohortGroup(const std::vector<CohortContext *> &ctxs);
     /** Fusion admission test for adding @p next to @p group: equal
      *  stage counts, a genuine warp saving, pair similarity at or
      *  above the threshold against every member, group-size cap. */
-    bool canFuse(const std::vector<CohortContext *> &group,
-                 const CohortContext &next) const;
-    /** Launches two or more host-executed cohorts as one fused command
-     *  sequence (bookkeeping and host execution already done by
-     *  launchCohortGroup, in collection order). */
-    void launchFusedCohorts(const std::vector<CohortContext *> &group,
-                            std::vector<std::shared_ptr<CohortRun>> &runs,
-                            std::vector<HostExecState> &states);
+    bool canFuse(const std::vector<LaunchMember> &group,
+                 const LaunchMember &next) const;
     void scheduleTimeoutScan();
     void completeRequest(uint64_t client_id, std::string_view response,
                          des::Time latency, bool failed,
@@ -504,23 +501,33 @@ class RhythmServer
 
     // Pipeline execution (host-side eager run producing stage profiles).
     // CohortRun carries one launch's command sequence and delivery
-    // state; HostExecState the host-execution products of one cohort
-    // (stage traces + backend bookkeeping) handed from
-    // executeCohortHost to command building.
-    void executeCohort(CohortContext &ctx, CohortRun &run);
-    /** Runs the handler stages on the host: fills the cohort buffer,
-     *  responses and failure flags, records stage traces into @p hx. */
-    void executeCohortHost(CohortContext &ctx, CohortRun &run,
-                           HostExecState &hx);
-    /** Profiles @p hx's stage traces and builds @p run's command
-     *  sequence (the unfused path; byte-identical to pre-fusion). */
-    void buildCohortCommands(CohortRun &run, HostExecState &hx);
-    /** Profiles the concatenated lanes of a fused group (same-type
-     *  lanes contiguous, per-lane type tags) and builds the shared
-     *  command sequence on the leader run. */
-    void buildFusedCommands(const std::vector<CohortContext *> &group,
-                            std::vector<std::shared_ptr<CohortRun>> &runs,
-                            std::vector<HostExecState> &states);
+    // state; LaunchMember one member cohort of a launch: its context,
+    // its run and the host-execution products (stage traces + backend
+    // bookkeeping) handed from executeCohortHost to buildCommands.
+    /** Begins one member cohort: launch bookkeeping (adaptive EWMA
+     *  feed, markBusy, stats, dispatch span), then host execution. */
+    LaunchMember beginCohort(CohortContext &ctx);
+    /**
+     * Launches k ≥ 1 begun members as one command sequence on the
+     * first member's run (the leader): builds the sequence, hands the
+     * followers and their recorded backend calls to the leader, draws
+     * the hang fault and enqueues. For k = 1 there are no followers.
+     */
+    void launchMembers(std::span<LaunchMember> members);
+    /** Runs the handler stages on the host, stage-major: fills the
+     *  cohort buffer, responses and failure flags, records stage traces
+     *  into @p m. */
+    void executeCohortHost(LaunchMember &m);
+    /**
+     * Profiles the members' concatenated lanes (each member's lanes
+     * contiguous, in member order) and builds the shared command
+     * sequence on the leader run. A group of one keeps its plain
+     * `<type>-stage<s>` kernel names and untagged profile-cache keys
+     * and leaves the fused-launch statistics untouched; k ≥ 2 names
+     * the kernels after every member, tags each lane with its type and
+     * counts the fused launch.
+     */
+    void buildCommands(std::span<LaunchMember> members);
     void enqueueCohortPipeline(CohortContext &ctx,
                                std::shared_ptr<CohortRun> run);
     /** Steps one execution (primary or hedge) of a run on a stream. */

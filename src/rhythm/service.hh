@@ -70,7 +70,8 @@ class Service
      * otherwise make one lane's output depend on another lane's
      * execution order. Stages that mutate shared state (session
      * create/destroy) must return false and run serially. Defaults to
-     * false: services opt stages in after auditing them.
+     * false: services opt stages in after auditing them, and an
+     * unaudited stage runs its lanes serially, in lane order.
      */
     virtual bool
     stageIsLaneParallel(uint32_t type_id, int stage) const

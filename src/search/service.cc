@@ -214,6 +214,20 @@ SearchService::runStage(uint32_t type_id, int stage,
     RHYTHM_PANIC("unknown search page type");
 }
 
+bool
+SearchService::stageIsLaneParallel(uint32_t type_id, int stage) const
+{
+    // Audit (see DESIGN.md 6f): every handler stage is const and
+    // touches only its lane's HandlerContext — it reads the request and
+    // backend response and writes the lane's recorder, response
+    // writer, backend request and failure flag. The index is touched
+    // by executeBackend alone, which the pipeline runs in its serial
+    // per-stage merge. So every stage is lane-parallel.
+    (void)type_id;
+    (void)stage;
+    return true;
+}
+
 // ---------------------------------------------------------------------
 // Backend protocol: QUERY|terms|k, DOC|id, SUGGEST|prefix|k
 // ---------------------------------------------------------------------

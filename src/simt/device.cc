@@ -158,10 +158,8 @@ Device::startCopy(CopyEngine &engine, PendingCopy copy)
         ++stats_.copiesToHost;
         stats_.bytesToHost += copy.bytes;
     }
-    const double transfer_seconds =
-        static_cast<double>(copy.bytes) / (config_.pcieBandwidthGBs * 1e9);
-    const des::Time nominal =
-        config_.pcieLatency + des::fromSeconds(transfer_seconds);
+    const PcieLink link(config_);
+    const des::Time nominal = link.nominal(copy.bytes);
     des::Time base = nominal;
     if (config_.pcieCrcEnabled) {
         // Frame-level CRC + bounded retransmit (simt/pcie.hh). The
@@ -169,7 +167,6 @@ Device::startCopy(CopyEngine &engine, PendingCopy copy)
         // one no frame ever corrupts, but framing overhead still rides
         // on the wire — CRC protection costs bandwidth even when
         // nothing goes wrong, and the §6.3 accounting must show that.
-        const PcieLink link(config_);
         const PcieTransfer xfer = link.transfer(
             copy.bytes, [this, &copy]() {
                 return faultHooks_.frameCorrupt &&
@@ -280,10 +277,7 @@ Device::assignEngine(CopyDirection &dir, PendingCopy copy)
         ++stats_.copiesToHost;
         stats_.bytesToHost += copy.bytes;
     }
-    const double transfer_seconds =
-        static_cast<double>(copy.bytes) / (config_.pcieBandwidthGBs * 1e9);
-    const des::Time nominal =
-        config_.pcieLatency + des::fromSeconds(transfer_seconds);
+    const des::Time nominal = PcieLink(config_).nominal(copy.bytes);
     // The copyExtra fault hook is consulted exactly once per transfer
     // (same contract as the legacy path); the penalty lands on the
     // final chunk so the transfer still completes as one unit.

@@ -68,7 +68,8 @@ class PcieLink
      * Time on the wire for @p bytes of payload, excluding faults and
      * framing — exactly the legacy `latency + bytes / bandwidth`
      * formula. This is the CRC-off cost and the baseline the §6.3
-     * bandwidth model and fault injector both build on.
+     * bandwidth model and fault injector both build on; both of
+     * Device's copy models take their nominal transfer time from here.
      */
     des::Time nominal(uint64_t bytes) const
     {

@@ -17,6 +17,8 @@
  */
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -26,6 +28,8 @@
 #include <gtest/gtest.h>
 
 #include "backend/bankdb.hh"
+#include "chat/service.hh"
+#include "chat/store.hh"
 #include "des/event_queue.hh"
 #include "fault/device_injector.hh"
 #include "fault/plan.hh"
@@ -35,6 +39,9 @@
 #include "rhythm/banking_service.hh"
 #include "rhythm/fleet.hh"
 #include "rhythm/server.hh"
+#include "search/corpus.hh"
+#include "search/index.hh"
+#include "search/service.hh"
 #include "simt/device.hh"
 #include "simt/profile_cache.hh"
 #include "specweb/workload.hh"
@@ -568,10 +575,12 @@ responseHash(uint64_t client_id, std::string_view response)
  *        but not for the fusion-on-vs-off byte comparison, which uses
  *        the steady shape where no admission decision ever consults
  *        pipeline state.
+ * @param fusion_threshold The packer's minimum pair similarity; above
+ *        1 no pair can ever fuse.
  */
 Fingerprint
 runFusionFlash(unsigned threads, bool fusion, size_t cache_entries = 0,
-               bool burst = true)
+               bool burst = true, double fusion_threshold = 0.5)
 {
     util::setSimThreads(threads);
     obs::global().reset();
@@ -589,6 +598,7 @@ runFusionFlash(unsigned threads, bool fusion, size_t cache_entries = 0,
     // that the chopping is identical (the CI digest gate's shape).
     cfg.cohortTimeout = 2 * des::kMillisecond;
     cfg.fusionEnabled = fusion;
+    cfg.fusionSimilarityThreshold = fusion_threshold;
     if (cache_entries > 0)
         cfg.traceTemplateCacheEntries =
             static_cast<uint32_t>(cache_entries);
@@ -664,6 +674,102 @@ runFusionFlash(unsigned threads, bool fusion, size_t cache_entries = 0,
     fp.metrics.emplace_back(
         "fusion.saved_warps",
         static_cast<double>(server.stats().fusionSavedWarps));
+    std::ostringstream trace;
+    obs::global().tracer().writeChromeTrace(trace);
+    fp.trace = trace.str();
+    fp.cacheStats = cache.stats();
+
+    obs::global().disable();
+    obs::global().reset();
+    util::setSimThreads(1);
+    return fp;
+}
+
+/** The non-banking workloads of rhythm_sim --workload. */
+enum class Workload : uint8_t { Chat, Search };
+
+/**
+ * One rhythm_sim-shaped chat or search run: a closed-loop pull source
+ * of mixed page types, with observability recording. Both services
+ * audit every handler stage lane-parallel (DESIGN.md 6f), so their
+ * stages fan out over the pool while the backend calls (chat posts
+ * mutate the room store) run in the serial per-stage merge. The
+ * fingerprint carries a digest of every response byte.
+ */
+Fingerprint
+runService(Workload workload, unsigned threads, size_t cache_entries = 0)
+{
+    util::setSimThreads(threads);
+    obs::global().reset();
+
+    platform::TitanVariant variant = platform::titanB();
+    core::RhythmConfig cfg = variant.server;
+    cfg.cohortSize = 512;
+    cfg.cohortContexts = 8;
+    cfg.laneSample = 64;
+    if (cache_entries > 0)
+        cfg.traceTemplateCacheEntries =
+            static_cast<uint32_t>(cache_entries);
+    const uint64_t total = 4 * cfg.cohortSize;
+    const uint64_t seed = 42;
+
+    // The stores outlive the service that binds them.
+    std::unique_ptr<chat::RoomStore> store;
+    std::unique_ptr<search::Corpus> corpus;
+    std::unique_ptr<search::InvertedIndex> index;
+    std::unique_ptr<core::Service> service;
+    std::function<std::string()> next;
+    if (workload == Workload::Chat) {
+        store = std::make_unique<chat::RoomStore>(64, 20, seed);
+        auto gen =
+            std::make_shared<chat::ChatGenerator>(*store, seed * 13 + 5);
+        service = std::make_unique<chat::ChatService>(*store);
+        next = [gen]() {
+            chat::PageType type;
+            return gen->next(type);
+        };
+    } else {
+        corpus = std::make_unique<search::Corpus>(500, 4096, seed);
+        index = std::make_unique<search::InvertedIndex>(*corpus);
+        auto gen = std::make_shared<search::QueryGenerator>(
+            *corpus, seed * 17 + 3);
+        service = std::make_unique<search::SearchService>(*index);
+        next = [gen]() { return gen->next().raw; };
+    }
+
+    des::EventQueue queue;
+    obs::global().enable(queue);
+    simt::ProfileCache cache(std::max<size_t>(cache_entries, 1));
+    simt::Device device(queue, variant.device);
+    if (cache_entries > 0)
+        device.engine().setProfileCache(&cache);
+    core::RhythmServer server(queue, device, *service, cfg);
+
+    Fingerprint fp;
+    server.setResponseCallback(
+        [&fp](uint64_t client_id, std::string_view response, des::Time) {
+            fp.responseDigestSum += responseHash(client_id, response);
+        });
+    uint64_t issued = 0;
+    server.start([&]() -> std::optional<std::string> {
+        if (issued >= total)
+            return std::nullopt;
+        ++issued;
+        return next();
+    });
+    queue.run();
+
+    fp.clock = queue.now();
+    fp.dispatched = queue.dispatched();
+    fp.orderHash = queue.orderHash();
+    fp.responses = server.stats().responsesCompleted;
+    fp.errors = server.stats().errorResponses;
+    fp.engineLaunches = device.engine().launches();
+    fp.engineWarps = device.engine().warps();
+    fp.sms = device.engine().smCounters();
+    fp.metrics = obs::global().metrics().flatten(
+        std::span<const std::string_view>(
+            obs::kBaselineExcludedPrefixes));
     std::ostringstream trace;
     obs::global().tracer().writeChromeTrace(trace);
     fp.trace = trace.str();
@@ -909,6 +1015,60 @@ TEST(ParallelEquivalenceTest, FusionWithCacheIsByteIdentical)
         expectSameCacheStats(cached.cacheStats, parallel.cacheStats,
                              threads);
     }
+}
+
+TEST(ParallelEquivalenceTest, UnfusableFusionOnMatchesFusionOff)
+{
+    // A plain launch is a fused group of one (DESIGN.md 6j). With a
+    // similarity threshold above 1 no pair can fuse, so fusion on
+    // begins every cohort of a scan instant before building any
+    // group's command sequence, yet launches each cohort alone. That
+    // must reproduce fusion off in the whole fingerprint: dispatch
+    // order and order hash, responses, trace and every metric (the
+    // flatten already excludes the warp.fusion.* counters).
+    const Fingerprint off = runFusionFlash(1, false);
+    ASSERT_GT(off.responses, 0u);
+    for (unsigned threads : {1u, 8u}) {
+        const Fingerprint on = runFusionFlash(threads, true, 0, true, 2.0);
+        EXPECT_EQ(metricValue(on, "fusion.fused_launches"), 0.0);
+        expectIdentical(off, on, threads);
+    }
+    // Sanity, run last because obs::reset() keeps metric registrations:
+    // at the default threshold the same arrivals do fuse, so the run
+    // has scan instants that launch several cohorts at once.
+    EXPECT_GT(metricValue(runFusionFlash(1, true), "fusion.fused_launches"),
+              0.0);
+}
+
+/** Byte-identity of one service's runs at 1, 2 and 8 threads, profile
+ *  cache off and on. */
+void
+expectServiceRunsIdentical(Workload workload)
+{
+    const Fingerprint serial = runService(workload, 1);
+    ASSERT_GT(serial.responses, 0u);
+    ASSERT_FALSE(serial.trace.empty());
+    for (size_t cache_entries : {size_t{0}, size_t{4096}}) {
+        SCOPED_TRACE("profile-cache entries=" +
+                     std::to_string(cache_entries));
+        for (unsigned threads : {1u, 2u, 8u}) {
+            if (cache_entries == 0 && threads == 1)
+                continue;
+            expectIdentical(serial,
+                            runService(workload, threads, cache_entries),
+                            threads);
+        }
+    }
+}
+
+TEST(ParallelEquivalenceTest, ChatRunIsByteIdentical)
+{
+    expectServiceRunsIdentical(Workload::Chat);
+}
+
+TEST(ParallelEquivalenceTest, SearchRunIsByteIdentical)
+{
+    expectServiceRunsIdentical(Workload::Search);
 }
 
 TEST(ParallelEquivalenceTest, Fig9SizedTitanARunIsIdentical)

@@ -762,6 +762,17 @@ main(int argc, char **argv)
         flags.getDouble("pcie-gbs", variant.device.pcieBandwidthGBs);
     variant.device.hardwareQueues = static_cast<int>(flags.getU64(
         "queues", static_cast<uint64_t>(variant.device.hardwareQueues)));
+    // Out-of-range sizes and rates are usage errors: reject them here
+    // rather than trip a library assert (or, for a zero-bandwidth link,
+    // simulate nonsense). `!(x > 0)` also rejects NaN.
+    if (variant.device.numSms < 1)
+        return usage("--sms must be >= 1");
+    if (!(variant.device.memBandwidthGBs > 0))
+        return usage("--mem-gbs must be > 0");
+    if (!(variant.device.pcieBandwidthGBs > 0))
+        return usage("--pcie-gbs must be > 0");
+    if (variant.device.hardwareQueues < 1)
+        return usage("--queues must be >= 1");
     if (flags.getBool("pcie-crc", false))
         variant.device.pcieCrcEnabled = true;
 
@@ -790,6 +801,8 @@ main(int argc, char **argv)
         bench::BatchingFlags::parse(argc, argv);
     const bench::ArrivalFlags arrival =
         bench::ArrivalFlags::parse(argc, argv);
+    if (arrival.open() && !(arrival.config.rate > 0))
+        return usage("--arrival-rate must be > 0");
     // Cross-type cohort fusion family (DESIGN.md 6j), same shared-helper
     // arrangement.
     const bench::FusionFlags fusion = bench::FusionFlags::parse(argc, argv);
@@ -802,12 +815,22 @@ main(int argc, char **argv)
     fusion.apply(cfg);
     cfg.cohortSize =
         static_cast<uint32_t>(flags.getU64("cohort-size", 4096));
+    if (cfg.cohortSize == 0)
+        return usage("--cohort-size must be >= 1");
     // Default to 16 contexts: a mixed workload needs roughly one per
     // request type in flight (isolation runs are fine with fewer).
     cfg.cohortContexts =
         static_cast<uint32_t>(flags.getU64("contexts", 16));
-    cfg.cohortTimeout =
-        des::fromSeconds(flags.getDouble("timeout-ms", 2.0) / 1e3);
+    if (cfg.cohortContexts == 0)
+        return usage("--contexts must be >= 1");
+    const double timeout_ms = flags.getDouble("timeout-ms", 2.0);
+    if (!(timeout_ms >= 0))
+        return usage("--timeout-ms must be >= 0");
+    cfg.cohortTimeout = des::fromSeconds(timeout_ms / 1e3);
+    if (flags.getU64("users", 2000) == 0)
+        return usage("--users must be >= 1");
+    if (flags.getU64("docs", 4000) == 0)
+        return usage("--docs must be >= 1");
     cfg.laneSample =
         static_cast<uint32_t>(flags.getU64("lane-sample", 128));
     cfg.transposeBuffers = flags.getBool("transpose", true);
