@@ -1719,45 +1719,45 @@ RhythmServer::startCohortExec(CohortContext &ctx,
                               std::shared_ptr<CohortRun> run, int stream,
                               bool hedge)
 {
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, &ctx, run, stream, step, hedge]() {
-        const std::vector<CohortRun::Cmd> &seq =
-            hedge ? run->hedgeSequence : run->sequence;
-        size_t &next = hedge ? run->hedgeNextCmd : run->nextCmd;
-        if (!hedge && !run->delivered && OBS_ENABLED() &&
-            !run->processClosed && next == run->responseBeginIdx) {
-            // All process-stage commands have completed; the remaining
-            // commands (if any) are the response path.
-            run->processClosed = true;
-            run->responseStart = queue_.now();
-            OBS_SPAN_COMPLETE(
-                obs::track::kCohortBase + ctx.id(), "process", "stage",
-                run->launchedAt, queue_.now(),
-                {"commands",
-                 static_cast<uint64_t>(run->responseBeginIdx)},
-                {"lanes", static_cast<uint64_t>(run->executedLanes)});
-        }
-        if (next >= seq.size()) {
-            execCompleted(ctx, run, hedge);
-            return;
-        }
-        const CohortRun::Cmd &cmd = seq[next++];
-        switch (cmd.kind) {
-          case CohortRun::Cmd::Kind::Kernel:
-            device_.launchKernel(stream, cmd.cost, *step);
-            break;
-          case CohortRun::Cmd::Kind::CopyToHost:
-            device_.copyToHost(stream, cmd.bytes, *step);
-            break;
-          case CohortRun::Cmd::Kind::CopyToDevice:
-            device_.copyToDevice(stream, cmd.bytes, *step);
-            break;
-          case CohortRun::Cmd::Kind::HostDelay:
-            queue_.scheduleAfter(cmd.delay, *step);
-            break;
-        }
+    const std::vector<CohortRun::Cmd> &seq =
+        hedge ? run->hedgeSequence : run->sequence;
+    size_t &next = hedge ? run->hedgeNextCmd : run->nextCmd;
+    if (!hedge && !run->delivered && OBS_ENABLED() &&
+        !run->processClosed && next == run->responseBeginIdx) {
+        // All process-stage commands have completed; the remaining
+        // commands (if any) are the response path.
+        run->processClosed = true;
+        run->responseStart = queue_.now();
+        OBS_SPAN_COMPLETE(
+            obs::track::kCohortBase + ctx.id(), "process", "stage",
+            run->launchedAt, queue_.now(),
+            {"commands", static_cast<uint64_t>(run->responseBeginIdx)},
+            {"lanes", static_cast<uint64_t>(run->executedLanes)});
+    }
+    if (next >= seq.size()) {
+        execCompleted(ctx, run, hedge);
+        return;
+    }
+    const CohortRun::Cmd &cmd = seq[next++];
+    // Each command's completion steps the run again. The callback owns
+    // the run only until it fires, so a finished run is freed.
+    auto step = [this, &ctx, run, stream, hedge]() {
+        startCohortExec(ctx, run, stream, hedge);
     };
-    (*step)();
+    switch (cmd.kind) {
+      case CohortRun::Cmd::Kind::Kernel:
+        device_.launchKernel(stream, cmd.cost, std::move(step));
+        break;
+      case CohortRun::Cmd::Kind::CopyToHost:
+        device_.copyToHost(stream, cmd.bytes, std::move(step));
+        break;
+      case CohortRun::Cmd::Kind::CopyToDevice:
+        device_.copyToDevice(stream, cmd.bytes, std::move(step));
+        break;
+      case CohortRun::Cmd::Kind::HostDelay:
+        queue_.scheduleAfter(cmd.delay, std::move(step));
+        break;
+    }
 }
 
 void

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
+#include <numeric>
 #include <unordered_map>
 #include <vector>
 
@@ -12,39 +12,81 @@ namespace rhythm::simt {
 namespace {
 
 /**
- * Fixed-capacity u64 buffer that spills to the heap instead of
- * dropping values. The inline array covers the hot path (a warp's
- * lanes, narrow accesses) allocation-free; wide accesses that straddle
- * many segments overflow into the vector and are merged before use, so
- * counts stay exact instead of silently truncating.
+ * Scratch array sized to one warp-level access: inline for up to 64
+ * lanes (the hot path stays allocation-free), on the heap beyond, so
+ * warp models wider than the inline capacity stay exact.
  */
-template <size_t N>
-class SpillBuf
+template <typename T>
+class LaneScratch
 {
   public:
-    void push(uint64_t v)
+    explicit LaneScratch(size_t n)
     {
-        if (n_ < N)
-            inline_[n_++] = v;
-        else
-            spill_.push_back(v);
+        if (n > inline_.size())
+            heap_.resize(n);
     }
 
-    /** Contiguous view of all values (merges the spill if engaged). */
-    std::span<uint64_t> values()
-    {
-        if (spill_.empty())
-            return std::span<uint64_t>(inline_.data(), n_);
-        spill_.insert(spill_.end(), inline_.begin(), inline_.begin() + n_);
-        n_ = 0;
-        return std::span<uint64_t>(spill_);
-    }
+    T *data() { return heap_.empty() ? inline_.data() : heap_.data(); }
 
   private:
-    std::array<uint64_t, N> inline_;
-    std::vector<uint64_t> spill_;
-    size_t n_ = 0;
+    std::array<T, 64> inline_;
+    std::vector<T> heap_;
 };
+
+/**
+ * Counts the distinct segments touched by accesses of @p width bytes at
+ * `sorted[k] + offset`, with @p sorted ascending. Sharing one width, the
+ * accesses' first and last segments are both non-decreasing along the
+ * span, so one linear interval-union pass counts the union exactly:
+ * no segment ids are materialized or sorted.
+ */
+uint64_t
+countSegments(std::span<const uint64_t> sorted, uint64_t offset,
+              uint16_t width, uint32_t segment_bytes)
+{
+    uint64_t count = 0;
+    uint64_t next = 0; // lowest segment not yet counted
+    for (uint64_t base : sorted) {
+        const uint64_t addr = base + offset;
+        const uint64_t first = std::max(addr / segment_bytes, next);
+        const uint64_t last = (addr + width - 1) / segment_bytes;
+        if (last >= first) {
+            count += last - first + 1;
+            next = last + 1;
+        }
+    }
+    return count;
+}
+
+/**
+ * Sums countSegments() over elements [lo, hi) of lanes that share
+ * @p stride and @p width (element i adds i × stride to every base in
+ * @p sorted). With P = segment / gcd(stride mod segment, segment),
+ * P × stride is a whole number of segments: element i + P is element i
+ * translated by whole segments and touches as many. So one period is
+ * evaluated and multiplied out, plus the tail — exact for any stride,
+ * and a single element for segment-multiple strides (P = 1).
+ */
+uint64_t
+stridedSegments(std::span<const uint64_t> sorted, uint32_t lo, uint32_t hi,
+                uint32_t stride, uint16_t width, uint32_t segment_bytes)
+{
+    const uint64_t period =
+        segment_bytes / std::gcd(stride % segment_bytes, segment_bytes);
+    const uint64_t n = hi - lo;
+    const uint64_t tail = n % period;
+    uint64_t period_sum = 0;
+    uint64_t tail_sum = 0;
+    for (uint64_t k = 0; k < std::min(n, period); ++k) {
+        if (k == tail)
+            tail_sum = period_sum;
+        period_sum += countSegments(sorted, (lo + k) * stride, width,
+                                    segment_bytes);
+    }
+    if (n < period)
+        return period_sum;
+    return n / period * period_sum + tail_sum;
+}
 
 } // namespace
 
@@ -92,38 +134,28 @@ coalesceTransactions(std::span<const uint64_t> addrs, uint16_t width,
                      uint32_t segment_bytes)
 {
     RHYTHM_ASSERT(segment_bytes > 0);
-    // Collect the segment indices touched by every lane's access (an
-    // access can straddle a segment boundary), then count distinct
-    // ones. Wide accesses can touch far more segments than lanes, so
-    // the collection spills to the heap instead of capping the count.
-    SpillBuf<128> segments;
-    for (uint64_t addr : addrs) {
-        const uint64_t first = addr / segment_bytes;
-        const uint64_t last = (addr + width - 1) / segment_bytes;
-        for (uint64_t seg = first; seg <= last; ++seg)
-            segments.push(seg);
-    }
-    const std::span<uint64_t> vals = segments.values();
-    std::sort(vals.begin(), vals.end());
-    const auto end = std::unique(vals.begin(), vals.end());
-    return static_cast<uint32_t>(end - vals.begin());
+    LaneScratch<uint64_t> scratch(addrs.size());
+    uint64_t *sorted = scratch.data();
+    std::copy(addrs.begin(), addrs.end(), sorted);
+    std::sort(sorted, sorted + addrs.size());
+    return static_cast<uint32_t>(
+        countSegments(std::span<const uint64_t>(sorted, addrs.size()), 0,
+                      width, segment_bytes));
 }
 
 uint32_t
 sharedBankReplays(std::span<const uint64_t> addrs)
 {
     // Count distinct addresses per bank; replays = worst bank - 1.
-    // Warps wider than 64 lanes spill rather than dropping addresses.
-    SpillBuf<64> sorted;
-    for (uint64_t addr : addrs)
-        sorted.push(addr);
-    const std::span<uint64_t> vals = sorted.values();
-    std::sort(vals.begin(), vals.end());
-    const auto end = std::unique(vals.begin(), vals.end());
+    LaneScratch<uint64_t> scratch(addrs.size());
+    uint64_t *sorted = scratch.data();
+    std::copy(addrs.begin(), addrs.end(), sorted);
+    std::sort(sorted, sorted + addrs.size());
+    uint64_t *const end = std::unique(sorted, sorted + addrs.size());
 
     std::array<uint32_t, 32> bank_counts{};
     uint32_t worst = 1;
-    for (auto it = vals.begin(); it != end; ++it) {
+    for (const uint64_t *it = sorted; it != end; ++it) {
         const uint32_t bank = static_cast<uint32_t>((*it / 4) % 32);
         worst = std::max(worst, ++bank_counts[bank]);
     }
@@ -158,16 +190,9 @@ coalesceGroupOp(std::span<const MemOp *const> ops, const WarpModel &model,
             stats.sharedAccesses += op->count;
             max_count = std::max(max_count, op->count);
         }
-        // Bank conflicts serialize the access into replays. The lane
-        // buffer sizes to the group (one slot per op), so warp models
-        // wider than the inline capacity stay exact.
-        std::array<uint64_t, 64> inline_addrs;
-        std::vector<uint64_t> heap_addrs;
-        uint64_t *addrs = inline_addrs.data();
-        if (ops.size() > inline_addrs.size()) {
-            heap_addrs.resize(ops.size());
-            addrs = heap_addrs.data();
-        }
+        // Bank conflicts serialize the access into replays.
+        LaneScratch<uint64_t> scratch(ops.size());
+        uint64_t *addrs = scratch.data();
         for (uint32_t i = 0; i < max_count; ++i) {
             size_t n = 0;
             for (const MemOp *op : ops) {
@@ -186,59 +211,69 @@ coalesceGroupOp(std::span<const MemOp *const> ops, const WarpModel &model,
         return;
     }
 
+    // The global lanes of the group; in a mixed-space group the others
+    // move no DRAM bytes.
     uint32_t max_count = 0;
+    size_t lanes = 0;
+    const MemOp *first = nullptr;
+    bool same_shape = true; // one stride and one width across the lanes
     for (const MemOp *op : ops) {
-        if (op->space == MemSpace::Global) {
-            stats.globalBytes +=
-                static_cast<uint64_t>(op->count) * op->width;
-            max_count = std::max(max_count, op->count);
-        }
+        if (op->space != MemSpace::Global)
+            continue;
+        stats.globalBytes += static_cast<uint64_t>(op->count) * op->width;
+        max_count = std::max(max_count, op->count);
+        if (!first)
+            first = op;
+        same_shape = same_shape && op->stride == first->stride &&
+                     op->width == first->width;
+        ++lanes;
     }
     if (max_count == 0)
         return;
+    const uint32_t segment = model.segmentBytes;
+    RHYTHM_ASSERT(segment > 0);
+    LaneScratch<uint64_t> scratch(lanes);
+    uint64_t *addrs = scratch.data();
 
-    // Detect the uniform pattern (same count/stride/width, arithmetic
-    // lane bases): closed-form evaluation using a sampled window, exact
-    // otherwise. The sampled window is exact whenever the per-element
-    // segment pattern is periodic, which holds for arithmetic sequences.
-    bool uniform = ops.size() > 1;
-    for (const MemOp *op : ops) {
-        if (op->space != MemSpace::Global || op->count != ops[0]->count ||
-            op->stride != ops[0]->stride || op->width != ops[0]->width)
-            uniform = false;
-    }
-
-    // One address slot per lane of the group; spill to the heap for
-    // warp models wider than the inline capacity.
-    std::array<uint64_t, 64> inline_addrs;
-    std::vector<uint64_t> heap_addrs;
-    uint64_t *addrs = inline_addrs.data();
-    if (ops.size() > inline_addrs.size()) {
-        heap_addrs.resize(ops.size());
-        addrs = heap_addrs.data();
-    }
-    const uint32_t kExactLimit = 4096;
-
-    if (uniform && max_count > kExactLimit) {
-        // Sample a window of elements and extrapolate; the pattern of
-        // segment counts repeats with period lcm(segment, stride)/stride
-        // which the 128-element window covers for power-of-two strides.
-        const uint32_t window = 128;
-        uint64_t window_txns = 0;
-        for (uint32_t i = 0; i < window; ++i) {
-            size_t n = 0;
-            for (const MemOp *op : ops)
-                addrs[n++] = op->addr + static_cast<uint64_t>(i) * op->stride;
-            window_txns += coalesceTransactions(
-                std::span<const uint64_t>(addrs, n), ops[0]->width,
-                model.segmentBytes);
+    if (same_shape) {
+        // Every element adds the same offset to every lane, so the
+        // lanes' address order holds at every element: sort them once.
+        // Between count boundaries the active lanes are fixed, and each
+        // such piece is evaluated in closed form.
+        struct Lane
+        {
+            uint64_t addr;
+            uint32_t count;
+        };
+        LaneScratch<Lane> lane_scratch(lanes);
+        Lane *by_addr = lane_scratch.data();
+        size_t k = 0;
+        for (const MemOp *op : ops) {
+            if (op->space == MemSpace::Global)
+                by_addr[k++] = Lane{op->addr, op->count};
         }
-        stats.globalTransactions +=
-            window_txns * max_count / window +
-            ((window_txns * max_count) % window ? 1 : 0);
+        std::sort(by_addr, by_addr + lanes,
+                  [](const Lane &a, const Lane &b) { return a.addr < b.addr; });
+        for (uint32_t lo = 0; lo < max_count;) {
+            uint32_t hi = max_count;
+            size_t n = 0;
+            for (size_t l = 0; l < lanes; ++l) {
+                if (by_addr[l].count > lo) {
+                    addrs[n++] = by_addr[l].addr;
+                    hi = std::min(hi, by_addr[l].count);
+                }
+            }
+            stats.globalTransactions += stridedSegments(
+                std::span<const uint64_t>(addrs, n), lo, hi, first->stride,
+                first->width, segment);
+            lo = hi;
+        }
         return;
     }
 
+    // Lanes differ in stride or width, so their address order can change
+    // from element to element: sort each element on its own. An element
+    // access has one width, the last active lane's.
     for (uint32_t i = 0; i < max_count; ++i) {
         size_t n = 0;
         uint16_t width = 4;
@@ -248,11 +283,9 @@ coalesceGroupOp(std::span<const MemOp *const> ops, const WarpModel &model,
                 width = op->width;
             }
         }
-        if (n == 0)
-            continue;
-        stats.globalTransactions += coalesceTransactions(
-            std::span<const uint64_t>(addrs, n), width,
-            model.segmentBytes);
+        std::sort(addrs, addrs + n);
+        stats.globalTransactions += countSegments(
+            std::span<const uint64_t>(addrs, n), 0, width, segment);
     }
 }
 

@@ -118,7 +118,12 @@ WarpStats mergeBlockSchedule(std::span<const ThreadTrace *const> lanes,
                              const WarpModel &model = WarpModel{});
 
 /**
- * Counts the 128-byte segments touched by one warp-level element access.
+ * Counts the distinct segments touched by one warp-level element access:
+ * the addresses are sorted and the accesses' segment intervals merged in
+ * one linear pass. simulateWarp() counts every element of a bulk op this
+ * way, except that lanes sharing a stride and width are sorted once per
+ * op and only one period of elements is evaluated (docs/SIMULATOR.md,
+ * "Memory system").
  *
  * Exposed for unit testing of the coalescer.
  *

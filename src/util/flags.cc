@@ -5,6 +5,21 @@
 #include "util/strings.hh"
 
 namespace rhythm {
+namespace {
+
+/** Parses all of @p text as a decimal number (strtod syntax). */
+bool
+parseDouble(const std::string &text, double &out)
+{
+    char *end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0')
+        return false;
+    out = value;
+    return true;
+}
+
+} // namespace
 
 bool
 Flags::parse(int argc, const char *const *argv)
@@ -69,10 +84,8 @@ Flags::getDouble(std::string_view name, double fallback) const
     auto it = values_.find(name);
     if (it == values_.end())
         return fallback;
-    char *end = nullptr;
-    const double value = std::strtod(it->second.c_str(), &end);
-    return (end && *end == '\0' && end != it->second.c_str()) ? value
-                                                              : fallback;
+    double value = 0.0;
+    return parseDouble(it->second, value) ? value : fallback;
 }
 
 bool
@@ -108,6 +121,35 @@ Flags::allowOnly(const std::vector<std::string> &known)
             ok |= k == name;
         if (!ok) {
             error_ = "unknown flag: --" + name;
+            return false;
+        }
+    }
+    return true;
+}
+
+bool
+Flags::requireU64(const std::vector<std::string> &names)
+{
+    uint64_t value = 0;
+    for (const std::string &name : names) {
+        auto it = values_.find(name);
+        if (it != values_.end() && !parseU64(it->second, value)) {
+            error_ = "--" + name + " must be an unsigned integer, got: " +
+                     it->second;
+            return false;
+        }
+    }
+    return true;
+}
+
+bool
+Flags::requireDouble(const std::vector<std::string> &names)
+{
+    double value = 0.0;
+    for (const std::string &name : names) {
+        auto it = values_.find(name);
+        if (it != values_.end() && !parseDouble(it->second, value)) {
+            error_ = "--" + name + " must be a number, got: " + it->second;
             return false;
         }
     }

@@ -36,10 +36,16 @@ class Flags
     std::string getString(std::string_view name,
                           std::string_view fallback = "") const;
 
-    /** Unsigned integer value (or @p fallback when absent/malformed). */
+    /**
+     * Unsigned integer value (or @p fallback when absent/malformed;
+     * requireU64() turns malformed into an error).
+     */
     uint64_t getU64(std::string_view name, uint64_t fallback) const;
 
-    /** Double value (or @p fallback when absent/malformed). */
+    /**
+     * Double value (or @p fallback when absent/malformed;
+     * requireDouble() turns malformed into an error).
+     */
     double getDouble(std::string_view name, double fallback) const;
 
     /**
@@ -62,6 +68,16 @@ class Flags
      * @return false (with error()) when an unknown flag was given.
      */
     bool allowOnly(const std::vector<std::string> &known);
+
+    /**
+     * Verifies every given flag among @p names holds an unsigned
+     * integer, as getU64() parses it.
+     * @return false (with error()) on the first value that does not.
+     */
+    bool requireU64(const std::vector<std::string> &names);
+
+    /** As requireU64(), for getDouble()'s decimal values. */
+    bool requireDouble(const std::vector<std::string> &names);
 
     /** Parse/validation error message ("" when fine). */
     const std::string &error() const { return error_; }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "simt/kernel.hh"
@@ -380,8 +381,9 @@ TEST(Warp, SharedAndConstantProduceNoDramTraffic)
 
 TEST(Warp, BulkSampledPathMatchesExactForUniformPattern)
 {
-    // Large uniform op exercises the sampled fast path; a smaller version
-    // with identical per-element geometry exercises the exact path.
+    // Uniform bulk ops on either side of the 4096-element limit past
+    // which the coalescer once sampled a window and extrapolated: the
+    // one-period form (P = 1 at a segment-sized stride) counts both.
     auto build = [](uint32_t count) {
         std::vector<ThreadTrace> traces(32);
         for (int l = 0; l < 32; ++l) {
@@ -391,8 +393,8 @@ TEST(Warp, BulkSampledPathMatchesExactForUniformPattern)
         }
         return traces;
     };
-    auto small = build(1024); // exact path
-    auto big = build(8192);   // sampled path
+    auto small = build(1024);
+    auto big = build(8192);
     auto ps = ptrs(small);
     auto pb = ptrs(big);
     WarpStats s = simulateWarp(ps);
@@ -634,6 +636,205 @@ TEST(SharedBanks, DuplicatesBeyondCapStillBroadcast)
         addrs.push_back(i * 128);
     EXPECT_EQ(sharedBankReplays(addrs), 65u);
 }
+
+// ---- Coalescer against a reference ---------------------------------
+//
+// simulateWarp() sorts a bulk op's lanes once and evaluates one period
+// of elements in closed form. The reference below is the straightforward
+// algorithm it replaced: every element on its own, every active lane's
+// segment ids materialized, sorted and deduplicated.
+
+/** One lane's bulk global access in a coalescer test group. */
+struct BulkLane
+{
+    uint64_t addr = 0;
+    uint32_t count = 1;
+    uint32_t stride = 0;
+    uint16_t width = 4;
+};
+
+/**
+ * Reference transaction count of @p group: per element, the distinct
+ * segment ids of the active lanes. An element access has one width, the
+ * last active lane's.
+ */
+uint64_t
+referenceTransactions(const std::vector<BulkLane> &group,
+                      uint32_t segment_bytes)
+{
+    uint32_t max_count = 0;
+    for (const BulkLane &lane : group)
+        max_count = std::max(max_count, lane.count);
+    uint64_t total = 0;
+    std::vector<uint64_t> segments;
+    for (uint32_t i = 0; i < max_count; ++i) {
+        uint16_t width = 4;
+        for (const BulkLane &lane : group) {
+            if (i < lane.count)
+                width = lane.width;
+        }
+        segments.clear();
+        for (const BulkLane &lane : group) {
+            if (i >= lane.count)
+                continue;
+            const uint64_t addr =
+                lane.addr + static_cast<uint64_t>(i) * lane.stride;
+            for (uint64_t seg = addr / segment_bytes;
+                 seg <= (addr + width - 1) / segment_bytes; ++seg)
+                segments.push_back(seg);
+        }
+        std::sort(segments.begin(), segments.end());
+        total += static_cast<uint64_t>(
+            std::unique(segments.begin(), segments.end()) -
+            segments.begin());
+    }
+    return total;
+}
+
+/** simulateWarp()'s transaction count for @p group issued as one warp. */
+uint64_t
+simulatedTransactions(const std::vector<BulkLane> &group,
+                      uint32_t segment_bytes)
+{
+    std::vector<ThreadTrace> traces(group.size());
+    for (size_t l = 0; l < group.size(); ++l) {
+        RecordingTracer rec(traces[l]);
+        rec.block(1, 1);
+        rec.load(group[l].addr, group[l].count, group[l].stride,
+                 group[l].width);
+    }
+    auto p = ptrs(traces);
+    WarpModel model;
+    model.warpWidth = static_cast<int>(group.size());
+    model.segmentBytes = segment_bytes;
+    return simulateWarp(p, model).globalTransactions;
+}
+
+/** Lanes at base + l * spacing, all sharing count, stride and width. */
+std::vector<BulkLane>
+uniformGroup(size_t lanes, uint64_t base, uint64_t spacing, uint32_t count,
+             uint32_t stride, uint16_t width)
+{
+    std::vector<BulkLane> group(lanes);
+    for (size_t l = 0; l < lanes; ++l)
+        group[l] = BulkLane{base + l * spacing, count, stride, width};
+    return group;
+}
+
+// The two shapes the old sampled extrapolation (ops past 4096 elements)
+// got wrong: it scaled a 128-element window, which is not a whole number
+// of periods in general.
+TEST(Coalescer, StrideFourPastOldLimitIsExact)
+{
+    // 32 lanes cover [4i, 4i + 128): one segment when 4i is aligned
+    // (every 32nd element), else two. 4097 = 128 periods of 63 plus one
+    // aligned element. The sampled path gave 8066.
+    const auto group = uniformGroup(32, 0, 4, 4097, 4, 4);
+    EXPECT_EQ(referenceTransactions(group, 128), 8065u);
+    EXPECT_EQ(simulatedTransactions(group, 128), 8065u);
+}
+
+TEST(Coalescer, StrideHundredOn96ByteSegmentsIsExact)
+{
+    // Period 96 / gcd(100 mod 96, 96) = 24 elements, which the sampled
+    // 128-element window did not divide. The sampled path gave 11368.
+    const auto group = uniformGroup(32, 0, 4, 5000, 100, 4);
+    EXPECT_EQ(referenceTransactions(group, 96), 11456u);
+    EXPECT_EQ(simulatedTransactions(group, 96), 11456u);
+}
+
+TEST(Coalescer, MatchesReferenceAcrossSegmentsStridesAndWidths)
+{
+    // Every segment size against stride classes (zero, below, straddling
+    // and multiples of the segment) and widths (sub-word to
+    // multi-segment); 300 elements cover a full period (at most 256)
+    // plus a tail.
+    for (uint32_t seg : {32u, 96u, 128u, 256u}) {
+        for (uint32_t stride : {0u, 1u, 4u, 100u, 511u, 600u, seg, 4 * seg}) {
+            for (uint16_t width : {1, 4, 70, 300}) {
+                const auto group =
+                    uniformGroup(32, 1000, width, 300, stride, width);
+                EXPECT_EQ(simulatedTransactions(group, seg),
+                          referenceTransactions(group, seg))
+                    << "segment " << seg << " stride " << stride
+                    << " width " << width;
+            }
+        }
+    }
+}
+
+// Random groups: uniform and mixed counts, shared and mixed strides and
+// widths, counts past the old 4096-element limit and warps past the
+// 64-lane inline buffers.
+class CoalescerReferenceProperty : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(CoalescerReferenceProperty, SimulatedMatchesReference)
+{
+    rhythm::Rng rng(GetParam());
+    const uint32_t kSegments[] = {32, 96, 128, 256};
+    auto draw_stride = [&](uint32_t seg) -> uint32_t {
+        const uint64_t pick = rng.nextBounded(10);
+        if (pick == 0)
+            return 0;
+        if (pick < 7)
+            return static_cast<uint32_t>(rng.nextRange(1, 600));
+        return seg * static_cast<uint32_t>(rng.nextRange(1, 6));
+    };
+    auto draw_width = [&]() -> uint16_t {
+        return static_cast<uint16_t>(rng.nextBool(0.5)
+                                         ? rng.nextRange(1, 16)
+                                         : rng.nextRange(1, 300));
+    };
+    for (int g = 0; g < 12; ++g) {
+        const uint32_t seg = kSegments[rng.nextBounded(4)];
+        const int kind = g % 6;
+        size_t lanes = static_cast<size_t>(rng.nextRange(1, 32));
+        if (kind == 4)
+            lanes = static_cast<size_t>(rng.nextRange(1, 8));
+        if (kind == 5)
+            lanes = static_cast<size_t>(rng.nextRange(65, 256));
+        const uint32_t stride = draw_stride(seg);
+        const uint16_t width =
+            kind == 4 ? static_cast<uint16_t>(rng.nextRange(1, 16))
+                      : draw_width();
+        // Keep the reference's per-group work near 150k segment ids.
+        const uint64_t per_element = lanes * (width / seg + 2);
+        const uint32_t count_cap = static_cast<uint32_t>(
+            std::clamp<uint64_t>(150000 / per_element, 1, 10000));
+        const uint32_t count =
+            kind == 4 ? static_cast<uint32_t>(rng.nextRange(4097, 10000))
+                      : static_cast<uint32_t>(rng.nextRange(1, count_cap));
+        // Transposed (lane-contiguous), row-major or scattered bases;
+        // scattered ones may collide.
+        const uint64_t spacing_pick = rng.nextBounded(3);
+        const uint64_t base = rng.nextBounded(1u << 20);
+        std::vector<BulkLane> group(lanes);
+        for (size_t l = 0; l < lanes; ++l) {
+            BulkLane &lane = group[l];
+            lane.addr = spacing_pick == 0   ? base + l * width
+                        : spacing_pick == 1 ? base + l * 4096
+                                            : rng.nextBounded(1u << 16);
+            lane.count = count;
+            lane.stride = stride;
+            lane.width = width;
+            if (kind == 2 || kind == 3)
+                lane.count = static_cast<uint32_t>(rng.nextRange(1, count));
+            if (kind == 3) {
+                lane.stride = draw_stride(seg);
+                lane.width = draw_width();
+            }
+        }
+        EXPECT_EQ(simulatedTransactions(group, seg),
+                  referenceTransactions(group, seg))
+            << "group " << g << " kind " << kind << " lanes " << lanes
+            << " segment " << seg << " count " << count;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, CoalescerReferenceProperty,
+                         ::testing::Range<uint64_t>(1, 17));
 
 } // namespace
 } // namespace rhythm::simt

@@ -282,6 +282,21 @@ TEST(Flags, AllowOnlyDetectsUnknown)
     EXPECT_TRUE(flags.allowOnly({"good", "bad"}));
 }
 
+TEST(Flags, RequireNumbersRejectsUnparsableValues)
+{
+    const char *argv[] = {"prog", "--n=12", "--neg=-1", "--f=1e3",
+                          "--word=xyz"};
+    Flags flags;
+    ASSERT_TRUE(flags.parse(5, argv));
+    // Absent names pass; present ones must parse.
+    EXPECT_TRUE(flags.requireU64({"n", "missing"}));
+    EXPECT_TRUE(flags.requireDouble({"f", "n", "neg", "missing"}));
+    EXPECT_FALSE(flags.requireU64({"n", "neg"}));
+    EXPECT_NE(flags.error().find("--neg"), std::string::npos);
+    EXPECT_FALSE(flags.requireDouble({"f", "word"}));
+    EXPECT_NE(flags.error().find("--word"), std::string::npos);
+}
+
 TEST(Flags, BareDoubleDashIsError)
 {
     const char *argv[] = {"prog", "--"};

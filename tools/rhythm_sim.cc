@@ -725,13 +725,35 @@ main(int argc, char **argv)
          "fusion-threshold", "fusion-max-cohorts", "fingerprint-alpha",
          "fingerprint-lanes", "devices", "balance", "shard-seed",
          "cross-shard"};
+    // A numeric flag whose value does not parse is a usage error, not a
+    // silent fall back to the default.
+    const std::vector<std::string> integers =
+        {"cohort-size", "cohorts", "contexts", "lane-sample", "users",
+         "docs", "sms", "queues", "seed", "fault-seed",
+         "checkpoint-interval", "retry-budget", "shed-backlog",
+         "sim-threads", "profile-cache-entries", "copy-engines",
+         "copy-chunk-kb", "fusion-max-cohorts", "fingerprint-lanes",
+         "devices", "shard-seed"};
+    std::vector<std::string> decimals =
+        {"timeout-ms", "mem-gbs", "pcie-gbs", "backend-fail",
+         "backend-slow", "backend-slow-ms", "pcie-corrupt",
+         "pcie-degrade", "pcie-degrade-factor", "stall", "stall-ms",
+         "disconnect", "crash", "torn", "hang", "hang-ms", "watchdog-ms",
+         "backoff-us", "deadline-ms", "shed-p99-ms",
+         "deadline-default-ms", "slack-safety", "adaptive-scan-us",
+         "arrival-rate", "arrival-seed", "flash-mult", "flash-start-ms",
+         "flash-dur-ms", "diurnal-period-ms", "diurnal-trough",
+         "fusion-threshold", "fingerprint-alpha", "cross-shard"};
     // Per-type deadlines are open vocabulary (--deadline-ms-<type>);
     // BatchingFlags validates the slug against the service's types.
     for (const std::string &name : flags.names()) {
-        if (name.rfind("deadline-ms-", 0) == 0)
+        if (name.rfind("deadline-ms-", 0) == 0) {
             known.push_back(name);
+            decimals.push_back(name);
+        }
     }
-    if (!flags.allowOnly(known))
+    if (!flags.allowOnly(known) || !flags.requireU64(integers) ||
+        !flags.requireDouble(decimals))
         return usage(flags.error());
 
     // Host-side parallelism of the execution engine. Applied before any

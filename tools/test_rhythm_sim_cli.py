@@ -7,8 +7,9 @@ test, or directly:
 
     python3 test_rhythm_sim_cli.py build/tools/rhythm_sim
 
-Each case also passes --cohorts=1, so a regression that lets a bad value
-through to the simulation still fails in seconds.
+Each case that does not set --cohorts itself also passes --cohorts=1, so
+a regression that lets a bad value through to the simulation still fails
+in seconds.
 """
 
 import subprocess
@@ -29,6 +30,11 @@ BAD_INPUTS = [
     ["--timeout-ms=-1"],
     ["--arrival=poisson", "--arrival-rate=0"],
     ["--platform=titanA", "--pcie-gbs=0"],
+    # Present but unparsable numbers are refused, not read as the default.
+    ["--cohort-size=-1"],
+    ["--cohorts=abc"],
+    ["--timeout-ms=xyz"],
+    ["--sim-threads=two"],
 ]
 
 
@@ -36,8 +42,11 @@ class BadInputTest(unittest.TestCase):
     def test_bad_inputs_exit_2_with_error(self):
         for flags in BAD_INPUTS:
             with self.subTest(flags=" ".join(flags)):
+                # A later --cohorts would override the case's own value.
+                cap = [] if any(f.startswith("--cohorts=") for f in flags) \
+                    else ["--cohorts=1"]
                 proc = subprocess.run(
-                    [SIM, *flags, "--cohorts=1"], capture_output=True,
+                    [SIM, *flags, *cap], capture_output=True,
                     text=True, timeout=120)
                 self.assertEqual(proc.returncode, 2, proc.stderr)
                 self.assertIn("error:", proc.stderr)
