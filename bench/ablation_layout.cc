@@ -20,7 +20,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("ablation_layout", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("ablation_layout", flags);
     bench::banner("Ablation: cohort buffer layout (Section 4.3.2)",
                   "Section 4.3.2 (transpose + whitespace padding)");
 
@@ -36,10 +38,9 @@ main(int argc, char **argv)
         {"row-major (no transpose)", false, false},
     };
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
     overlap.recordConfig(report);
 
     TableWriter table({"layout", "KReqs/s", "avg latency ms",
@@ -48,12 +49,13 @@ main(int argc, char **argv)
         platform::TitanVariant b = platform::titanB();
         b.server.transposeBuffers = cfg.transpose;
         b.server.padResponses = cfg.pad;
+        b.server.laneSample = 128;
         platform::IsolatedRunOptions opts;
         opts.cohorts = 10;
         opts.users = 2000;
-        opts.laneSample = 128;
+        faults.apply(b);
         faults.apply(opts);
-        overlap.apply(opts);
+        overlap.apply(b);
         platform::TypeRunResult r = platform::runIsolatedType(
             b, specweb::RequestType::AccountSummary, opts);
         table.addRow({cfg.name, bench::fmt(r.throughput / 1e3, 0),

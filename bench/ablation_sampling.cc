@@ -18,7 +18,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("ablation_sampling", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("ablation_sampling", flags);
     bench::banner("Methodology: lane-sampling fidelity",
                   "DESIGN.md Section 5 (profile scaling)");
 
@@ -27,19 +29,19 @@ main(int argc, char **argv)
     platform::IsolatedRunOptions opts;
     opts.cohorts = 6;
     opts.users = 1000;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
+    faults.apply(b);
     faults.apply(opts);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
+    overlap.apply(b);
     overlap.recordConfig(report);
 
     TableWriter table({"lanes executed / cohort", "KReqs/s",
                        "latency ms", "throughput error %"});
     double full_throughput = 0.0;
     for (uint32_t sample : {0u, 256u, 128u, 64u, 32u}) {
-        opts.laneSample = sample;
+        b.server.laneSample = sample;
         platform::TypeRunResult r = platform::runIsolatedType(
             b, specweb::RequestType::BillPay, opts);
         if (sample == 0)

@@ -45,6 +45,11 @@ constexpr uint64_t kSeed = 42;
 constexpr uint32_t kLaneSample = 128;
 constexpr size_t kCacheEntries = 4096;
 
+constexpr FlagSpec kSpeedupSpecs[] = {
+    {"cohorts", FlagKind::Count, "24", "cohorts per timed run", kAtLeastOne},
+};
+constexpr FlagTable kSpeedupFlags = {"speedup run", kSpeedupSpecs};
+
 struct RunResult
 {
     double hostMs = 0.0;
@@ -138,17 +143,12 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("sim_speedup", argc, argv);
+    const Flags flags = bench::parseArgs(argc, argv, {kSpeedupFlags});
+    bench::Reporter report("sim_speedup", flags);
     bench::banner("Simulator speedup: warp profile cache",
                   "host-side optimization (no paper counterpart)");
 
-    uint32_t cohorts = 24;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (arg.rfind("--cohorts=", 0) == 0)
-            cohorts = static_cast<uint32_t>(
-                std::atoi(std::string(arg.substr(10)).c_str()));
-    }
+    const auto cohorts = static_cast<uint32_t>(flags.count("cohorts"));
 
     const RunResult off1 = runOnce(false, 1, cohorts);
     const RunResult on1 = runOnce(true, 1, cohorts);

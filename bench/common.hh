@@ -9,10 +9,13 @@
 #ifndef RHYTHM_BENCH_COMMON_HH
 #define RHYTHM_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <span>
@@ -34,32 +37,12 @@
 #include "rhythm/fleet.hh"
 #include "rhythm/server.hh"
 #include "simt/device.hh"
+#include "util/flags.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 
 namespace rhythm::bench {
-
-/**
- * Applies a `--sim-threads=N` argument (host-side parallelism of the
- * simulator's execution engine; default 1 = serial) to the global sim
- * pool. Called by the Reporter constructor, so every bench accepts the
- * flag; rhythm_sim parses it through its own Flags machinery. N only
- * changes wall-clock time — all simulated outputs are byte-identical
- * by the engine's determinism contract, which is why the value is
- * deliberately NOT recorded in the --json config section.
- */
-inline void
-applySimThreads(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (arg.rfind("--sim-threads=", 0) == 0) {
-            const int n = std::atoi(std::string(arg.substr(14)).c_str());
-            util::setSimThreads(n > 0 ? static_cast<unsigned>(n) : 1);
-        }
-    }
-}
 
 /** Paper Table 3 reference values for one platform row. */
 struct PaperTable3Row
@@ -151,6 +134,57 @@ peakRssKb()
     return 0.0;
 }
 
+/** Flags every bench and rhythm_sim take. */
+inline constexpr FlagSpec kCommonSpecs[] = {
+    {"help", FlagKind::Switch, "", "print this help and exit"},
+    {"json", FlagKind::Text, "", "write the results as one JSON document",
+     {}, "PATH"},
+    {"sim-threads", FlagKind::Count, "1",
+     "host worker threads of the execution engine; outputs are "
+     "byte-identical for any N, so the value is not recorded"},
+};
+inline constexpr FlagTable kCommonFlags = {"common", kCommonSpecs};
+
+/** The acceptance benches' short mode. */
+inline constexpr FlagSpec kQuickSpecs[] = {
+    {"quick", FlagKind::Switch, "off",
+     "the short run CI uses (fewer seeds, requests or simulated time)"},
+};
+inline constexpr FlagTable kQuickFlags = {"run length", kQuickSpecs};
+
+/** Reports a command-line error; returns the exit code (2). */
+inline int
+usageError(const std::string &message)
+{
+    std::cerr << "error: " << message << "\n(--help lists the flags)\n";
+    return 2;
+}
+
+/**
+ * The command line of every bench and of rhythm_sim: parses argv
+ * against kCommonFlags plus @p tables, prints the help text for --help
+ * (exit 0, before anything runs) and exits 2 with `error: ...` on an
+ * unknown flag or a value that does not parse or is out of range. Then
+ * applies --sim-threads.
+ */
+inline Flags
+parseArgs(int argc, char **argv, std::initializer_list<FlagTable> tables = {})
+{
+    std::vector<FlagTable> all = {kCommonFlags};
+    all.insert(all.end(), tables.begin(), tables.end());
+    Flags flags;
+    if (!flags.parse(argc, argv) || !flags.check(all))
+        std::exit(usageError(flags.error()));
+    if (flags.on("help")) {
+        Flags::usage(std::cout,
+                     std::filesystem::path(argv[0]).filename().string(),
+                     all);
+        std::exit(0);
+    }
+    util::setSimThreads(static_cast<unsigned>(flags.count("sim-threads")));
+    return flags;
+}
+
 /**
  * Machine-readable bench output: every bench binary accepts
  * `--json=<path>` and, when given, emits one JSON document
@@ -175,16 +209,13 @@ peakRssKb()
 class Reporter
 {
   public:
-    /** @param bench Stable bench name (matches the binary name). */
-    Reporter(std::string bench, int argc, char **argv)
-        : bench_(std::move(bench))
+    /**
+     * @param bench Stable bench name (matches the binary name).
+     * @param flags The checked command line (its --json path).
+     */
+    Reporter(std::string bench, const Flags &flags)
+        : bench_(std::move(bench)), path_(flags.text("json"))
     {
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.rfind("--json=", 0) == 0)
-                path_ = std::string(arg.substr(7));
-        }
-        applySimThreads(argc, argv);
     }
 
     /** True when --json=<path> was passed. */
@@ -312,167 +343,150 @@ class Reporter
 };
 
 /**
- * Shared fault-injection / robustness flag vocabulary for the bench
- * binaries — the same names rhythm_sim accepts, parsed from argv by
- * prefix scan so every bench registers the whole family with one
- * FaultFlags::parse call. Every knob defaults off: a bench invoked
- * without fault flags produces byte-identical output to one that never
- * supported them.
- *
- *   --fault-seed=N          fault plan seed (1)
- *   --backend-fail=P        backend call failure probability
- *   --backend-slow=P        backend brownout probability
- *   --backend-slow-ms=X     mean brownout delay (5.0)
- *   --pcie-corrupt=P        PCIe corruption probability
- *   --pcie-degrade=P        PCIe degradation probability
- *   --pcie-degrade-factor=X degradation slowdown (2.0)
- *   --stall=P               stream stall probability
- *   --stall-ms=X            mean stall duration (1.0)
- *   --disconnect=P          client disconnect probability
- *   --crash=P               backend crash probability (per mutation)
- *   --torn=P                torn journal tail probability (per crash)
- *   --hang=P                kernel hang probability (per cohort)
- *   --hang-ms=X             mean injected hang stall (500)
- *   --watchdog-ms=X         cohort watchdog timeout (0 = off)
- *   --pcie-crc              PCIe frame CRC + bounded retransmit
- *   --recovery              write-ahead-journaled backend
- *   --checkpoint-interval=N journaled mutations per checkpoint (4096)
- *   --retry-budget=N        backend retries per cohort
- *   --backoff-us=X          retry backoff base (50)
- *   --deadline-ms=X         per-request deadline
- *   --shed-backlog=N        shed above this formation backlog
- *   --shed-p99-ms=X         shed above this observed p99
+ * Fault injection, crash recovery and graceful degradation: the same
+ * flags in rhythm_sim and every bench that reads the family. Every knob
+ * defaults off, so a run without them is byte-identical to one that
+ * never supported them.
  */
 struct FaultFlags
 {
+    static constexpr FlagSpec kFaultSpecs[] = {
+        {"fault-seed", FlagKind::Count, "1", "fault plan seed"},
+        {"backend-fail", FlagKind::Number, "0",
+         "backend call failure probability", kProbability},
+        {"backend-slow", FlagKind::Number, "0",
+         "backend brownout probability", kProbability},
+        {"backend-slow-ms", FlagKind::Number, "5", "mean brownout delay",
+         kNonNegative},
+        {"pcie-corrupt", FlagKind::Number, "0",
+         "PCIe corrupt+replay probability", kProbability},
+        {"pcie-degrade", FlagKind::Number, "0",
+         "PCIe degradation probability", kProbability},
+        {"pcie-degrade-factor", FlagKind::Number, "2",
+         "PCIe degradation slowdown", kAtLeastOne},
+        {"stall", FlagKind::Number, "0", "stream stall probability",
+         kProbability},
+        {"stall-ms", FlagKind::Number, "1", "mean stall duration",
+         kNonNegative},
+        {"disconnect", FlagKind::Number, "0",
+         "client disconnect probability", kProbability},
+        {"crash", FlagKind::Number, "0",
+         "backend crash-restart probability per journaled mutation",
+         kProbability},
+        {"torn", FlagKind::Number, "0",
+         "probability a crash tears the final journal record",
+         kProbability},
+        {"hang", FlagKind::Number, "0",
+         "kernel hang probability per cohort", kProbability},
+        {"hang-ms", FlagKind::Number, "0",
+         "injected hang duration; 0 = 8x --watchdog-ms, or 1 s without "
+         "a watchdog",
+         kNonNegative},
+        {"watchdog-ms", FlagKind::Number, "0",
+         "cohort watchdog timeout that hedges stragglers; 0 = off",
+         kNonNegative},
+        {"pcie-crc", FlagKind::Switch, "off",
+         "PCIe frame CRC with bounded retransmit"},
+        {"recovery", FlagKind::Switch, "off",
+         "write-ahead journal and checkpointed backend (banking only)"},
+        {"checkpoint-interval", FlagKind::Count, "4096",
+         "journaled records between checkpoints"},
+        {"retry-budget", FlagKind::Count, "0", "backend retries per cohort"},
+        {"backoff-us", FlagKind::Number, "50", "retry backoff base",
+         kNonNegative},
+        {"deadline-ms", FlagKind::Number, "0",
+         "per-request deadline; 0 = none", kNonNegative},
+        {"shed-backlog", FlagKind::Count, "0",
+         "shed arrivals at or above this formation backlog; 0 = off"},
+        {"shed-p99-ms", FlagKind::Number, "0",
+         "shed arrivals while the observed p99 exceeds this; 0 = off",
+         kNonNegative},
+    };
+    static constexpr FlagTable kTable = {
+        "faults, recovery and degradation (all off by default)",
+        kFaultSpecs};
+
+    /** The probability flag of each fault site, in schedule order. */
+    static constexpr std::pair<fault::Site, const char *> kSites[] = {
+        {fault::Site::BackendFail, "backend-fail"},
+        {fault::Site::BackendSlow, "backend-slow"},
+        {fault::Site::PcieCorrupt, "pcie-corrupt"},
+        {fault::Site::PcieDegrade, "pcie-degrade"},
+        {fault::Site::StreamStall, "stall"},
+        {fault::Site::ClientDisconnect, "disconnect"},
+        {fault::Site::BackendCrash, "crash"},
+        {fault::Site::JournalTorn, "torn"},
+        {fault::Site::KernelHang, "hang"},
+    };
+
     fault::FaultConfig config;
     uint32_t retryBudget = 0;
-    des::Time retryBackoff = 50 * des::kMicrosecond;
+    des::Time retryBackoff = 0;
     des::Time deadline = 0;
     uint32_t shedBacklog = 0;
     des::Time shedP99 = 0;
     des::Time watchdogTimeout = 0;
     bool pcieCrc = false;
     bool recovery = false;
-    uint64_t checkpointInterval = 4096;
-    bool anyGiven = false; //!< Any flag of the family was present.
+    uint64_t checkpointInterval = 0;
+    bool anyGiven = false; //!< Any flag of the family was given.
 
-    /** Parses the family out of argv (unknown flags are ignored —
-     *  benches have their own vocabulary on top). */
-    static FaultFlags parse(int argc, char **argv)
+    FaultFlags() = default;
+
+    explicit FaultFlags(const Flags &f)
+        : anyGiven(!f.given(kTable).empty())
     {
-        FaultFlags f;
-        auto num = [&](std::string_view arg, std::string_view name,
-                       double &out) {
-            if (!arg.starts_with("--") ||
-                arg.substr(2, name.size()) != name ||
-                arg.size() <= 2 + name.size() ||
-                arg[2 + name.size()] != '=')
-                return false;
-            out = std::atof(
-                std::string(arg.substr(3 + name.size())).c_str());
-            f.anyGiven = true;
-            return true;
+        const auto ms = [&f](const char *name) {
+            return des::fromSeconds(f.number(name) / 1e3);
         };
-        auto flag = [&](std::string_view arg, std::string_view name) {
-            if (arg.substr(2) != name)
-                return false;
-            f.anyGiven = true;
-            return true;
-        };
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            double v = 0.0;
-            if (num(arg, "fault-seed", v))
-                f.config.seed = static_cast<uint64_t>(v);
-            else if (num(arg, "backend-fail", v))
-                f.config.at(fault::Site::BackendFail).probability = v;
-            else if (num(arg, "backend-slow-ms", v))
-                f.config.at(fault::Site::BackendSlow).meanDelay =
-                    des::fromSeconds(v / 1e3);
-            else if (num(arg, "backend-slow", v))
-                f.config.at(fault::Site::BackendSlow).probability = v;
-            else if (num(arg, "pcie-corrupt", v))
-                f.config.at(fault::Site::PcieCorrupt).probability = v;
-            else if (num(arg, "pcie-degrade-factor", v))
-                f.config.at(fault::Site::PcieDegrade).factor = v;
-            else if (num(arg, "pcie-degrade", v))
-                f.config.at(fault::Site::PcieDegrade).probability = v;
-            else if (num(arg, "stall-ms", v))
-                f.config.at(fault::Site::StreamStall).meanDelay =
-                    des::fromSeconds(v / 1e3);
-            else if (num(arg, "stall", v))
-                f.config.at(fault::Site::StreamStall).probability = v;
-            else if (num(arg, "disconnect", v))
-                f.config.at(fault::Site::ClientDisconnect).probability =
-                    v;
-            else if (num(arg, "crash", v))
-                f.config.at(fault::Site::BackendCrash).probability = v;
-            else if (num(arg, "torn", v))
-                f.config.at(fault::Site::JournalTorn).probability = v;
-            else if (num(arg, "hang-ms", v))
-                f.config.at(fault::Site::KernelHang).meanDelay =
-                    des::fromSeconds(v / 1e3);
-            else if (num(arg, "hang", v))
-                f.config.at(fault::Site::KernelHang).probability = v;
-            else if (num(arg, "watchdog-ms", v))
-                f.watchdogTimeout = des::fromSeconds(v / 1e3);
-            else if (num(arg, "checkpoint-interval", v))
-                f.checkpointInterval = static_cast<uint64_t>(v);
-            else if (num(arg, "retry-budget", v))
-                f.retryBudget = static_cast<uint32_t>(v);
-            else if (num(arg, "backoff-us", v))
-                f.retryBackoff = des::fromSeconds(v / 1e6);
-            else if (num(arg, "deadline-ms", v))
-                f.deadline = des::fromSeconds(v / 1e3);
-            else if (num(arg, "shed-backlog", v))
-                f.shedBacklog = static_cast<uint32_t>(v);
-            else if (num(arg, "shed-p99-ms", v))
-                f.shedP99 = des::fromSeconds(v / 1e3);
-            else if (arg.starts_with("--") && flag(arg, "pcie-crc"))
-                f.pcieCrc = true;
-            else if (arg.starts_with("--") && flag(arg, "recovery"))
-                f.recovery = true;
-        }
-        return f;
+        config.seed = f.count("fault-seed");
+        for (const auto &[site, name] : kSites)
+            config.at(site).probability = f.number(name);
+        config.at(fault::Site::BackendSlow).meanDelay = ms("backend-slow-ms");
+        config.at(fault::Site::PcieDegrade).factor =
+            f.number("pcie-degrade-factor");
+        config.at(fault::Site::StreamStall).meanDelay = ms("stall-ms");
+        config.at(fault::Site::KernelHang).meanDelay = ms("hang-ms");
+        retryBudget = static_cast<uint32_t>(f.count("retry-budget"));
+        retryBackoff = des::fromSeconds(f.number("backoff-us") / 1e6);
+        deadline = ms("deadline-ms");
+        shedBacklog = static_cast<uint32_t>(f.count("shed-backlog"));
+        shedP99 = ms("shed-p99-ms");
+        watchdogTimeout = ms("watchdog-ms");
+        pcieCrc = f.on("pcie-crc");
+        recovery = f.on("recovery");
+        checkpointInterval = f.count("checkpoint-interval");
     }
 
-    /** True when no fault site fires (robustness knobs may still be
-     *  set). */
-    bool quiet() const { return config.allQuiet(); }
-
-    /** Overlays the robustness knobs onto a server config. */
+    /** Sets the server's retry, deadline, shedding and watchdog knobs. */
     void apply(core::RhythmConfig &cfg) const
     {
-        if (retryBudget > 0)
-            cfg.backendRetryBudget = retryBudget;
-        if (retryBackoff != 50 * des::kMicrosecond)
-            cfg.retryBackoffBase = retryBackoff;
-        if (deadline > 0)
-            cfg.requestDeadline = deadline;
-        if (shedBacklog > 0)
-            cfg.shedBacklogLimit = shedBacklog;
-        if (shedP99 > 0)
-            cfg.shedLatencySlo = shedP99;
-        if (watchdogTimeout > 0)
-            cfg.watchdogTimeout = watchdogTimeout;
+        cfg.backendRetryBudget = retryBudget;
+        cfg.retryBackoffBase = retryBackoff;
+        cfg.requestDeadline = deadline;
+        cfg.shedBacklogLimit = shedBacklog;
+        cfg.shedLatencySlo = shedP99;
+        cfg.watchdogTimeout = watchdogTimeout;
     }
 
-    /** Overlays the link-model knob onto a device config. */
+    /** Sets the link model's frame CRC. */
     void apply(simt::DeviceConfig &cfg) const
     {
-        if (pcieCrc)
-            cfg.pcieCrcEnabled = true;
+        cfg.pcieCrcEnabled = pcieCrc;
     }
 
-    /** Overlays everything onto an isolated-run options block (the
-     *  evaluateTitan/runIsolatedType path). */
+    /** Both configs of a platform variant. */
+    void apply(platform::TitanVariant &variant) const
+    {
+        apply(variant.server);
+        apply(variant.device);
+    }
+
+    /** The run-level fields an isolated run arms itself: the fault
+     *  schedule and the journaled backend. */
     void apply(platform::IsolatedRunOptions &opts) const
     {
         opts.faults = config;
-        opts.retryBudget = retryBudget;
-        opts.watchdogTimeout = watchdogTimeout;
-        opts.pcieFrameCrc = pcieCrc;
         opts.recovery = recovery;
         opts.checkpointInterval = checkpointInterval;
     }
@@ -487,7 +501,7 @@ struct FaultFlags
              des::EventQueue &queue,
              std::optional<fault::FaultPlan> &plan) const
     {
-        if (quiet())
+        if (config.allQuiet())
             return;
         plan.emplace(config);
         server.setFaultPlan(&*plan);
@@ -506,24 +520,14 @@ struct FaultFlags
             return;
         rep.config("fault_seed", static_cast<double>(config.seed));
         std::string schedule;
-        const auto add = [&](const char *name, fault::Site site) {
-            const auto &s = config.at(site);
-            if (s.probability <= 0.0)
-                return;
+        for (const auto &[site, name] : kSites) {
+            const double p = config.at(site).probability;
+            if (p <= 0.0)
+                continue;
             if (!schedule.empty())
                 schedule += ";";
-            schedule += std::string(name) + "=" +
-                        formatDouble(s.probability, 6);
-        };
-        add("backend-fail", fault::Site::BackendFail);
-        add("backend-slow", fault::Site::BackendSlow);
-        add("pcie-corrupt", fault::Site::PcieCorrupt);
-        add("pcie-degrade", fault::Site::PcieDegrade);
-        add("stall", fault::Site::StreamStall);
-        add("disconnect", fault::Site::ClientDisconnect);
-        add("crash", fault::Site::BackendCrash);
-        add("torn", fault::Site::JournalTorn);
-        add("hang", fault::Site::KernelHang);
+            schedule += std::string(name) + "=" + formatDouble(p, 6);
+        }
         rep.config("fault_schedule",
                    schedule.empty() ? std::string("quiet") : schedule);
         rep.config("recovery", recovery ? 1.0 : 0.0);
@@ -534,50 +538,46 @@ struct FaultFlags
 };
 
 /**
- * Shared transfer/compute-overlap flag vocabulary for the bench
- * binaries — the same names rhythm_sim accepts (DESIGN.md 6h). Every
- * knob defaults off, so a bench invoked without overlap flags produces
- * byte-identical output to one that never supported them.
- *
- *   --overlap=on|off    pipelined parser/dispatch + scissored transfers
- *                       (on also defaults copy engines/chunking below)
- *   --copy-engines=N    modeled DMA copy engines per direction
- *   --copy-chunk-kb=N   chunk granularity of overlapped transfers
+ * Transfer/compute overlap (DESIGN.md 6h): the same flags in rhythm_sim
+ * and the Titan benches. Off by default, so a run without them is
+ * byte-identical to one that never supported them.
  */
 struct OverlapFlags
 {
-    /** Default engines / chunk size implied by --overlap=on alone. */
+    /** Engines / chunk size that --overlap implies unless overridden. */
     static constexpr int kDefaultEngines = 4;
     static constexpr uint32_t kDefaultChunkBytes = 256 * 1024;
 
-    bool overlap = false;
-    int copyEngines = 0;        //!< 0 = mode default.
-    uint32_t copyChunkBytes = 0; //!< 0 = mode default.
-    bool anyGiven = false;       //!< Any flag of the family was present.
+    static constexpr FlagSpec kOverlapSpecs[] = {
+        {"overlap", FlagKind::Switch, "off",
+         "pipeline the parse of cohort k+1 under the kernels of cohort k "
+         "and ship only occupied slot bytes; implies 4 copy engines and "
+         "256 KiB chunks (responses are byte-identical on or off)"},
+        {"copy-engines", FlagKind::Count, "",
+         "modeled DMA engines per PCIe direction (1, or 4 with --overlap)",
+         kAtLeastOne},
+        {"copy-chunk-kb", FlagKind::Count, "0",
+         "DMA chunk size in KiB; 0 = whole transfers, or 256 with "
+         "--overlap"},
+    };
+    static constexpr FlagTable kTable = {
+        "transfer/compute overlap (off by default)", kOverlapSpecs};
 
-    static OverlapFlags parse(int argc, char **argv)
+    bool overlap = false;
+    int copyEngines = 0;         //!< 0 = mode default.
+    uint32_t copyChunkBytes = 0; //!< 0 = mode default.
+    bool anyGiven = false;       //!< Any flag of the family was given.
+
+    explicit OverlapFlags(const Flags &f)
+        : overlap(f.on("overlap")),
+          copyEngines(static_cast<int>(f.count("copy-engines"))),
+          copyChunkBytes(
+              static_cast<uint32_t>(f.count("copy-chunk-kb") * 1024)),
+          anyGiven(!f.given(kTable).empty())
     {
-        OverlapFlags f;
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.rfind("--overlap=", 0) == 0) {
-                f.overlap = arg.substr(10) == "on";
-                f.anyGiven = true;
-            } else if (arg.rfind("--copy-engines=", 0) == 0) {
-                f.copyEngines =
-                    std::atoi(std::string(arg.substr(15)).c_str());
-                f.anyGiven = true;
-            } else if (arg.rfind("--copy-chunk-kb=", 0) == 0) {
-                f.copyChunkBytes = static_cast<uint32_t>(
-                    std::atoi(std::string(arg.substr(16)).c_str()) *
-                    1024);
-                f.anyGiven = true;
-            }
-        }
-        return f;
     }
 
-    /** Engines actually configured (--overlap=on implies a pool). */
+    /** Engines actually configured (--overlap implies a pool). */
     int effectiveEngines() const
     {
         if (copyEngines > 0)
@@ -585,7 +585,7 @@ struct OverlapFlags
         return overlap ? kDefaultEngines : 1;
     }
 
-    /** Chunk bytes actually configured (--overlap=on implies chunking). */
+    /** Chunk bytes actually configured (--overlap implies chunking). */
     uint32_t effectiveChunkBytes() const
     {
         if (copyChunkBytes > 0)
@@ -593,30 +593,24 @@ struct OverlapFlags
         return overlap ? kDefaultChunkBytes : 0;
     }
 
-    /** Overlays the copy-engine knobs onto a device config. */
+    /** Sets the copy-engine pool. */
     void apply(simt::DeviceConfig &cfg) const
     {
-        if (!anyGiven)
-            return;
         cfg.copyEngines = effectiveEngines();
         cfg.copyChunkBytes = effectiveChunkBytes();
     }
 
-    /** Overlays the pipeline knob onto a server config. */
+    /** Sets the pipelined host stages. */
     void apply(core::RhythmConfig &cfg) const
     {
-        if (overlap)
-            cfg.overlapPipeline = true;
+        cfg.overlapPipeline = overlap;
     }
 
-    /** Overlays everything onto an isolated-run options block. */
-    void apply(platform::IsolatedRunOptions &opts) const
+    /** Both configs of a platform variant. */
+    void apply(platform::TitanVariant &variant) const
     {
-        if (!anyGiven)
-            return;
-        opts.overlapPipeline = overlap;
-        opts.copyEngines = effectiveEngines();
-        opts.copyChunkBytes = effectiveChunkBytes();
+        apply(variant.server);
+        apply(variant.device);
     }
 
     /**
@@ -636,142 +630,108 @@ struct OverlapFlags
 };
 
 /**
- * Shared deadline-aware adaptive-batching flag vocabulary — the same
- * names rhythm_sim accepts (DESIGN.md Section 6i). Every knob defaults
- * off, so a bench invoked without batching flags (or with the explicit
- * default `--batching=fixed` alone) produces byte-identical output to
- * one that never supported them.
- *
- *   --batching=fixed|adaptive  cohort formation policy (fixed)
- *   --deadline-default-ms=X    deadline for types without their own
- *   --deadline-ms-<type>=X     per-type deadline, keyed by the slugged
- *                              type name (e.g. --deadline-ms-transfer=3,
- *                              --deadline-ms-post_payee=3)
- *   --slack-safety=X           cost-estimate safety factor (1.2)
- *   --adaptive-scan-us=X       slack-scan period (200)
- *   --admission=on|off         deadline-aware admission control (on)
+ * Deadline-aware adaptive batching (DESIGN.md 6i): the same flags in
+ * rhythm_sim and the adaptive acceptance bench. A run without them, or
+ * with only `--batching=fixed`, is byte-identical to one that never
+ * supported them.
  */
 struct BatchingFlags
 {
+    static constexpr FlagSpec kBatchingSpecs[] = {
+        {"batching", FlagKind::Choice, "fixed",
+         "cohort formation policy; adaptive dispatches a forming cohort "
+         "early when the oldest request's deadline slack drops below the "
+         "modeled pipeline cost",
+         {}, "fixed|adaptive"},
+        {"deadline-default-ms", FlagKind::Number, "10",
+         "deadline for types without their own", kPositive},
+        {"deadline-ms-<type>", FlagKind::Number, "",
+         "deadline of one type, by slugged type name (e.g. "
+         "--deadline-ms-transfer=3)",
+         kNonNegative},
+        {"slack-safety", FlagKind::Number, "1.2",
+         "cost-estimate safety factor", kPositive},
+        {"adaptive-scan-us", FlagKind::Number, "200", "slack-scan period",
+         kPositive},
+        {"admission", FlagKind::Switch, "on",
+         "deadline-aware admission control"},
+    };
+    static constexpr FlagTable kTable = {
+        "deadline-aware adaptive batching (off by default)",
+        kBatchingSpecs};
+
     bool adaptive = false;
-    double defaultDeadlineMs = 0.0; //!< 0 = server default.
-    double slackSafety = 0.0;       //!< 0 = server default.
-    double scanUs = 0.0;            //!< 0 = server default.
-    int admission = -1;             //!< -1 = server default.
+    double defaultDeadlineMs = 0.0;
+    double slackSafety = 0.0;
+    double scanUs = 0.0;
+    bool admission = false;
     /** Per-type deadlines as (slugged type name, ms) pairs. */
     std::vector<std::pair<std::string, double>> typeDeadlinesMs;
-    bool anyGiven = false; //!< Any flag of the family was present.
+    /** The family's flags that were given, in command-line order. */
+    std::vector<std::string> given;
 
-    static BatchingFlags parse(int argc, char **argv)
+    explicit BatchingFlags(const Flags &f)
+        : adaptive(f.text("batching") == "adaptive"),
+          defaultDeadlineMs(f.number("deadline-default-ms")),
+          slackSafety(f.number("slack-safety")),
+          scanUs(f.number("adaptive-scan-us")),
+          admission(f.on("admission")), given(f.given(kTable))
     {
-        BatchingFlags f;
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.rfind("--batching=", 0) == 0) {
-                const std::string_view mode = arg.substr(11);
-                if (mode != "fixed" && mode != "adaptive") {
-                    std::cerr << "error: --batching must be fixed or "
-                                 "adaptive, got: "
-                              << mode << "\n";
-                    std::exit(2);
-                }
-                f.adaptive = mode == "adaptive";
-                f.anyGiven = true;
-            } else if (arg.rfind("--deadline-default-ms=", 0) == 0) {
-                f.defaultDeadlineMs =
-                    std::atof(std::string(arg.substr(22)).c_str());
-                f.anyGiven = true;
-            } else if (arg.rfind("--deadline-ms-", 0) == 0) {
-                const std::string_view rest = arg.substr(14);
-                const size_t eq = rest.find('=');
-                if (eq == std::string_view::npos || eq == 0)
-                    continue;
-                f.typeDeadlinesMs.emplace_back(
-                    std::string(rest.substr(0, eq)),
-                    std::atof(
-                        std::string(rest.substr(eq + 1)).c_str()));
-                f.anyGiven = true;
-            } else if (arg.rfind("--slack-safety=", 0) == 0) {
-                f.slackSafety =
-                    std::atof(std::string(arg.substr(15)).c_str());
-                f.anyGiven = true;
-            } else if (arg.rfind("--adaptive-scan-us=", 0) == 0) {
-                f.scanUs =
-                    std::atof(std::string(arg.substr(19)).c_str());
-                f.anyGiven = true;
-            } else if (arg.rfind("--admission=", 0) == 0) {
-                f.admission = arg.substr(12) == "on" ? 1 : 0;
-                f.anyGiven = true;
-            }
-        }
-        return f;
+        for (const std::string &name : given)
+            if (name.starts_with("deadline-ms-"))
+                typeDeadlinesMs.emplace_back(name.substr(12),
+                                             f.number(name));
     }
 
     /**
-     * Overlays the batching policy onto a server config, resolving
-     * per-type deadline slugs against @p service's type names. Exits
-     * with an error on a slug no type matches (a silently ignored
-     * deadline would invalidate a whole sweep).
+     * Sets the batching policy on a server config, resolving per-type
+     * deadline slugs against @p service's type names. Exits 2 on a slug
+     * no type matches (a silently ignored deadline would invalidate a
+     * whole sweep).
      */
     void apply(core::RhythmConfig &cfg,
                const core::Service &service) const
     {
-        if (!anyGiven)
-            return;
         cfg.adaptiveBatching = adaptive;
-        if (defaultDeadlineMs > 0)
-            cfg.defaultDeadline = des::fromSeconds(defaultDeadlineMs / 1e3);
-        if (slackSafety > 0)
-            cfg.slackSafety = slackSafety;
-        if (scanUs > 0)
-            cfg.adaptiveScanInterval = des::fromSeconds(scanUs / 1e6);
-        if (admission >= 0)
-            cfg.adaptiveAdmission = admission != 0;
+        cfg.defaultDeadline = des::fromSeconds(defaultDeadlineMs / 1e3);
+        cfg.slackSafety = slackSafety;
+        cfg.adaptiveScanInterval = des::fromSeconds(scanUs / 1e6);
+        cfg.adaptiveAdmission = admission;
         if (typeDeadlinesMs.empty())
             return;
         cfg.typeDeadlines.assign(service.numTypes(), 0);
         for (const auto &[name, ms] : typeDeadlinesMs) {
-            bool found = false;
-            for (uint32_t t = 0; t < service.numTypes(); ++t) {
-                if (slug(service.typeName(t)) == name) {
-                    cfg.typeDeadlines[t] = des::fromSeconds(ms / 1e3);
-                    found = true;
-                    break;
-                }
+            uint32_t t = 0;
+            while (t < service.numTypes() &&
+                   slug(service.typeName(t)) != name)
+                ++t;
+            if (t == service.numTypes()) {
+                std::string error = "--deadline-ms-" + name +
+                                    " matches no request type; known types:";
+                for (uint32_t k = 0; k < service.numTypes(); ++k)
+                    error.append(" ").append(slug(service.typeName(k)));
+                std::exit(usageError(error));
             }
-            if (!found) {
-                std::cerr << "error: --deadline-ms-" << name
-                          << " matches no request type; known types:";
-                for (uint32_t t = 0; t < service.numTypes(); ++t)
-                    std::cerr << " " << slug(service.typeName(t));
-                std::cerr << "\n";
-                std::exit(2);
-            }
+            cfg.typeDeadlines[t] = des::fromSeconds(ms / 1e3);
         }
     }
 
     /**
-     * Records the batching policy in the --json config section (only
-     * when any family flag was given). check_bench.py requires these
-     * keys for the adaptive acceptance bench (ext_adaptive_batching).
+     * Records the batching policy in the --json config section, unless
+     * nothing but an explicit `--batching=fixed` was given.
+     * check_bench.py requires these keys for the adaptive acceptance
+     * bench (ext_adaptive_batching).
      */
-    /** True when every knob still holds its default — an explicit
-     *  `--batching=fixed` alone must leave outputs (including the
-     *  --json document) byte-identical to a run without the flag. */
-    bool allDefault() const
-    {
-        return !adaptive && typeDeadlinesMs.empty() &&
-               defaultDeadlineMs <= 0 && slackSafety <= 0 &&
-               scanUs <= 0 && admission < 0;
-    }
-
     void recordConfig(Reporter &rep) const
     {
-        if (!anyGiven || allDefault())
+        const auto has = [this](std::string_view name) {
+            return std::ranges::find(given, name) != given.end();
+        };
+        if (!adaptive && given.size() == (has("batching") ? 1u : 0u))
             return;
         rep.config("batching",
                    std::string(adaptive ? "adaptive" : "fixed"));
-        if (defaultDeadlineMs > 0)
+        if (has("deadline-default-ms"))
             rep.config("deadline_default_ms", defaultDeadlineMs);
         if (!typeDeadlinesMs.empty()) {
             std::string spec;
@@ -782,76 +742,54 @@ struct BatchingFlags
             }
             rep.config("deadline_ms", spec);
         }
-        if (slackSafety > 0)
+        if (has("slack-safety"))
             rep.config("slack_safety", slackSafety);
-        if (admission >= 0)
-            rep.config("admission", static_cast<double>(admission));
+        if (has("admission"))
+            rep.config("admission", admission ? 1.0 : 0.0);
     }
 };
 
 /**
- * Shared open-loop arrival flag vocabulary — the same names rhythm_sim
- * accepts (DESIGN.md Section 6i). Default is the historical closed
- * loop, so a bench invoked without arrival flags produces
- * byte-identical output to one that never supported them.
- *
- *   --arrival=closed|poisson|diurnal|flash  arrival process (closed)
- *   --arrival-rate=X        mean arrival rate, requests/s (200000)
- *   --arrival-seed=N        arrival-stream RNG seed (1)
- *   --flash-mult=X          flash-crowd rate multiplier (8)
- *   --flash-start-ms=X      flash onset (50)
- *   --flash-dur-ms=X        flash duration (50)
- *   --diurnal-period-ms=X   diurnal cycle period (200)
- *   --diurnal-trough=F      trough rate as a fraction of peak (0.25)
+ * Open-loop arrivals (DESIGN.md 6i): the same flags in rhythm_sim and
+ * the open-loop benches. The default is the historical closed loop, so
+ * a run without them is byte-identical to one that never supported
+ * them.
  */
 struct ArrivalFlags
 {
+    static constexpr FlagSpec kArrivalSpecs[] = {
+        {"arrival", FlagKind::Choice, "closed",
+         "arrival process driving injection (open loop: banking only)",
+         {}, "closed|poisson|diurnal|flash"},
+        {"arrival-rate", FlagKind::Number, "200000",
+         "mean arrival rate, requests/s", kPositive},
+        {"arrival-seed", FlagKind::Count, "1", "arrival-stream seed"},
+        {"flash-mult", FlagKind::Number, "8", "flash-crowd rate multiplier",
+         kAtLeastOne},
+        {"flash-start-ms", FlagKind::Number, "50", "flash onset",
+         kNonNegative},
+        {"flash-dur-ms", FlagKind::Number, "50", "flash duration",
+         kNonNegative},
+        {"diurnal-period-ms", FlagKind::Number, "200",
+         "diurnal cycle period", kPositive},
+        {"diurnal-trough", FlagKind::Number, "0.25",
+         "trough rate as a fraction of the peak", {0, 1, true}},
+    };
+    static constexpr FlagTable kTable = {
+        "open-loop arrivals (closed loop by default)", kArrivalSpecs};
+
     net::ArrivalConfig config;
-    bool anyGiven = false; //!< Any flag of the family was present.
 
-    ArrivalFlags() { config.kind = net::ArrivalKind::Closed; }
-
-    static ArrivalFlags parse(int argc, char **argv)
+    explicit ArrivalFlags(const Flags &f)
     {
-        ArrivalFlags f;
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            double v = 0.0;
-            auto num = [&](std::string_view name) {
-                if (arg.rfind(name, 0) != 0)
-                    return false;
-                v = std::atof(
-                    std::string(arg.substr(name.size())).c_str());
-                f.anyGiven = true;
-                return true;
-            };
-            if (arg.rfind("--arrival=", 0) == 0) {
-                const auto kind =
-                    net::parseArrivalKind(arg.substr(10));
-                if (!kind) {
-                    std::cerr << "error: --arrival must be closed, "
-                                 "poisson, diurnal or flash, got: "
-                              << arg.substr(10) << "\n";
-                    std::exit(2);
-                }
-                f.config.kind = *kind;
-                f.anyGiven = true;
-            } else if (num("--arrival-rate="))
-                f.config.rate = v;
-            else if (num("--arrival-seed="))
-                f.config.seed = static_cast<uint64_t>(v);
-            else if (num("--flash-mult="))
-                f.config.flashMultiplier = v;
-            else if (num("--flash-start-ms="))
-                f.config.flashStartSec = v / 1e3;
-            else if (num("--flash-dur-ms="))
-                f.config.flashDurationSec = v / 1e3;
-            else if (num("--diurnal-period-ms="))
-                f.config.diurnalPeriodSec = v / 1e3;
-            else if (num("--diurnal-trough="))
-                f.config.diurnalTroughFraction = v;
-        }
-        return f;
+        config.kind = *net::parseArrivalKind(f.text("arrival"));
+        config.rate = f.number("arrival-rate");
+        config.seed = f.count("arrival-seed");
+        config.flashMultiplier = f.number("flash-mult");
+        config.flashStartSec = f.number("flash-start-ms") / 1e3;
+        config.flashDurationSec = f.number("flash-dur-ms") / 1e3;
+        config.diurnalPeriodSec = f.number("diurnal-period-ms") / 1e3;
+        config.diurnalTroughFraction = f.number("diurnal-trough");
     }
 
     /** True when requests arrive open-loop (a generator drives time). */
@@ -867,7 +805,7 @@ struct ArrivalFlags
      */
     void recordConfig(Reporter &rep) const
     {
-        if (!anyGiven || !open())
+        if (!open())
             return;
         rep.config("arrival",
                    std::string(net::arrivalKindName(config.kind)));
@@ -888,158 +826,111 @@ struct ArrivalFlags
 };
 
 /**
- * Shared cross-type cohort-fusion flag vocabulary — the same names
- * rhythm_sim accepts (DESIGN.md Section 6j). Fusion defaults off, so a
- * bench invoked without fusion flags (or with an explicit
- * `--fusion=off` alone) produces byte-identical output to one that
- * never supported them.
- *
- *   --fusion=on|off            pack similarity-compatible partial
- *                              cohorts into shared warps (off)
- *   --fusion-threshold=X       minimum online pair similarity to fuse
- *                              (0.5 — the Figure 2 indifference point)
- *   --fusion-max-cohorts=N     cohorts fusable into one launch (4)
- *   --fingerprint-alpha=X      similarity EWMA smoothing factor (0.25)
- *   --fingerprint-lanes=N      lanes sampled per fingerprint update (32)
+ * Cross-type cohort fusion (DESIGN.md 6j): the same flags in rhythm_sim
+ * and the fusion acceptance bench. Fusion defaults off, so a run
+ * without the flags, or with only `--fusion=off`, is byte-identical to
+ * one that never supported them.
  */
 struct FusionFlags
 {
-    bool fusion = false;
-    double threshold = 0.0;  //!< 0 = server default.
-    uint32_t maxCohorts = 0; //!< 0 = server default.
-    double alpha = 0.0;      //!< 0 = server default.
-    uint32_t lanes = 0;      //!< 0 = server default.
-    bool anyGiven = false;   //!< Any flag of the family was present.
+    static constexpr FlagSpec kFusionSpecs[] = {
+        {"fusion", FlagKind::Switch, "off",
+         "pack similarity-compatible partial cohorts into shared warps "
+         "instead of padding each (responses are byte-identical on or "
+         "off)"},
+        {"fusion-threshold", FlagKind::Number, "0.5",
+         "minimum online pair similarity to fuse (the Figure 2 "
+         "indifference point)",
+         kPositive},
+        {"fusion-max-cohorts", FlagKind::Count, "4",
+         "cohorts fusable into one launch", kAtLeastOne},
+        {"fingerprint-alpha", FlagKind::Number, "0.25",
+         "similarity EWMA smoothing factor", {0, 1, true}},
+        {"fingerprint-lanes", FlagKind::Count, "32",
+         "lanes sampled per fingerprint update", {2}},
+    };
+    static constexpr FlagTable kTable = {
+        "cross-type cohort fusion (off by default)", kFusionSpecs};
 
-    static FusionFlags parse(int argc, char **argv)
+    bool fusion = false;
+    double threshold = 0.0;
+    uint32_t maxCohorts = 0;
+    double alpha = 0.0;
+    uint32_t lanes = 0;
+
+    explicit FusionFlags(const Flags &f)
+        : fusion(f.on("fusion")), threshold(f.number("fusion-threshold")),
+          maxCohorts(static_cast<uint32_t>(f.count("fusion-max-cohorts"))),
+          alpha(f.number("fingerprint-alpha")),
+          lanes(static_cast<uint32_t>(f.count("fingerprint-lanes")))
     {
-        FusionFlags f;
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.rfind("--fusion=", 0) == 0) {
-                const std::string_view mode = arg.substr(9);
-                if (mode != "on" && mode != "off") {
-                    std::cerr << "error: --fusion must be on or off, "
-                                 "got: "
-                              << mode << "\n";
-                    std::exit(2);
-                }
-                f.fusion = mode == "on";
-                f.anyGiven = true;
-            } else if (arg.rfind("--fusion-threshold=", 0) == 0) {
-                f.threshold =
-                    std::atof(std::string(arg.substr(19)).c_str());
-                f.anyGiven = true;
-            } else if (arg.rfind("--fusion-max-cohorts=", 0) == 0) {
-                f.maxCohorts = static_cast<uint32_t>(
-                    std::atoi(std::string(arg.substr(21)).c_str()));
-                f.anyGiven = true;
-            } else if (arg.rfind("--fingerprint-alpha=", 0) == 0) {
-                f.alpha =
-                    std::atof(std::string(arg.substr(20)).c_str());
-                f.anyGiven = true;
-            } else if (arg.rfind("--fingerprint-lanes=", 0) == 0) {
-                f.lanes = static_cast<uint32_t>(
-                    std::atoi(std::string(arg.substr(20)).c_str()));
-                f.anyGiven = true;
-            }
-        }
-        return f;
     }
 
-    /** Overlays the fusion policy onto a server config. */
+    /** Sets the fusion policy on a server config. */
     void apply(core::RhythmConfig &cfg) const
     {
-        if (!anyGiven)
-            return;
         cfg.fusionEnabled = fusion;
-        if (threshold > 0)
-            cfg.fusionSimilarityThreshold = threshold;
-        if (maxCohorts > 0)
-            cfg.fusionMaxCohorts = maxCohorts;
-        if (alpha > 0)
-            cfg.fingerprint.alpha = alpha;
-        if (lanes > 0)
-            cfg.fingerprint.sampleLanes = lanes;
+        cfg.fusionSimilarityThreshold = threshold;
+        cfg.fusionMaxCohorts = maxCohorts;
+        cfg.fingerprint.alpha = alpha;
+        cfg.fingerprint.sampleLanes = lanes;
     }
 
     /**
      * Records the fusion policy in the --json config section (only when
-     * fusion is actually on — an explicit `--fusion=off` alone must
-     * leave the document byte-identical to a run without the flag).
+     * fusion is on — an explicit `--fusion=off` alone must leave the
+     * document byte-identical to a run without the flag).
      * check_bench.py requires these keys for the fusion acceptance
      * bench (ext_warp_fusion).
      */
     void recordConfig(Reporter &rep) const
     {
-        if (!anyGiven || !fusion)
+        if (!fusion)
             return;
         rep.config("fusion", 1.0);
-        rep.config("fusion_threshold", threshold > 0 ? threshold : 0.5);
-        rep.config("fusion_max_cohorts",
-                   static_cast<double>(maxCohorts > 0 ? maxCohorts : 4));
-        rep.config("fingerprint_alpha", alpha > 0 ? alpha : 0.25);
+        rep.config("fusion_threshold", threshold);
+        rep.config("fusion_max_cohorts", static_cast<double>(maxCohorts));
+        rep.config("fingerprint_alpha", alpha);
     }
 };
 
 /**
- * The multi-device sharding flag family (DESIGN.md 6k), shared by
- * rhythm_sim and the ext_sharding bench:
- *
- *   --devices=N        fleet size (1 = the classic single-device path)
- *   --balance=hash|least
- *                      front-end policy: stable session hash (default)
- *                      or least-outstanding-requests
- *   --shard-seed=N     seed of the user → shard map
- *   --cross-shard=F    fraction of arrivals that additionally start a
- *                      two-phase cross-shard transfer (0 = off)
+ * Multi-device sharding (DESIGN.md 6k): the same flags in rhythm_sim
+ * and the sharding acceptance bench. One device by default.
  */
 struct ShardingFlags
 {
+    static constexpr FlagSpec kShardingSpecs[] = {
+        {"devices", FlagKind::Count, "1",
+         "serve from an N-device fleet: per-device event streams, PCIe "
+         "links, copy engines and backends behind a front-end balancer "
+         "(banking, open-loop arrivals only)",
+         kAtLeastOne},
+        {"balance", FlagKind::Choice, "hash",
+         "front-end routing: stable session hash or least outstanding "
+         "requests",
+         {}, "hash|least"},
+        {"shard-seed", FlagKind::Count, "",
+         "seed of the user-to-shard map (the fleet's built-in seed)"},
+        {"cross-shard", FlagKind::Number, "0",
+         "fraction of arrivals that also start a two-phase cross-shard "
+         "transfer",
+         kProbability},
+    };
+    static constexpr FlagTable kTable = {
+        "multi-device sharding (one device by default)", kShardingSpecs};
+
     uint32_t devices = 1;
-    std::string balance = "hash";
+    std::string balance;
     uint64_t shardSeed = core::FleetConfig{}.shardMapSeed;
     double crossShard = 0.0;
-    bool anyGiven = false; //!< Any flag of the family was present.
 
-    static ShardingFlags parse(int argc, char **argv)
+    explicit ShardingFlags(const Flags &f)
+        : devices(static_cast<uint32_t>(f.count("devices"))),
+          balance(f.text("balance")), crossShard(f.number("cross-shard"))
     {
-        ShardingFlags s;
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.rfind("--devices=", 0) == 0) {
-                s.devices = static_cast<uint32_t>(
-                    std::atoi(std::string(arg.substr(10)).c_str()));
-                if (s.devices < 1) {
-                    std::cerr << "error: --devices must be >= 1\n";
-                    std::exit(2);
-                }
-                s.anyGiven = true;
-            } else if (arg.rfind("--balance=", 0) == 0) {
-                s.balance = std::string(arg.substr(10));
-                if (s.balance != "hash" && s.balance != "least") {
-                    std::cerr << "error: --balance must be hash or "
-                                 "least, got: "
-                              << s.balance << "\n";
-                    std::exit(2);
-                }
-                s.anyGiven = true;
-            } else if (arg.rfind("--shard-seed=", 0) == 0) {
-                s.shardSeed = static_cast<uint64_t>(
-                    std::atoll(std::string(arg.substr(13)).c_str()));
-                s.anyGiven = true;
-            } else if (arg.rfind("--cross-shard=", 0) == 0) {
-                s.crossShard =
-                    std::atof(std::string(arg.substr(14)).c_str());
-                if (s.crossShard < 0.0 || s.crossShard > 1.0) {
-                    std::cerr
-                        << "error: --cross-shard must be in [0, 1]\n";
-                    std::exit(2);
-                }
-                s.anyGiven = true;
-            }
-        }
-        return s;
+        if (f.has("shard-seed"))
+            shardSeed = f.count("shard-seed");
     }
 
     bool fleet() const { return devices > 1; }

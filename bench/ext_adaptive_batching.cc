@@ -99,14 +99,10 @@ runPoint(const net::ArrivalConfig &acfg, bool adaptive,
     cfg.defaultDeadline = des::fromSeconds(kDefaultDeadlineMs / 1e3);
     cfg.adaptiveBatching = adaptive;
     if (adaptive) {
-        // Command-line overrides tune the adaptive arm only.
-        if (batching.slackSafety > 0)
-            cfg.slackSafety = batching.slackSafety;
-        if (batching.scanUs > 0)
-            cfg.adaptiveScanInterval =
-                des::fromSeconds(batching.scanUs / 1e6);
-        if (batching.admission >= 0)
-            cfg.adaptiveAdmission = batching.admission != 0;
+        // Command-line tuning applies to the adaptive arm only.
+        cfg.slackSafety = batching.slackSafety;
+        cfg.adaptiveScanInterval = des::fromSeconds(batching.scanUs / 1e6);
+        cfg.adaptiveAdmission = batching.admission;
     }
     core::RhythmServer server(queue, device, service, cfg);
     std::optional<fault::FaultPlan> plan;
@@ -182,36 +178,27 @@ runPoint(const net::ArrivalConfig &acfg, bool adaptive,
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_adaptive_batching", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv,
+        {bench::kQuickFlags, bench::FaultFlags::kTable,
+         bench::BatchingFlags::kTable, bench::ArrivalFlags::kTable});
+    bench::Reporter report("ext_adaptive_batching", flags);
     bench::banner(
         "Extension: deadline-aware adaptive cohort formation",
         "DESIGN.md 6i (>=1.3x attainment or >=1.2x goodput at flash)");
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::string_view(argv[i]) == "--quick")
-            quick = true;
-
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bool quick = flags.on("quick");
+    const bench::FaultFlags faults(flags);
     faults.recordConfig(report);
-    const bench::BatchingFlags batching =
-        bench::BatchingFlags::parse(argc, argv);
-    const bench::ArrivalFlags arrival =
-        bench::ArrivalFlags::parse(argc, argv);
+    const bench::BatchingFlags batching(flags);
+    const bench::ArrivalFlags arrival(flags);
 
     // Operating points. The base rate/seed may be overridden by the
     // shared arrival flags; the flash burst rides on the low rate.
     const double base_rate =
-        arrival.anyGiven && arrival.config.rate > 0 &&
-                arrival.config.rate != 200e3
-            ? arrival.config.rate
-            : 60e3;
+        flags.has("arrival-rate") ? arrival.config.rate : 60e3;
     const uint64_t seed = arrival.config.seed;
-    const double flash_mult =
-        arrival.config.flashMultiplier > 0 &&
-                arrival.config.flashMultiplier != 8.0
-            ? arrival.config.flashMultiplier
-            : 8.0;
+    const double flash_mult = arrival.config.flashMultiplier;
     const uint64_t n_low = quick ? 8000 : 30000;
     const uint64_t n_high = quick ? 12000 : 40000;
     const uint64_t n_flash = quick ? 12000 : 40000;

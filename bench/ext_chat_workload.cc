@@ -81,14 +81,15 @@ runIsolated(chat::RoomStore &store, chat::PageType type, uint32_t cohorts,
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_chat_workload", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("ext_chat_workload", flags);
     bench::banner("Extension: the Chat workload on Rhythm (Titan B)",
                   "Section 8 future work (Search/Email/Chat on Rhythm)");
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
     overlap.recordConfig(report);
 
     chat::RoomStore store(256, 40, 7);

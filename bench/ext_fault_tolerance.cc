@@ -105,15 +105,12 @@ runOnce(double fail_prob, uint32_t retry_budget, uint64_t fault_seed)
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_fault_tolerance", argc, argv);
+    const Flags flags = bench::parseArgs(argc, argv, {bench::kQuickFlags});
+    bench::Reporter report("ext_fault_tolerance", flags);
     // --quick: single-seed acceptance and no sweep table — the mode CI's
     // build-and-test job runs on every push (the full 3x3 sweep plus
     // 3-seed acceptance stays the local/nightly default).
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string_view(argv[i]) == "--quick")
-            quick = true;
-    }
+    const bool quick = flags.on("quick");
 
     bench::banner("Extension: fault tolerance vs retry budget",
                   "robustness extension (not a paper figure)");

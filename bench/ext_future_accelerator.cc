@@ -25,7 +25,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("ext_future_accelerator", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("ext_future_accelerator", flags);
     bench::banner("Extension: future server accelerators",
                   "Section 8 (specialized data-parallel server designs)");
 
@@ -49,13 +51,10 @@ main(int argc, char **argv)
     platform::IsolatedRunOptions opts;
     opts.cohorts = 10;
     opts.users = 2000;
-    opts.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
     faults.apply(opts);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
     overlap.recordConfig(report);
 
     TableWriter table({"design", "MReqs/s", "latency ms", "dynamic W",
@@ -72,6 +71,9 @@ main(int argc, char **argv)
         // More SMs need proportionally more cohorts in flight.
         v.server.cohortContexts =
             8u * static_cast<uint32_t>(d.smMultiplier);
+        v.server.laneSample = 128;
+        faults.apply(v);
+        overlap.apply(v);
 
         platform::TitanWorkloadResult r =
             platform::evaluateTitan(v, opts);

@@ -27,7 +27,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("ext_overlap", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("ext_overlap", flags);
     bench::banner("Extension: PCIe transfer/compute overlap acceptance",
                   "DESIGN.md 6h (>=1.2x on PCIe-bound types, responses "
                   "identical)");
@@ -43,36 +45,32 @@ main(int argc, char **argv)
     };
 
     platform::TitanVariant a = platform::titanA();
-    platform::IsolatedRunOptions base;
-    base.cohorts = 10;
-    base.users = 2000;
-    base.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.apply(base);
+    a.server.laneSample = 128;
+    platform::IsolatedRunOptions opts;
+    opts.cohorts = 10;
+    opts.users = 2000;
+    const bench::FaultFlags faults(flags);
+    faults.apply(a);
+    faults.apply(opts);
     faults.recordConfig(report);
 
     // --copy-engines / --copy-chunk-kb tune the overlapped
     // configuration; the off run always uses the legacy single-engine
-    // whole-buffer path.
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    platform::IsolatedRunOptions on = base;
-    on.overlapPipeline = true;
-    on.copyEngines = overlap.copyEngines > 0
-                         ? overlap.copyEngines
-                         : bench::OverlapFlags::kDefaultEngines;
-    on.copyChunkBytes = overlap.copyChunkBytes > 0
-                            ? overlap.copyChunkBytes
-                            : bench::OverlapFlags::kDefaultChunkBytes;
+    // whole-buffer path (so --overlap itself changes nothing here).
+    bench::OverlapFlags overlap(flags);
+    overlap.overlap = true;
+    platform::TitanVariant on = a;
+    overlap.apply(on);
 
     // check_bench.py requires these keys for this bench: the overlap
     // configuration under test must be reproducible from the document.
     report.config("overlap", 1.0);
-    report.config("copy_engines", static_cast<double>(on.copyEngines));
-    report.config("copy_chunk_kb", on.copyChunkBytes / 1024.0);
-    report.config("cohorts", base.cohorts);
-    report.config("users", base.users);
-    report.config("lane_sample", base.laneSample);
+    report.config("copy_engines",
+                  static_cast<double>(on.device.copyEngines));
+    report.config("copy_chunk_kb", on.device.copyChunkBytes / 1024.0);
+    report.config("cohorts", opts.cohorts);
+    report.config("users", opts.users);
+    report.config("lane_sample", a.server.laneSample);
 
     TableWriter table({"request type", "off KReqs/s", "on KReqs/s",
                        "speedup", "overlap frac", "resp B/req equal"});
@@ -81,9 +79,9 @@ main(int argc, char **argv)
     for (specweb::RequestType type : gated) {
         const specweb::RequestTypeInfo &info = specweb::typeInfo(type);
         const platform::TypeRunResult off =
-            platform::runIsolatedType(a, type, base);
+            platform::runIsolatedType(a, type, opts);
         const platform::TypeRunResult with =
-            platform::runIsolatedType(a, type, on);
+            platform::runIsolatedType(on, type, opts);
         const double speedup =
             off.throughput > 0.0 ? with.throughput / off.throughput : 0.0;
         min_speedup = std::min(min_speedup, speedup);

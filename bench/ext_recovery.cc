@@ -18,7 +18,6 @@
  * vs everything off), which tools/check_bench.py gates.
  */
 
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -32,7 +31,6 @@
 #include "rhythm/banking_service.hh"
 #include "rhythm/server.hh"
 #include "specweb/workload.hh"
-#include "util/thread_pool.hh"
 
 namespace {
 
@@ -246,20 +244,13 @@ scheduleConfig(const Schedule &s, uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_recovery", argc, argv);
+    const Flags flags = bench::parseArgs(argc, argv, {bench::kQuickFlags});
+    bench::Reporter report("ext_recovery", flags);
     // --quick: the mixed schedule at one seed (CI's per-push mode);
     // the full sweep × 3 seeds stays the local/nightly default.
     // --sim-threads=N exercises the equivalence claim under the
     // parallel execution engine.
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg(argv[i]);
-        if (arg == "--quick")
-            quick = true;
-        else if (arg.rfind("--sim-threads=", 0) == 0)
-            util::setSimThreads(static_cast<unsigned>(
-                std::atoi(arg.data() + std::strlen("--sim-threads="))));
-    }
+    const bool quick = flags.on("quick");
 
     bench::banner("Extension: recovery equivalence under chaos",
                   "robustness extension (not a paper figure)");

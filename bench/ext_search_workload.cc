@@ -82,14 +82,15 @@ runIsolated(search::InvertedIndex &index, search::PageType type,
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_search_workload", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("ext_search_workload", flags);
     bench::banner("Extension: the Search workload on Rhythm (Titan B)",
                   "Section 8 future work (Search/Email/Chat on Rhythm)");
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
     overlap.recordConfig(report);
 
     std::cout << "Building corpus and inverted index...\n";

@@ -160,28 +160,24 @@ runPoint(uint32_t devices, const net::ArrivalConfig &acfg,
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_sharding", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv,
+        {bench::kQuickFlags, bench::ArrivalFlags::kTable,
+         bench::ShardingFlags::kTable});
+    bench::Reporter report("ext_sharding", flags);
     bench::banner("Extension: multi-device sharded serving",
                   "DESIGN.md 6k (>=1.8x goodput at 2 devices, >=3.2x "
                   "at 4)");
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::string_view(argv[i]) == "--quick")
-            quick = true;
-
-    const bench::ArrivalFlags arrival =
-        bench::ArrivalFlags::parse(argc, argv);
-    const bench::ShardingFlags sharding =
-        bench::ShardingFlags::parse(argc, argv);
+    const bool quick = flags.on("quick");
+    const bench::ArrivalFlags arrival(flags);
+    const bench::ShardingFlags sharding(flags);
 
     // Offered rate: one saturated Titan B delivers ~1.2M responses/s
     // on this mix, so 16M/s keeps even the 4-device arm well past
     // saturation (and fills its per-shard backlogs quickly).
-    const double rate = arrival.anyGiven && arrival.config.rate > 0 &&
-                                arrival.config.rate != 200e3
-                            ? arrival.config.rate
-                            : 16e6;
+    const double rate =
+        flags.has("arrival-rate") ? arrival.config.rate : 16e6;
     const double window_sec = quick ? 6e-3 : 14e-3;
 
     net::ArrivalConfig acfg;

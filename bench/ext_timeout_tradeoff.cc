@@ -112,14 +112,15 @@ runAtRate(double arrival_rate, des::Time timeout, uint64_t requests,
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_timeout_tradeoff", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("ext_timeout_tradeoff", flags);
     bench::banner("Extension: cohort timeout vs latency/efficiency",
                   "Sections 1/3.1 (delay requests to form cohorts)");
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
     overlap.recordConfig(report);
 
     for (const auto &[label, prefix, rate, requests] :

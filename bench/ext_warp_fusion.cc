@@ -97,16 +97,11 @@ runPoint(const net::ArrivalConfig &acfg, bool fusion, uint64_t requests,
             des::fromSeconds(kInteractiveDeadlineMs / 1e3);
     cfg.defaultDeadline = des::fromSeconds(kDefaultDeadlineMs / 1e3);
     cfg.adaptiveBatching = true;
-    cfg.fusionEnabled = fusion;
     if (fusion) {
-        if (fusion_flags.threshold > 0)
-            cfg.fusionSimilarityThreshold = fusion_flags.threshold;
-        if (fusion_flags.maxCohorts > 0)
-            cfg.fusionMaxCohorts = fusion_flags.maxCohorts;
-        if (fusion_flags.alpha > 0)
-            cfg.fingerprint.alpha = fusion_flags.alpha;
-        if (fusion_flags.lanes > 0)
-            cfg.fingerprint.sampleLanes = fusion_flags.lanes;
+        // The fusion arm takes the command-line fusion knobs.
+        bench::FusionFlags on = fusion_flags;
+        on.fusion = true;
+        on.apply(cfg);
     }
     core::RhythmServer server(queue, device, service, cfg);
     std::optional<fault::FaultPlan> plan;
@@ -168,36 +163,28 @@ runPoint(const net::ArrivalConfig &acfg, bool fusion, uint64_t requests,
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_warp_fusion", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv,
+        {bench::kQuickFlags, bench::FaultFlags::kTable,
+         bench::ArrivalFlags::kTable, bench::FusionFlags::kTable});
+    bench::Reporter report("ext_warp_fusion", flags);
     bench::banner(
         "Extension: sub-warp packing / cross-type cohort fusion",
         "DESIGN.md 6j (>=1.15x SIMD efficiency or >=1.10x goodput at "
         "flash)");
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::string_view(argv[i]) == "--quick")
-            quick = true;
-
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bool quick = flags.on("quick");
+    const bench::FaultFlags faults(flags);
     faults.recordConfig(report);
-    const bench::ArrivalFlags arrival =
-        bench::ArrivalFlags::parse(argc, argv);
-    const bench::FusionFlags fusion = bench::FusionFlags::parse(argc, argv);
+    const bench::ArrivalFlags arrival(flags);
+    const bench::FusionFlags fusion(flags);
 
     // Operating points: the §6i flash shape at a rate where cohorts of
     // most types are partial when the 1 ms formation timeout fires.
     const double base_rate =
-        arrival.anyGiven && arrival.config.rate > 0 &&
-                arrival.config.rate != 200e3
-            ? arrival.config.rate
-            : 150e3;
+        flags.has("arrival-rate") ? arrival.config.rate : 150e3;
     const uint64_t seed = arrival.config.seed;
-    const double flash_mult =
-        arrival.config.flashMultiplier > 0 &&
-                arrival.config.flashMultiplier != 8.0
-            ? arrival.config.flashMultiplier
-            : 8.0;
+    const double flash_mult = arrival.config.flashMultiplier;
     const uint64_t n_low = quick ? 3000 : 10000;
     const uint64_t n_flash = quick ? 5000 : 20000;
 
@@ -218,9 +205,7 @@ main(int argc, char **argv)
     report.config("flash_mult", flash_mult);
     report.config("cohort_size", static_cast<double>(kCohortSize));
     report.config("timeout_ms", kFormationTimeoutMs);
-    report.config("fusion_threshold", fusion.threshold > 0
-                                          ? fusion.threshold
-                                          : 0.5);
+    report.config("fusion_threshold", fusion.threshold);
     report.config("quick", quick ? 1.0 : 0.0);
 
     struct Point

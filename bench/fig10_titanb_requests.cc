@@ -19,7 +19,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("fig10_titanb_requests", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("fig10_titanb_requests", flags);
     bench::banner("Figure 10: Titan B per-request throughput-efficiency",
                   "Figure 10 (tight-fit buffers perform best)");
 
@@ -34,16 +36,16 @@ main(int argc, char **argv)
             .reqsPerJouleDynamic;
 
     platform::TitanVariant b = platform::titanB();
+    b.server.laneSample = 128;
     platform::IsolatedRunOptions opts;
     opts.cohorts = 10;
     opts.users = 2000;
-    opts.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
+    faults.apply(b);
     faults.apply(opts);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
+    overlap.apply(b);
     overlap.recordConfig(report);
 
     TableWriter table({"request type", "resp KB / buffer KB",

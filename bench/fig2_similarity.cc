@@ -20,7 +20,7 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("fig2_similarity", argc, argv);
+    bench::Reporter report("fig2_similarity", bench::parseArgs(argc, argv));
     bench::banner("Figure 2: request similarity / potential SIMD speedup",
                   "Section 2.3, Figure 2 (nearly linear for all types)");
 

@@ -16,6 +16,9 @@
 
 namespace {
 
+/** Lanes executed per cohort in every isolated Titan run. */
+constexpr uint32_t kLaneSample = 128;
+
 struct Point
 {
     std::string name;
@@ -30,7 +33,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("fig8_throughput_efficiency", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("fig8_throughput_efficiency", flags);
     bench::banner("Figure 8: throughput-efficiency (8a wall, 8b dynamic)",
                   "Figure 8 (normalized to i7-8w throughput, A9-2w "
                   "efficiency)");
@@ -50,17 +55,17 @@ main(int argc, char **argv)
     platform::IsolatedRunOptions opts;
     opts.cohorts = 10;
     opts.users = 2000;
-    opts.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
     faults.apply(opts);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
     overlap.recordConfig(report);
     std::vector<platform::TitanWorkloadResult> titan_results;
-    for (const auto &variant :
+    for (platform::TitanVariant variant :
          {platform::titanA(), platform::titanB(), platform::titanC()}) {
+        variant.server.laneSample = kLaneSample;
+        faults.apply(variant);
+        overlap.apply(variant);
         platform::TitanWorkloadResult r =
             platform::evaluateTitan(variant, opts);
         points.push_back(Point{r.name, r.throughput, r.reqsPerJouleWall,
@@ -107,7 +112,7 @@ main(int argc, char **argv)
 
     report.config("cohorts", opts.cohorts);
     report.config("users", opts.users);
-    report.config("lane_sample", opts.laneSample);
+    report.config("lane_sample", kLaneSample);
     for (const Point &p : points) {
         const std::string key = bench::slug(p.name);
         report.metric(key + ".throughput", p.throughput);

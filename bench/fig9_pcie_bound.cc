@@ -16,21 +16,23 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("fig9_pcie_bound", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("fig9_pcie_bound", flags);
     bench::banner("Figure 9: Titan A achieved vs PCIe 3.0 bound",
                   "Figure 9 (achieved within 83-95% of bound per type)");
 
     platform::TitanVariant a = platform::titanA();
+    a.server.laneSample = 128;
     platform::IsolatedRunOptions opts;
     opts.cohorts = 10;
     opts.users = 2000;
-    opts.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
+    faults.apply(a);
     faults.apply(opts);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
+    overlap.apply(a);
     overlap.recordConfig(report);
 
     TableWriter table({"request type", "achieved KReqs/s",
@@ -88,7 +90,7 @@ main(int argc, char **argv)
                  "projection.\n";
     report.config("cohorts", opts.cohorts);
     report.config("users", opts.users);
-    report.config("lane_sample", opts.laneSample);
+    report.config("lane_sample", a.server.laneSample);
     if (!report.write())
         return 1;
     return 0;

@@ -151,15 +151,22 @@ int
 main(int argc, char **argv)
 {
     // Honor the repo-wide --sim-threads flag (every other bench gets
-    // it via the Reporter constructor), then strip it so
-    // google-benchmark does not reject an unknown argument.
-    rhythm::bench::applySimThreads(argc, argv);
+    // it from bench::parseArgs), then strip it so google-benchmark does
+    // not reject an unknown argument.
     std::vector<std::string> args;
     args.reserve(static_cast<size_t>(argc));
     for (int i = 0; i < argc; ++i) {
-        if (std::string_view(argv[i]).rfind("--sim-threads=", 0) == 0)
+        const std::string_view arg = argv[i];
+        if (arg.starts_with("--sim-threads=")) {
+            uint64_t threads = 0;
+            if (!rhythm::parseU64(arg.substr(14), threads))
+                return rhythm::bench::usageError(
+                    "--sim-threads must be an unsigned integer, got: " +
+                    std::string(arg.substr(14)));
+            rhythm::util::setSimThreads(static_cast<unsigned>(threads));
             continue;
-        args.emplace_back(argv[i]);
+        }
+        args.emplace_back(arg);
     }
     bool json = false;
     for (auto &arg : args) {

@@ -18,7 +18,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("sec62_scaling", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("sec62_scaling", flags);
     bench::banner("Section 6.2: scaling many-core processors",
                   "Section 6.2 (replicated cores vs Rhythm on Titan B/C)");
 
@@ -36,18 +38,19 @@ main(int argc, char **argv)
     platform::IsolatedRunOptions opts;
     opts.cohorts = 10;
     opts.users = 2000;
-    opts.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
     faults.apply(opts);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
     overlap.recordConfig(report);
-    platform::TitanWorkloadResult b =
-        platform::evaluateTitan(platform::titanB(), opts);
-    platform::TitanWorkloadResult c =
-        platform::evaluateTitan(platform::titanC(), opts);
+    const auto evaluate = [&](platform::TitanVariant variant) {
+        variant.server.laneSample = 128;
+        faults.apply(variant);
+        overlap.apply(variant);
+        return platform::evaluateTitan(variant, opts);
+    };
+    platform::TitanWorkloadResult b = evaluate(platform::titanB());
+    platform::TitanWorkloadResult c = evaluate(platform::titanC());
 
     // Paper reference points: (cores, scaled W, headroom W, headroom %).
     struct Ref

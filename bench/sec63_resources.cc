@@ -21,7 +21,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("sec63_resources", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("sec63_resources", flags);
     bench::banner("Section 6.3: system resource requirements",
                   "Section 6.3 (network bandwidth, memory capacity)");
 
@@ -47,21 +49,21 @@ main(int argc, char **argv)
     platform::IsolatedRunOptions opts;
     opts.cohorts = 10;
     opts.users = 2000;
-    opts.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
     faults.apply(opts);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
     overlap.recordConfig(report);
 
     TableWriter net({"platform", "KReqs/s", "network Gbps (paper)",
                      "with 80% HTML compression Gbps"});
     const double paper_gbps[3] = {67, 258, 517};
     int row = 0;
-    for (const auto &variant :
+    for (platform::TitanVariant variant :
          {platform::titanA(), platform::titanB(), platform::titanC()}) {
+        variant.server.laneSample = 128;
+        faults.apply(variant);
+        overlap.apply(variant);
         platform::TitanWorkloadResult r =
             platform::evaluateTitan(variant, opts);
         const double gbps =

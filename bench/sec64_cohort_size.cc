@@ -16,14 +16,15 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("sec64_cohort_size", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("sec64_cohort_size", flags);
     bench::banner("Section 6.4: cohort size sensitivity",
                   "Section 6.4 (4096 balances throughput vs memory)");
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
     overlap.recordConfig(report);
 
     TableWriter table({"cohort size", "KReqs/s", "avg latency ms",
@@ -32,12 +33,13 @@ main(int argc, char **argv)
     for (uint32_t size : sizes) {
         platform::TitanVariant b = platform::titanB();
         b.server.cohortSize = size;
+        b.server.laneSample = std::min<uint32_t>(size, 128);
         platform::IsolatedRunOptions opts;
         opts.cohorts = std::max<uint32_t>(6, 32768 / size);
         opts.users = 2000;
-        opts.laneSample = std::min<uint32_t>(size, 128);
+        faults.apply(b);
         faults.apply(opts);
-        overlap.apply(opts);
+        overlap.apply(b);
 
         platform::TypeRunResult r = platform::runIsolatedType(
             b, specweb::RequestType::AccountSummary, opts);

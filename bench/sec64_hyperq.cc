@@ -17,14 +17,15 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("sec64_hyperq", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("sec64_hyperq", flags);
     bench::banner("Section 6.4: HyperQ ablation",
                   "Section 6.4 (single work queue vs 32 HyperQ queues)");
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
     overlap.recordConfig(report);
 
     TableWriter table({"hardware queues", "KReqs/s", "avg latency ms",
@@ -33,12 +34,13 @@ main(int argc, char **argv)
         platform::TitanVariant b = platform::titanB();
         b.device.hardwareQueues = queues;
         b.server.cohortSize = 1024; // small cohorts stress concurrency
+        b.server.laneSample = 128;
         platform::IsolatedRunOptions opts;
         opts.cohorts = 24;
         opts.users = 2000;
-        opts.laneSample = 128;
+        faults.apply(b);
         faults.apply(opts);
-        overlap.apply(opts);
+        overlap.apply(b);
         platform::TypeRunResult r = platform::runIsolatedType(
             b, specweb::RequestType::CheckDetailHtml, opts);
         table.addRow({std::to_string(queues),

@@ -48,7 +48,8 @@ profileParser(const std::vector<std::string> &raws, uint32_t slot_bytes)
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("sec64_parser_divergence", argc, argv);
+    bench::Reporter report("sec64_parser_divergence",
+                           bench::parseArgs(argc, argv));
     bench::banner("Section 6.4: parser divergence",
                   "Section 6.4 (mixed cohort: 556 us, 7.4M reqs/s at "
                   "4096)");

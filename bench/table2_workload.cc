@@ -15,7 +15,7 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("table2_workload", argc, argv);
+    bench::Reporter report("table2_workload", bench::parseArgs(argc, argv));
     bench::banner("Table 2: SPECWeb Banking workload characterization",
                   "Table 2 (instructions, response sizes, mix, backend)");
 

@@ -19,7 +19,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("table3_platforms", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
+    bench::Reporter report("table3_platforms", flags);
     bench::banner("Table 1: experimental platforms",
                   "Table 1 (platform parameters used by the models)");
     {
@@ -81,17 +83,17 @@ main(int argc, char **argv)
     platform::IsolatedRunOptions opts;
     opts.cohorts = 12;
     opts.users = 2000;
-    opts.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
     faults.apply(opts);
     faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
     overlap.recordConfig(report);
-    const platform::TitanVariant variants[] = {
+    platform::TitanVariant variants[] = {
         platform::titanA(), platform::titanB(), platform::titanC()};
     for (size_t v = 0; v < 3; ++v) {
+        variants[v].server.laneSample = 128;
+        faults.apply(variants[v]);
+        overlap.apply(variants[v]);
         platform::TitanWorkloadResult r =
             platform::evaluateTitan(variants[v], opts);
         addRow(r.name, r.idleWatts, r.wallWatts, r.dynamicWatts,

@@ -25,10 +25,10 @@ using namespace rhythm;
 platform::TypeRunResult
 run(platform::TitanVariant variant, specweb::RequestType type)
 {
+    variant.server.laneSample = 128;
     platform::IsolatedRunOptions opts;
     opts.cohorts = 8;
     opts.users = 1000;
-    opts.laneSample = 128;
     return platform::runIsolatedType(variant, type, opts);
 }
 

@@ -71,7 +71,6 @@ runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
         variant.server.cohortSize;
 
     core::RhythmConfig cfg = variant.server;
-    cfg.laneSample = options.laneSample;
     // Login creates, and logout consumes, one session per request. Every
     // user's sessions hash to a single bucket, so the bucket depth must
     // cover sessions-per-user (with margin for hash skew), not just the
@@ -88,26 +87,10 @@ runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
     if (options.profileCacheEntries > 0)
         cfg.traceTemplateCacheEntries = options.profileCacheEntries;
 
-    // Fault/robustness overlay (quiet by default: the healthy run's
-    // configuration and outputs are untouched).
-    if (options.retryBudget > 0)
-        cfg.backendRetryBudget = options.retryBudget;
-    if (options.watchdogTimeout > 0)
-        cfg.watchdogTimeout = options.watchdogTimeout;
-    simt::DeviceConfig device_cfg = variant.device;
-    if (options.pcieFrameCrc)
-        device_cfg.pcieCrcEnabled = true;
-    if (options.overlapPipeline)
-        cfg.overlapPipeline = true;
-    if (options.copyEngines > 0)
-        device_cfg.copyEngines = options.copyEngines;
-    if (options.copyChunkBytes > 0)
-        device_cfg.copyChunkBytes = options.copyChunkBytes;
-
     des::EventQueue queue;
     simt::ProfileCache profile_cache(
         std::max<size_t>(options.profileCacheEntries, 1));
-    simt::Device device(queue, device_cfg);
+    simt::Device device(queue, variant.device);
     if (options.profileCacheEntries > 0)
         device.engine().setProfileCache(&profile_cache);
     backend::BankDb db(options.users, options.seed);

@@ -95,15 +95,19 @@ struct TypeRunResult
     double overlapFraction = 0.0;
 };
 
-/** Parameters of an isolated run. */
+/**
+ * Run-level parameters of an isolated run. Server and device knobs,
+ * lane sampling included, are the variant's RhythmConfig and
+ * DeviceConfig; the run uses them as given, apart from sizing the
+ * session array for login/logout and the trace-template cache that
+ * profileCacheEntries turns on.
+ */
 struct IsolatedRunOptions
 {
     /** Cohorts to push through (requests = cohorts × cohortSize). */
     uint32_t cohorts = 24;
     /** Bank database size. */
     uint64_t users = 5000;
-    /** Lanes executed per cohort (0 = all; see RhythmConfig). */
-    uint32_t laneSample = 128;
     uint64_t seed = 42;
     /**
      * Warp profile-cache capacity in entries (0 = off). When set, the
@@ -114,8 +118,9 @@ struct IsolatedRunOptions
      */
     uint32_t profileCacheEntries = 0;
 
-    // ---- Fault / robustness overlay (all off by default, keeping the
-    // ---- healthy paper-exact run) ----------------------------------
+    // ---- Run-level fault machinery (off by default, keeping the
+    // ---- healthy paper-exact run). Server and device knobs — retries,
+    // ---- watchdog, frame CRC, overlap — live in the variant's configs.
 
     /**
      * Fault schedule. When non-quiet, the run arms a fresh
@@ -124,12 +129,6 @@ struct IsolatedRunOptions
      * schedule.
      */
     fault::FaultConfig faults;
-    /** Overrides RhythmConfig::backendRetryBudget when non-zero. */
-    uint32_t retryBudget = 0;
-    /** Overrides RhythmConfig::watchdogTimeout when non-zero. */
-    des::Time watchdogTimeout = 0;
-    /** Turns on the PCIe frame-CRC/retransmit link model. */
-    bool pcieFrameCrc = false;
     /**
      * Attaches a write-ahead-journaled RecoverableBackend (with
      * session recovery) so backend mutations apply exactly once across
@@ -138,15 +137,6 @@ struct IsolatedRunOptions
     bool recovery = false;
     /** Journaled mutations per recovery checkpoint. */
     uint64_t checkpointInterval = 4096;
-
-    // ---- Transfer/compute overlap (DESIGN.md 6h) --------------------
-
-    /** Turns on RhythmConfig::overlapPipeline. */
-    bool overlapPipeline = false;
-    /** Overrides DeviceConfig::copyEngines when > 0. */
-    int copyEngines = 0;
-    /** Overrides DeviceConfig::copyChunkBytes when > 0. */
-    uint32_t copyChunkBytes = 0;
 };
 
 /**

@@ -1,90 +1,123 @@
 /**
  * @file
- * Minimal command-line flag parsing for the tools and harnesses.
+ * Command-line flags for the tools and harnesses.
  *
- * Supports --key=value and --key value forms plus boolean switches
- * (--flag / --no-flag). Unknown flags are reported as errors so typos
- * in experiment configurations do not pass silently.
+ * A program declares every flag it takes once, in tables of FlagSpec
+ * entries: name, value kind, default and one help line. Flags tokenizes
+ * argv (--key=value, --key value, --flag, --no-flag), checks every given
+ * flag against the tables and reads typed values back; usage() prints
+ * the help text from the same tables. Unknown flags, stray arguments,
+ * values that do not parse as their kind and numbers out of range are
+ * errors, so a typo in an experiment configuration never passes
+ * silently.
  */
 
 #ifndef RHYTHM_UTIL_FLAGS_HH
 #define RHYTHM_UTIL_FLAGS_HH
 
 #include <cstdint>
-#include <map>
+#include <limits>
+#include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace rhythm {
 
-/** Parsed command line. */
+/** What a flag's value is. */
+enum class FlagKind
+{
+    Count,  //!< unsigned integer (the help shows =N)
+    Number, //!< finite decimal number (=X)
+    /** On/off: --x, --no-x, =on|off, =true|false, =1|0, =yes|no. */
+    Switch,
+    Choice, //!< one of FlagSpec::values, '|'-separated
+    Text,   //!< free text; FlagSpec::values names it in the help
+};
+
+/** Inclusive range of a Count or Number (min excluded when minOpen). */
+struct FlagRange
+{
+    double min = -std::numeric_limits<double>::infinity();
+    double max = std::numeric_limits<double>::infinity();
+    bool minOpen = false;
+};
+
+inline constexpr FlagRange kNonNegative{0};
+inline constexpr FlagRange kPositive{
+    0, std::numeric_limits<double>::infinity(), true};
+inline constexpr FlagRange kAtLeastOne{1};
+inline constexpr FlagRange kProbability{0, 1};
+
+/**
+ * One declared flag. A name ending in "<...>" declares an open family:
+ * "deadline-ms-<type>" accepts --deadline-ms-transfer=3.
+ */
+struct FlagSpec
+{
+    std::string_view name;
+    FlagKind kind;
+    std::string_view def; //!< Default as text ("" = none).
+    std::string_view help;
+    FlagRange range = {};
+    std::string_view values = {}; //!< Choice: "a|b"; Text: "PATH".
+};
+
+/** A titled group of flags: one section of the help text. */
+struct FlagTable
+{
+    std::string_view title;
+    std::span<const FlagSpec> flags;
+};
+
+/** Parsed and checked command line. */
 class Flags
 {
   public:
     /**
-     * Parses argv.
-     * @return false (with an error message in error()) on malformed
-     *         input; flags are still usable for whatever parsed.
+     * Tokenizes argv. A flag given twice keeps its last value.
+     * @return false (with error()) on a bare "--" or a positional
+     *         argument.
      */
     bool parse(int argc, const char *const *argv);
+
+    /**
+     * Declares the program's flags and checks every given one.
+     * @return false (with error()) on an unknown flag, a value that
+     *         does not parse as its kind or a number out of range.
+     */
+    bool check(std::span<const FlagTable> tables);
 
     /** True if the flag was given. */
     bool has(std::string_view name) const;
 
-    /** String value (or @p fallback when absent). */
-    std::string getString(std::string_view name,
-                          std::string_view fallback = "") const;
+    /** The flags of @p table that were given, in command-line order. */
+    std::vector<std::string> given(const FlagTable &table) const;
 
-    /**
-     * Unsigned integer value (or @p fallback when absent/malformed;
-     * requireU64() turns malformed into an error).
-     */
-    uint64_t getU64(std::string_view name, uint64_t fallback) const;
+    // Typed value of a declared flag: the given value, else its
+    // default (0, off or "" when the default is "").
+    uint64_t count(std::string_view name) const;
+    double number(std::string_view name) const;
+    bool on(std::string_view name) const;
+    std::string text(std::string_view name) const;
 
-    /**
-     * Double value (or @p fallback when absent/malformed;
-     * requireDouble() turns malformed into an error).
-     */
-    double getDouble(std::string_view name, double fallback) const;
+    /** Prints the help text of @p tables. */
+    static void usage(std::ostream &out, std::string_view program,
+                      std::span<const FlagTable> tables);
 
-    /**
-     * Boolean value: --name or --name=true|1 give true, --no-name or
-     * --name=false|0 give false; @p fallback when absent.
-     */
-    bool getBool(std::string_view name, bool fallback) const;
-
-    /** Positional (non-flag) arguments, in order. */
-    const std::vector<std::string> &positional() const
-    {
-        return positional_;
-    }
-
-    /** Names of all flags given (for unknown-flag validation). */
-    std::vector<std::string> names() const;
-
-    /**
-     * Verifies every given flag is in @p known.
-     * @return false (with error()) when an unknown flag was given.
-     */
-    bool allowOnly(const std::vector<std::string> &known);
-
-    /**
-     * Verifies every given flag among @p names holds an unsigned
-     * integer, as getU64() parses it.
-     * @return false (with error()) on the first value that does not.
-     */
-    bool requireU64(const std::vector<std::string> &names);
-
-    /** As requireU64(), for getDouble()'s decimal values. */
-    bool requireDouble(const std::vector<std::string> &names);
-
-    /** Parse/validation error message ("" when fine). */
+    /** Parse/check error message ("" when fine). */
     const std::string &error() const { return error_; }
 
   private:
-    std::map<std::string, std::string, std::less<>> values_;
-    std::vector<std::string> positional_;
+    const std::string *find(std::string_view name) const;
+    const FlagSpec *spec(std::string_view name) const;
+    /** The given value of @p name, else its declared default. */
+    std::string_view raw(std::string_view name) const;
+
+    std::vector<std::pair<std::string, std::string>> values_;
+    std::vector<FlagTable> tables_;
     std::string error_;
 };
 

@@ -44,18 +44,16 @@ class FidelityData
         IsolatedRunOptions opts;
         opts.cohorts = 8;
         opts.users = 1000;
-        opts.laneSample = 128;
         // One representative heavy type keeps the run short; the full
         // mix is exercised by bench/table3_platforms.
-        titanA = runIsolatedType(platform::titanA(),
-                                 specweb::RequestType::AccountSummary,
-                                 opts);
-        titanB = runIsolatedType(platform::titanB(),
-                                 specweb::RequestType::AccountSummary,
-                                 opts);
-        titanC = runIsolatedType(platform::titanC(),
-                                 specweb::RequestType::AccountSummary,
-                                 opts);
+        const auto run = [&opts](TitanVariant variant) {
+            variant.server.laneSample = 128;
+            return runIsolatedType(
+                variant, specweb::RequestType::AccountSummary, opts);
+        };
+        titanA = run(platform::titanA());
+        titanB = run(platform::titanB());
+        titanC = run(platform::titanC());
     }
 };
 

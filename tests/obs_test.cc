@@ -296,20 +296,22 @@ TEST(ReporterTest, SlugNormalizesDisplayNames)
 
 TEST(ReporterTest, DisabledWithoutFlagAndWritesSchema)
 {
+    const auto flags = [](std::vector<const char *> argv) {
+        Flags f;
+        EXPECT_TRUE(f.parse(static_cast<int>(argv.size()), argv.data()));
+        EXPECT_TRUE(f.check(std::span(&bench::kCommonFlags, 1)));
+        return f;
+    };
     {
-        char prog[] = "bench";
-        char *argv[] = {prog};
-        bench::Reporter off("demo", 1, argv);
+        bench::Reporter off("demo", flags({"bench"}));
         EXPECT_FALSE(off.enabled());
         EXPECT_TRUE(off.write()); // no-op success
     }
 
     const std::string path =
         testing::TempDir() + "/obs_test_reporter.json";
-    std::string flag = "--json=" + path;
-    char prog[] = "bench";
-    std::vector<char *> argv = {prog, flag.data()};
-    bench::Reporter rep("demo", 2, argv.data());
+    const std::string flag = "--json=" + path;
+    bench::Reporter rep("demo", flags({"bench", flag.c_str()}));
     EXPECT_TRUE(rep.enabled());
     rep.config("cohorts", 8.0);
     rep.config("workload", std::string("banking"));

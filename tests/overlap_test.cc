@@ -277,35 +277,41 @@ TEST(OverlapDevice, LegacyDefaultsBypassPooledPath)
 namespace rhythm {
 namespace {
 
+/** A Titan A variant plus the options of one small isolated run. */
+struct SmallRun
+{
+    platform::TitanVariant variant = platform::titanA();
+    platform::IsolatedRunOptions opts;
+};
+
 /** One small isolated banking run; restores serial mode afterwards. */
 platform::TypeRunResult
-runType(specweb::RequestType type, const platform::IsolatedRunOptions &opts,
-        unsigned threads)
+runType(specweb::RequestType type, const SmallRun &run, unsigned threads)
 {
     util::setSimThreads(threads);
     platform::TypeRunResult r =
-        platform::runIsolatedType(platform::titanA(), type, opts);
+        platform::runIsolatedType(run.variant, type, run.opts);
     util::setSimThreads(1);
     return r;
 }
 
-platform::IsolatedRunOptions
+SmallRun
 smallRun()
 {
-    platform::IsolatedRunOptions opts;
-    opts.cohorts = 4;
-    opts.users = 400;
-    opts.laneSample = 64;
-    return opts;
+    SmallRun run;
+    run.opts.cohorts = 4;
+    run.opts.users = 400;
+    run.variant.server.laneSample = 64;
+    return run;
 }
 
-platform::IsolatedRunOptions
-overlapped(platform::IsolatedRunOptions opts)
+SmallRun
+overlapped(SmallRun run)
 {
-    opts.overlapPipeline = true;
-    opts.copyEngines = 4;
-    opts.copyChunkBytes = 262144;
-    return opts;
+    run.variant.server.overlapPipeline = true;
+    run.variant.device.copyEngines = 4;
+    run.variant.device.copyChunkBytes = 262144;
+    return run;
 }
 
 TEST(OverlapServer, ResponsesIdenticalAcrossModesAndThreads)
@@ -341,12 +347,12 @@ TEST(OverlapServer, HedgeDuringOverlappedDownloadsKeepsResponses)
     // while chunked downloads of neighbouring cohorts are in flight.
     // Exactly-once delivery must hold — same requests, same response
     // bytes as the fault-free serial run — with only timing changed.
-    platform::IsolatedRunOptions faulty = smallRun();
-    faulty.faults.at(fault::Site::KernelHang).probability = 0.5;
-    faulty.faults.at(fault::Site::KernelHang).meanDelay =
+    SmallRun faulty = smallRun();
+    faulty.opts.faults.at(fault::Site::KernelHang).probability = 0.5;
+    faulty.opts.faults.at(fault::Site::KernelHang).meanDelay =
         des::fromSeconds(5e-3);
-    faulty.watchdogTimeout = des::fromSeconds(2e-3);
-    faulty.recovery = true;
+    faulty.variant.server.watchdogTimeout = des::fromSeconds(2e-3);
+    faulty.opts.recovery = true;
 
     const specweb::RequestType type = specweb::RequestType::PostPayee;
     const platform::TypeRunResult healthy = runType(type, smallRun(), 1);
@@ -370,9 +376,9 @@ TEST(OverlapServer, CrcCorruptionUnderOverlapKeepsResponses)
     // Frame CRC with injected corruption on the chunked path: every
     // corrupted frame is retransmitted, so responses never change —
     // only wire bytes and timing do.
-    platform::IsolatedRunOptions faulty = smallRun();
-    faulty.pcieFrameCrc = true;
-    faulty.faults.at(fault::Site::PcieCorrupt).probability = 0.05;
+    SmallRun faulty = smallRun();
+    faulty.variant.device.pcieCrcEnabled = true;
+    faulty.opts.faults.at(fault::Site::PcieCorrupt).probability = 0.05;
 
     const specweb::RequestType type = specweb::RequestType::PostPayee;
     const platform::TypeRunResult healthy = runType(type, smallRun(), 1);

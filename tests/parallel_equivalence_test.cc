@@ -342,14 +342,14 @@ runFleet(unsigned threads, uint32_t devices, size_t cache_entries = 0)
 
 /** Field-exact fingerprint of an isolated-type platform run. */
 Fingerprint
-runIsolated(const platform::TitanVariant &variant,
-            specweb::RequestType type, unsigned threads)
+runIsolated(platform::TitanVariant variant, specweb::RequestType type,
+            unsigned threads)
 {
     util::setSimThreads(threads);
+    variant.server.laneSample = 64;
     platform::IsolatedRunOptions opts;
     opts.cohorts = 2;
     opts.users = 400;
-    opts.laneSample = 64;
     platform::TypeRunResult r =
         platform::runIsolatedType(variant, type, opts);
     util::setSimThreads(1);
@@ -378,13 +378,13 @@ runIsolated(const platform::TitanVariant &variant,
 
 /** Field-exact fingerprint of a whole-variant (fig8-style) evaluation. */
 Fingerprint
-runVariant(const platform::TitanVariant &variant, unsigned threads)
+runVariant(platform::TitanVariant variant, unsigned threads)
 {
     util::setSimThreads(threads);
+    variant.server.laneSample = 32;
     platform::IsolatedRunOptions opts;
     opts.cohorts = 1;
     opts.users = 200;
-    opts.laneSample = 32;
     platform::TitanWorkloadResult r =
         platform::evaluateTitan(variant, opts);
     util::setSimThreads(1);

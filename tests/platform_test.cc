@@ -135,10 +135,10 @@ TEST(Titan, IsolatedRunCompletesAndIsPcieBound)
     TitanVariant a = titanA();
     a.server.cohortSize = 512;
     a.server.cohortContexts = 6;
+    a.server.laneSample = 64;
     IsolatedRunOptions opts;
     opts.cohorts = 6;
     opts.users = 500;
-    opts.laneSample = 64;
     TypeRunResult r =
         runIsolatedType(a, specweb::RequestType::AccountSummary, opts);
     EXPECT_EQ(r.requests, 6u * 512);
@@ -156,10 +156,10 @@ TEST(Titan, TitanBOutperformsTitanA)
     IsolatedRunOptions opts;
     opts.cohorts = 6;
     opts.users = 500;
-    opts.laneSample = 64;
     TitanVariant a = titanA(), b = titanB();
     a.server.cohortSize = b.server.cohortSize = 512;
     a.server.cohortContexts = b.server.cohortContexts = 6;
+    a.server.laneSample = b.server.laneSample = 64;
     TypeRunResult ra =
         runIsolatedType(a, specweb::RequestType::BillPay, opts);
     TypeRunResult rb =
@@ -173,10 +173,10 @@ TEST(Titan, TitanCOutperformsTitanB)
     IsolatedRunOptions opts;
     opts.cohorts = 6;
     opts.users = 500;
-    opts.laneSample = 64;
     TitanVariant b = titanB(), c = titanC();
     b.server.cohortSize = c.server.cohortSize = 512;
     b.server.cohortContexts = c.server.cohortContexts = 6;
+    b.server.laneSample = c.server.laneSample = 64;
     TypeRunResult rb =
         runIsolatedType(b, specweb::RequestType::AccountSummary, opts);
     TypeRunResult rc =

@@ -8,7 +8,11 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/arena.hh"
 #include "util/flags.hh"
@@ -242,67 +246,217 @@ TEST(Table, CsvQuotesSpecials)
     EXPECT_EQ(os.str(), "a,b\n\"x,y\",\"q\"\"z\"\n");
 }
 
+/** Parses @p argv (after a program name) into @p flags. */
+bool
+parseArgs(Flags &flags, std::vector<const char *> argv)
+{
+    argv.insert(argv.begin(), "prog");
+    return flags.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+/** Checks @p flags against one table of @p specs. */
+template <size_t N>
+bool
+checkAgainst(Flags &flags, const FlagSpec (&specs)[N])
+{
+    const FlagTable table{"test", specs};
+    return flags.check(std::span(&table, 1));
+}
+
 TEST(Flags, ParsesAllForms)
 {
-    const char *argv[] = {"prog",        "--a=1",     "--b", "two",
-                          "--switch",    "--no-neg",  "pos1",
-                          "--d=3.5",     "pos2"};
+    constexpr FlagSpec specs[] = {
+        {"a", FlagKind::Count, "0", "a"},
+        {"b", FlagKind::Text, "", "b"},
+        {"switch", FlagKind::Switch, "off", "switch"},
+        {"neg", FlagKind::Switch, "on", "neg"},
+        {"d", FlagKind::Number, "0", "d"},
+    };
     Flags flags;
-    ASSERT_TRUE(flags.parse(9, argv));
-    EXPECT_EQ(flags.getU64("a", 0), 1u);
-    EXPECT_EQ(flags.getString("b"), "two");
-    EXPECT_TRUE(flags.getBool("switch", false));
-    EXPECT_FALSE(flags.getBool("neg", true));
-    EXPECT_DOUBLE_EQ(flags.getDouble("d", 0.0), 3.5);
-    ASSERT_EQ(flags.positional().size(), 2u);
-    EXPECT_EQ(flags.positional()[0], "pos1");
-    EXPECT_EQ(flags.positional()[1], "pos2");
+    ASSERT_TRUE(parseArgs(
+        flags, {"--a=1", "--b", "two", "--switch", "--no-neg", "--d=3.5"}));
+    ASSERT_TRUE(checkAgainst(flags, specs));
+    EXPECT_EQ(flags.count("a"), 1u);
+    EXPECT_EQ(flags.text("b"), "two");
+    EXPECT_TRUE(flags.on("switch"));
+    EXPECT_FALSE(flags.on("neg"));
+    EXPECT_DOUBLE_EQ(flags.number("d"), 3.5);
+
+    // A stray argument is an error, not silently ignored.
+    Flags stray;
+    EXPECT_FALSE(parseArgs(stray, {"--a=1", "pos1"}));
+    EXPECT_NE(stray.error().find("pos1"), std::string::npos);
 }
 
 TEST(Flags, FallbacksAndMalformedValues)
 {
-    const char *argv[] = {"prog", "--n=abc", "--f=xyz", "--b=maybe"};
-    Flags flags;
-    ASSERT_TRUE(flags.parse(4, argv));
-    EXPECT_EQ(flags.getU64("n", 7), 7u);
-    EXPECT_DOUBLE_EQ(flags.getDouble("f", 2.5), 2.5);
-    EXPECT_TRUE(flags.getBool("b", true));
-    EXPECT_EQ(flags.getU64("missing", 9), 9u);
-    EXPECT_FALSE(flags.has("missing"));
-    EXPECT_TRUE(flags.has("n"));
+    constexpr FlagSpec specs[] = {
+        {"n", FlagKind::Count, "7", "n"},
+        {"f", FlagKind::Number, "2.5", "f"},
+        {"b", FlagKind::Switch, "on", "b"},
+        {"path", FlagKind::Text, "", "path"},
+    };
+    // Absent flags read their table default.
+    Flags absent;
+    ASSERT_TRUE(parseArgs(absent, {}));
+    ASSERT_TRUE(checkAgainst(absent, specs));
+    EXPECT_EQ(absent.count("n"), 7u);
+    EXPECT_DOUBLE_EQ(absent.number("f"), 2.5);
+    EXPECT_TRUE(absent.on("b"));
+    EXPECT_EQ(absent.text("path"), "");
+    EXPECT_FALSE(absent.has("n"));
+
+    // A malformed value is an error, never read as the default.
+    for (const char *bad : {"--n=abc", "--f=xyz", "--b=maybe", "--f=nan",
+                            "--f=inf"}) {
+        Flags flags;
+        ASSERT_TRUE(parseArgs(flags, {bad}));
+        EXPECT_FALSE(checkAgainst(flags, specs)) << bad;
+        EXPECT_NE(flags.error().find(std::string_view(bad).substr(0, 3)),
+                  std::string::npos)
+            << flags.error();
+    }
 }
 
 TEST(Flags, AllowOnlyDetectsUnknown)
 {
-    const char *argv[] = {"prog", "--good=1", "--bad=2"};
+    constexpr FlagSpec good[] = {{"good", FlagKind::Count, "0", "good"}};
+    constexpr FlagSpec both[] = {{"good", FlagKind::Count, "0", "good"},
+                                 {"bad", FlagKind::Count, "0", "bad"}};
     Flags flags;
-    ASSERT_TRUE(flags.parse(3, argv));
-    EXPECT_FALSE(flags.allowOnly({"good"}));
+    ASSERT_TRUE(parseArgs(flags, {"--good=1", "--bad=2"}));
+    EXPECT_FALSE(checkAgainst(flags, good));
     EXPECT_NE(flags.error().find("bad"), std::string::npos);
-    EXPECT_TRUE(flags.allowOnly({"good", "bad"}));
+    EXPECT_TRUE(checkAgainst(flags, both));
 }
 
 TEST(Flags, RequireNumbersRejectsUnparsableValues)
 {
-    const char *argv[] = {"prog", "--n=12", "--neg=-1", "--f=1e3",
-                          "--word=xyz"};
     Flags flags;
-    ASSERT_TRUE(flags.parse(5, argv));
-    // Absent names pass; present ones must parse.
-    EXPECT_TRUE(flags.requireU64({"n", "missing"}));
-    EXPECT_TRUE(flags.requireDouble({"f", "n", "neg", "missing"}));
-    EXPECT_FALSE(flags.requireU64({"n", "neg"}));
+    ASSERT_TRUE(
+        parseArgs(flags, {"--n=12", "--neg=-1", "--f=1e3", "--word=xyz"}));
+    constexpr FlagSpec fine[] = {{"n", FlagKind::Count, "0", "n"},
+                                 {"neg", FlagKind::Number, "0", "neg"},
+                                 {"f", FlagKind::Number, "0", "f"},
+                                 {"word", FlagKind::Text, "", "word"}};
+    EXPECT_TRUE(checkAgainst(flags, fine));
+    EXPECT_DOUBLE_EQ(flags.number("f"), 1000.0);
+    constexpr FlagSpec negCount[] = {{"n", FlagKind::Count, "0", "n"},
+                                     {"neg", FlagKind::Count, "0", "neg"},
+                                     {"f", FlagKind::Number, "0", "f"},
+                                     {"word", FlagKind::Text, "", "word"}};
+    EXPECT_FALSE(checkAgainst(flags, negCount));
     EXPECT_NE(flags.error().find("--neg"), std::string::npos);
-    EXPECT_FALSE(flags.requireDouble({"f", "word"}));
+    constexpr FlagSpec wordNumber[] = {{"n", FlagKind::Count, "0", "n"},
+                                       {"neg", FlagKind::Number, "0", "neg"},
+                                       {"f", FlagKind::Number, "0", "f"},
+                                       {"word", FlagKind::Number, "0", "w"}};
+    EXPECT_FALSE(checkAgainst(flags, wordNumber));
     EXPECT_NE(flags.error().find("--word"), std::string::npos);
 }
 
 TEST(Flags, BareDoubleDashIsError)
 {
-    const char *argv[] = {"prog", "--"};
     Flags flags;
-    EXPECT_FALSE(flags.parse(2, argv));
+    EXPECT_FALSE(parseArgs(flags, {"--"}));
     EXPECT_FALSE(flags.error().empty());
+}
+
+TEST(Flags, SwitchesTakeEverySpelling)
+{
+    constexpr FlagSpec specs[] = {{"x", FlagKind::Switch, "off", "x"}};
+    for (const char *on : {"--x", "--x=on", "--x=true", "--x=1", "--x=yes"}) {
+        Flags flags;
+        ASSERT_TRUE(parseArgs(flags, {on}));
+        ASSERT_TRUE(checkAgainst(flags, specs)) << on;
+        EXPECT_TRUE(flags.on("x")) << on;
+    }
+    for (const char *off :
+         {"--no-x", "--x=off", "--x=false", "--x=0", "--x=no"}) {
+        Flags flags;
+        ASSERT_TRUE(parseArgs(flags, {"--x", off}));
+        ASSERT_TRUE(checkAgainst(flags, specs)) << off;
+        EXPECT_FALSE(flags.on("x")) << off;
+    }
+}
+
+TEST(Flags, RangesAndChoicesAreChecked)
+{
+    constexpr FlagSpec specs[] = {
+        {"p", FlagKind::Number, "0", "p", kProbability},
+        {"rate", FlagKind::Number, "1", "rate", kPositive},
+        {"n", FlagKind::Count, "1", "n", kAtLeastOne},
+        {"mode", FlagKind::Choice, "a", "mode", {}, "a|b"},
+    };
+    const std::pair<const char *, const char *> cases[] = {
+        {"--p=1.5", "--p must be in [0, 1], got: 1.5"},
+        {"--p=-0.1", "--p must be in [0, 1], got: -0.1"},
+        {"--rate=0", "--rate must be > 0, got: 0"},
+        {"--n=0", "--n must be >= 1, got: 0"},
+        {"--mode=c", "--mode must be one of a|b, got: c"},
+    };
+    for (const auto &[arg, error] : cases) {
+        Flags flags;
+        ASSERT_TRUE(parseArgs(flags, {arg}));
+        EXPECT_FALSE(checkAgainst(flags, specs)) << arg;
+        EXPECT_EQ(flags.error(), error);
+    }
+    Flags edges;
+    ASSERT_TRUE(parseArgs(edges, {"--p=1", "--rate=0.001", "--n=1",
+                                  "--mode=b"}));
+    EXPECT_TRUE(checkAgainst(edges, specs)) << edges.error();
+    EXPECT_EQ(edges.text("mode"), "b");
+}
+
+TEST(Flags, OpenFamiliesKeepCommandLineOrder)
+{
+    constexpr FlagSpec specs[] = {
+        {"deadline-ms", FlagKind::Number, "0", "one deadline"},
+        {"deadline-ms-<type>", FlagKind::Number, "", "per-type deadline"},
+        {"other", FlagKind::Count, "0", "other"},
+    };
+    const FlagTable table{"test", specs};
+    Flags flags;
+    ASSERT_TRUE(parseArgs(flags, {"--deadline-ms-zeta=3", "--other=1",
+                                  "--deadline-ms-alpha=4", "--deadline-ms=5",
+                                  "--deadline-ms-zeta=6"}));
+    ASSERT_TRUE(flags.check(std::span(&table, 1))) << flags.error();
+    // First-appearance order; a repeated flag keeps its last value.
+    const std::vector<std::string> expected = {
+        "deadline-ms-zeta", "other", "deadline-ms-alpha", "deadline-ms"};
+    EXPECT_EQ(flags.given(table), expected);
+    EXPECT_DOUBLE_EQ(flags.number("deadline-ms-zeta"), 6.0);
+    EXPECT_DOUBLE_EQ(flags.number("deadline-ms"), 5.0);
+
+    // The family needs a non-empty suffix.
+    Flags bare;
+    ASSERT_TRUE(parseArgs(bare, {"--deadline-ms-=1"}));
+    EXPECT_FALSE(bare.check(std::span(&table, 1)));
+}
+
+TEST(Flags, UsageListsEveryFlagOnceWithItsDefault)
+{
+    constexpr FlagSpec specs[] = {
+        {"count", FlagKind::Count, "3", "how many"},
+        {"mode", FlagKind::Choice, "a", "which", {}, "a|b"},
+        {"quiet", FlagKind::Switch, "off", "say less"},
+        {"out", FlagKind::Text, "", "where", {}, "PATH"},
+    };
+    const FlagTable table{"section", specs};
+    std::ostringstream os;
+    Flags::usage(os, "prog", std::span(&table, 1));
+    const std::string help = os.str();
+    EXPECT_EQ(help.find("usage: prog"), 0u);
+    EXPECT_NE(help.find("\nsection:\n"), std::string::npos);
+    EXPECT_NE(help.find("--count=N"), std::string::npos);
+    EXPECT_NE(help.find("how many (3)"), std::string::npos);
+    EXPECT_NE(help.find("--mode=a|b"), std::string::npos);
+    EXPECT_NE(help.find("--quiet[=on|off]"), std::string::npos);
+    EXPECT_NE(help.find("--out=PATH"), std::string::npos);
+    for (const FlagSpec &f : specs) {
+        const std::string flag = "--" + std::string(f.name);
+        EXPECT_EQ(help.find(flag), help.rfind(flag)) << flag;
+    }
 }
 
 TEST(Arena, BumpAllocatesDisjointAlignedRanges)

@@ -40,158 +40,61 @@ namespace {
 
 using namespace rhythm;
 
-int
-usage(const std::string &error)
-{
-    if (!error.empty())
-        std::cerr << "error: " << error << "\n\n";
-    std::cerr
-        << "usage: rhythm_sim [flags]\n"
-           "  --workload=banking|search|chat  workload to serve (banking)\n"
-           "  --platform=titanA|titanB|titanC  preset (titanB)\n"
-           "  --type=<name>               isolate one request type\n"
-           "  --cohort-size=N             requests per cohort (4096)\n"
-           "  --cohorts=N                 cohorts to push through (10)\n"
-           "  --contexts=N                cohort contexts (8)\n"
-           "  --timeout-ms=X              formation timeout (2.0)\n"
-           "  --lane-sample=N             executed lanes/cohort (128)\n"
-           "  --users=N                   bank database users (2000)\n"
-           "  --docs=N                    search corpus documents (4000)\n"
-           "  --sms=N                     streaming multiprocessors\n"
-           "  --mem-gbs=X                 device DRAM bandwidth\n"
-           "  --pcie-gbs=X                PCIe bandwidth per direction\n"
-           "  --queues=N                  hardware work queues\n"
-           "  --no-transpose              row-major cohort buffers\n"
-           "  --no-padding                disable whitespace padding\n"
-           "  --seed=N                    deterministic seed (42)\n"
-           "  --sim-threads=N             host worker threads for the\n"
-           "                              execution engine (1 = serial;\n"
-           "                              outputs are byte-identical for\n"
-           "                              any N)\n"
-           "  --profile-cache=on|off      memoize warp profiles across\n"
-           "                              launches (off; outputs are\n"
-           "                              byte-identical either way, only\n"
-           "                              host wall-clock changes)\n"
-           "  --profile-cache-entries=N   cache capacity in warp entries\n"
-           "                              (4096)\n"
-           "transfer/compute overlap (off by default):\n"
-           "  --overlap=on|off            pipeline parse of cohort k+1\n"
-           "                              under kernels of cohort k and\n"
-           "                              ship only occupied slot bytes\n"
-           "                              (off; implies --copy-engines=4\n"
-           "                              and --copy-chunk-kb=256 unless\n"
-           "                              overridden; responses are\n"
-           "                              byte-identical on or off)\n"
-           "  --copy-engines=N            modeled DMA engines per PCIe\n"
-           "                              direction (1)\n"
-           "  --copy-chunk-kb=N           DMA chunk granularity (0 =\n"
-           "                              whole transfer)\n"
-           "deadline-aware adaptive batching (off by default):\n"
-           "  --batching=fixed|adaptive   cohort formation policy "
-           "(fixed;\n"
-           "                              adaptive dispatches a forming\n"
-           "                              cohort early when the oldest\n"
-           "                              request's deadline slack drops\n"
-           "                              below the modeled pipeline "
-           "cost)\n"
-           "  --deadline-default-ms=X     deadline for unlisted types "
-           "(10)\n"
-           "  --deadline-ms-<type>=X      per-type deadline by slugged\n"
-           "                              type name (e.g.\n"
-           "                              --deadline-ms-transfer=3)\n"
-           "  --slack-safety=X            cost-estimate safety factor "
-           "(1.2)\n"
-           "  --adaptive-scan-us=X        slack-scan period (200)\n"
-           "  --admission=on|off          deadline-aware admission "
-           "control (on)\n"
-           "cross-type cohort fusion (off by default):\n"
-           "  --fusion=on|off             pack similarity-compatible\n"
-           "                              partial cohorts into shared\n"
-           "                              warps instead of padding each\n"
-           "                              (off; responses are\n"
-           "                              byte-identical on or off)\n"
-           "  --fusion-threshold=X        minimum online pair similarity\n"
-           "                              to fuse (0.5)\n"
-           "  --fusion-max-cohorts=N      cohorts fusable per launch "
-           "(4)\n"
-           "  --fingerprint-alpha=X       similarity EWMA smoothing "
-           "(0.25)\n"
-           "  --fingerprint-lanes=N       lanes sampled per fingerprint\n"
-           "                              update (32)\n"
-           "multi-device sharding (single device by default; banking,\n"
-           "open-loop arrivals only):\n"
-           "  --devices=N                 serve from an N-device fleet:\n"
-           "                              per-device event streams,\n"
-           "                              PCIe links, copy engines and\n"
-           "                              backends behind a front-end\n"
-           "                              balancer (1; outputs are\n"
-           "                              byte-identical across\n"
-           "                              --sim-threads for any N)\n"
-           "  --balance=hash|least        session-hash or least-\n"
-           "                              outstanding routing (hash)\n"
-           "  --shard-seed=N              user-to-shard map seed\n"
-           "  --cross-shard=F             fraction of arrivals that also\n"
-           "                              start a two-phase cross-shard\n"
-           "                              transfer (0)\n"
-           "open-loop arrivals (closed loop by default; banking only):\n"
-           "  --arrival=closed|poisson|diurnal|flash\n"
-           "                              arrival process driving "
-           "injection\n"
-           "  --arrival-rate=X            mean arrival rate, reqs/s "
-           "(200000)\n"
-           "  --arrival-seed=N            arrival-stream seed (1)\n"
-           "  --flash-mult=X              flash-crowd rate multiplier "
-           "(8)\n"
-           "  --flash-start-ms=X          flash onset (50)\n"
-           "  --flash-dur-ms=X            flash duration (50)\n"
-           "  --diurnal-period-ms=X       diurnal cycle period (200)\n"
-           "  --diurnal-trough=F          trough fraction of peak rate "
-           "(0.25)\n"
-           "observability (off by default):\n"
-           "  --json=PATH                 machine-readable result JSON\n"
-           "  --trace-out=PATH            Chrome trace_event JSON "
-           "(perfetto)\n"
-           "  --digest-out=PATH           order-insensitive FNV-1a digest\n"
-           "                              of every response (equivalence\n"
-           "                              gates compare it across\n"
-           "                              --overlap and --sim-threads)\n"
-           "fault injection (all off by default):\n"
-           "  --fault-seed=N              fault plan seed (1)\n"
-           "  --backend-fail=P            backend call failure probability\n"
-           "  --backend-slow=P            backend brownout probability\n"
-           "  --backend-slow-ms=X         mean brownout delay (5.0)\n"
-           "  --pcie-corrupt=P            PCIe corrupt+replay probability\n"
-           "  --pcie-degrade=P            PCIe degradation probability\n"
-           "  --pcie-degrade-factor=X     degradation slowdown (2.0)\n"
-           "  --stall=P                   stream stall probability\n"
-           "  --stall-ms=X                mean stall duration (1.0)\n"
-           "  --disconnect=P              client disconnect probability\n"
-           "  --crash=P                   backend crash-restart "
-           "probability\n"
-           "  --torn=P                    tear the final journal record "
-           "on crash\n"
-           "  --hang=P                    kernel hang probability\n"
-           "  --hang-ms=X                 injected hang duration (0 = "
-           "derived)\n"
-           "crash recovery & stragglers (all off by default):\n"
-           "  --watchdog-ms=X             cohort watchdog timeout; hedge "
-           "stragglers\n"
-           "  --pcie-crc                  frame CRC + bounded retransmit "
-           "on PCIe\n"
-           "  --recovery                  write-ahead journal + "
-           "checkpointed backend\n"
-           "                              (banking workload only)\n"
-           "  --checkpoint-interval=N     journaled records between "
-           "checkpoints (4096)\n"
-           "graceful degradation (all off by default):\n"
-           "  --retry-budget=N            backend retries per cohort\n"
-           "  --backoff-us=X              retry backoff base (50)\n"
-           "  --deadline-ms=X             per-request deadline\n"
-           "  --shed-backlog=N            shed above this formation "
-           "backlog\n"
-           "  --shed-p99-ms=X             shed above this observed p99\n";
-    return error.empty() ? 0 : 2;
-}
+// rhythm_sim's own flags; the shared families come from bench/common.hh.
+constexpr FlagSpec kRunSpecs[] = {
+    {"workload", FlagKind::Choice, "banking", "workload to serve", {},
+     "banking|search|chat"},
+    {"platform", FlagKind::Choice, "titanB", "Titan preset", {},
+     "titanA|titanB|titanC"},
+    {"type", FlagKind::Text, "", "isolate one banking request type", {},
+     "NAME"},
+    {"cohort-size", FlagKind::Count, "4096", "requests per cohort",
+     kAtLeastOne},
+    {"cohorts", FlagKind::Count, "10", "cohorts to push through"},
+    {"contexts", FlagKind::Count, "16",
+     "cohort contexts (a mixed workload needs about one per request type "
+     "in flight)",
+     kAtLeastOne},
+    {"timeout-ms", FlagKind::Number, "2", "cohort formation timeout",
+     kNonNegative},
+    {"lane-sample", FlagKind::Count, "128",
+     "lanes executed per cohort; 0 = all"},
+    {"users", FlagKind::Count, "2000", "bank database users", kAtLeastOne},
+    {"docs", FlagKind::Count, "4000", "search corpus documents",
+     kAtLeastOne},
+    {"seed", FlagKind::Count, "42", "deterministic seed"},
+    {"transpose", FlagKind::Switch, "on",
+     "transposed cohort buffers (off = row-major)"},
+    {"padding", FlagKind::Switch, "on", "whitespace padding of responses"},
+    {"profile-cache", FlagKind::Switch, "off",
+     "memoize warp profiles across launches (outputs are byte-identical "
+     "either way; only host wall-clock changes)"},
+    {"profile-cache-entries", FlagKind::Count, "4096",
+     "profile cache capacity in warp entries", kAtLeastOne},
+};
+constexpr FlagSpec kDeviceSpecs[] = {
+    {"sms", FlagKind::Count, "", "streaming multiprocessors (preset)",
+     kAtLeastOne},
+    {"mem-gbs", FlagKind::Number, "", "device DRAM bandwidth (preset)",
+     kPositive},
+    {"pcie-gbs", FlagKind::Number, "",
+     "PCIe bandwidth per direction (preset)", kPositive},
+    {"queues", FlagKind::Count, "", "hardware work queues (preset)",
+     kAtLeastOne},
+};
+constexpr FlagSpec kOutputSpecs[] = {
+    {"trace-out", FlagKind::Text, "", "Chrome trace_event JSON (perfetto)",
+     {}, "PATH"},
+    {"digest-out", FlagKind::Text, "", 
+     "order-insensitive FNV-1a digest of every response (equivalence "
+     "gates compare it across --overlap and --sim-threads)",
+     {}, "PATH"},
+};
+constexpr FlagTable kRunFlags = {"run", kRunSpecs};
+constexpr FlagTable kDeviceFlags = {"device (overrides the preset)",
+                                    kDeviceSpecs};
+constexpr FlagTable kOutputFlags = {"observability (off by default)",
+                                    kOutputSpecs};
 
 /**
  * Prints the fault/degradation report section. Only called when a fault
@@ -699,246 +602,77 @@ finish(const bench::Reporter &rep, const std::string &trace_path,
 int
 main(int argc, char **argv)
 {
-    Flags flags;
-    if (!flags.parse(argc, argv))
-        return usage(flags.error());
-    if (flags.has("help"))
-        return usage("");
-    std::vector<std::string> known =
-        {"workload", "platform", "type", "cohort-size", "cohorts",
-         "contexts", "timeout-ms", "lane-sample", "users", "docs",
-         "sms", "mem-gbs", "pcie-gbs", "queues", "transpose",
-         "padding", "seed", "help", "fault-seed", "backend-fail",
-         "backend-slow", "backend-slow-ms", "pcie-corrupt",
-         "pcie-degrade", "pcie-degrade-factor", "stall", "stall-ms",
-         "disconnect", "crash", "torn", "hang", "hang-ms",
-         "watchdog-ms", "pcie-crc", "recovery",
-         "checkpoint-interval", "retry-budget", "backoff-us",
-         "deadline-ms", "shed-backlog", "shed-p99-ms", "json",
-         "trace-out", "sim-threads", "profile-cache",
-         "profile-cache-entries", "overlap", "copy-engines",
-         "copy-chunk-kb", "digest-out", "batching",
-         "deadline-default-ms", "slack-safety", "adaptive-scan-us",
-         "admission", "arrival", "arrival-rate", "arrival-seed",
-         "flash-mult", "flash-start-ms", "flash-dur-ms",
-         "diurnal-period-ms", "diurnal-trough", "fusion",
-         "fusion-threshold", "fusion-max-cohorts", "fingerprint-alpha",
-         "fingerprint-lanes", "devices", "balance", "shard-seed",
-         "cross-shard"};
-    // A numeric flag whose value does not parse is a usage error, not a
-    // silent fall back to the default.
-    const std::vector<std::string> integers =
-        {"cohort-size", "cohorts", "contexts", "lane-sample", "users",
-         "docs", "sms", "queues", "seed", "fault-seed",
-         "checkpoint-interval", "retry-budget", "shed-backlog",
-         "sim-threads", "profile-cache-entries", "copy-engines",
-         "copy-chunk-kb", "fusion-max-cohorts", "fingerprint-lanes",
-         "devices", "shard-seed"};
-    std::vector<std::string> decimals =
-        {"timeout-ms", "mem-gbs", "pcie-gbs", "backend-fail",
-         "backend-slow", "backend-slow-ms", "pcie-corrupt",
-         "pcie-degrade", "pcie-degrade-factor", "stall", "stall-ms",
-         "disconnect", "crash", "torn", "hang", "hang-ms", "watchdog-ms",
-         "backoff-us", "deadline-ms", "shed-p99-ms",
-         "deadline-default-ms", "slack-safety", "adaptive-scan-us",
-         "arrival-rate", "arrival-seed", "flash-mult", "flash-start-ms",
-         "flash-dur-ms", "diurnal-period-ms", "diurnal-trough",
-         "fusion-threshold", "fingerprint-alpha", "cross-shard"};
-    // Per-type deadlines are open vocabulary (--deadline-ms-<type>);
-    // BatchingFlags validates the slug against the service's types.
-    for (const std::string &name : flags.names()) {
-        if (name.rfind("deadline-ms-", 0) == 0) {
-            known.push_back(name);
-            decimals.push_back(name);
-        }
-    }
-    if (!flags.allowOnly(known) || !flags.requireU64(integers) ||
-        !flags.requireDouble(decimals))
-        return usage(flags.error());
-
-    // Host-side parallelism of the execution engine. Applied before any
-    // simulation object exists; N changes wall-clock time only — every
-    // simulated output is byte-identical by the engine's determinism
-    // contract, so the value is deliberately absent from the --json
-    // config section.
-    util::setSimThreads(
-        static_cast<unsigned>(flags.getU64("sim-threads", 1)));
+    const Flags flags = bench::parseArgs(
+        argc, argv,
+        {kRunFlags, kDeviceFlags, bench::OverlapFlags::kTable,
+         bench::BatchingFlags::kTable, bench::FusionFlags::kTable,
+         bench::ShardingFlags::kTable, bench::ArrivalFlags::kTable,
+         kOutputFlags, bench::FaultFlags::kTable});
 
     // ---- Platform ----------------------------------------------------
-    const std::string preset = flags.getString("platform", "titanB");
-    platform::TitanVariant variant;
-    if (preset == "titanA")
-        variant = platform::titanA();
-    else if (preset == "titanB")
-        variant = platform::titanB();
-    else if (preset == "titanC")
-        variant = platform::titanC();
-    else
-        return usage("unknown platform: " + preset);
+    const std::string workload = flags.text("workload");
+    const std::string preset = flags.text("platform");
+    platform::TitanVariant variant =
+        preset == "titanA"   ? platform::titanA()
+        : preset == "titanB" ? platform::titanB()
+                             : platform::titanC();
+    if (flags.has("sms"))
+        variant.device.numSms = static_cast<int>(flags.count("sms"));
+    if (flags.has("mem-gbs"))
+        variant.device.memBandwidthGBs = flags.number("mem-gbs");
+    if (flags.has("pcie-gbs"))
+        variant.device.pcieBandwidthGBs = flags.number("pcie-gbs");
+    if (flags.has("queues"))
+        variant.device.hardwareQueues = static_cast<int>(flags.count("queues"));
 
-    variant.device.numSms = static_cast<int>(
-        flags.getU64("sms", static_cast<uint64_t>(variant.device.numSms)));
-    variant.device.memBandwidthGBs =
-        flags.getDouble("mem-gbs", variant.device.memBandwidthGBs);
-    variant.device.pcieBandwidthGBs =
-        flags.getDouble("pcie-gbs", variant.device.pcieBandwidthGBs);
-    variant.device.hardwareQueues = static_cast<int>(flags.getU64(
-        "queues", static_cast<uint64_t>(variant.device.hardwareQueues)));
-    // Out-of-range sizes and rates are usage errors: reject them here
-    // rather than trip a library assert (or, for a zero-bandwidth link,
-    // simulate nonsense). `!(x > 0)` also rejects NaN.
-    if (variant.device.numSms < 1)
-        return usage("--sms must be >= 1");
-    if (!(variant.device.memBandwidthGBs > 0))
-        return usage("--mem-gbs must be > 0");
-    if (!(variant.device.pcieBandwidthGBs > 0))
-        return usage("--pcie-gbs must be > 0");
-    if (variant.device.hardwareQueues < 1)
-        return usage("--queues must be >= 1");
-    if (flags.getBool("pcie-crc", false))
-        variant.device.pcieCrcEnabled = true;
-
-    // Transfer/compute overlap family (DESIGN.md 6h). Parsed with the
-    // shared bench helper so the bench binaries and the driver agree on
-    // the --overlap=on implied defaults.
-    const std::string overlap_mode = flags.getString("overlap", "off");
-    if (overlap_mode != "on" && overlap_mode != "off")
-        return usage("--overlap must be on or off");
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    // An explicit --copy-engines must be positive; OverlapFlags treats
-    // non-positive values as "use the mode default", which would
-    // silently ignore a typo'd 0 here.
-    const std::string engines_raw = flags.getString("copy-engines", "");
-    if (!engines_raw.empty() && std::atoi(engines_raw.c_str()) < 1)
-        return usage("--copy-engines must be >= 1");
-    overlap.apply(variant.device);
-
-    // Deadline-aware batching + open-loop arrival families (DESIGN.md
-    // 6i), parsed with the shared bench helpers so the bench binaries
-    // and the driver agree on names and defaults. The batching policy
-    // is applied per workload branch (per-type deadline slugs resolve
-    // against the service's type names).
-    const bench::BatchingFlags batching =
-        bench::BatchingFlags::parse(argc, argv);
-    const bench::ArrivalFlags arrival =
-        bench::ArrivalFlags::parse(argc, argv);
-    if (arrival.open() && !(arrival.config.rate > 0))
-        return usage("--arrival-rate must be > 0");
-    // Cross-type cohort fusion family (DESIGN.md 6j), same shared-helper
-    // arrangement.
-    const bench::FusionFlags fusion = bench::FusionFlags::parse(argc, argv);
-    // Multi-device sharding family (DESIGN.md 6k).
-    const bench::ShardingFlags sharding =
-        bench::ShardingFlags::parse(argc, argv);
+    // The shared families (DESIGN.md 6h-6k), parsed and applied exactly
+    // as the bench binaries do. The batching policy is applied per
+    // workload branch: per-type deadline slugs resolve against the
+    // service's type names.
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
+    const bench::BatchingFlags batching(flags);
+    const bench::ArrivalFlags arrival(flags);
+    const bench::FusionFlags fusion(flags);
+    const bench::ShardingFlags sharding(flags);
+    faults.apply(variant);
+    overlap.apply(variant);
+    fusion.apply(variant.server);
 
     core::RhythmConfig cfg = variant.server;
-    overlap.apply(cfg);
-    fusion.apply(cfg);
-    cfg.cohortSize =
-        static_cast<uint32_t>(flags.getU64("cohort-size", 4096));
-    if (cfg.cohortSize == 0)
-        return usage("--cohort-size must be >= 1");
-    // Default to 16 contexts: a mixed workload needs roughly one per
-    // request type in flight (isolation runs are fine with fewer).
-    cfg.cohortContexts =
-        static_cast<uint32_t>(flags.getU64("contexts", 16));
-    if (cfg.cohortContexts == 0)
-        return usage("--contexts must be >= 1");
-    const double timeout_ms = flags.getDouble("timeout-ms", 2.0);
-    if (!(timeout_ms >= 0))
-        return usage("--timeout-ms must be >= 0");
-    cfg.cohortTimeout = des::fromSeconds(timeout_ms / 1e3);
-    if (flags.getU64("users", 2000) == 0)
-        return usage("--users must be >= 1");
-    if (flags.getU64("docs", 4000) == 0)
-        return usage("--docs must be >= 1");
-    cfg.laneSample =
-        static_cast<uint32_t>(flags.getU64("lane-sample", 128));
-    cfg.transposeBuffers = flags.getBool("transpose", true);
-    cfg.padResponses = flags.getBool("padding", true);
+    cfg.cohortSize = static_cast<uint32_t>(flags.count("cohort-size"));
+    cfg.cohortContexts = static_cast<uint32_t>(flags.count("contexts"));
+    cfg.cohortTimeout =
+        des::fromSeconds(flags.number("timeout-ms") / 1e3);
+    cfg.laneSample = static_cast<uint32_t>(flags.count("lane-sample"));
+    cfg.transposeBuffers = flags.on("transpose");
+    cfg.padResponses = flags.on("padding");
 
-    // ---- Robustness knobs (all off by default) -----------------------
-    cfg.backendRetryBudget =
-        static_cast<uint32_t>(flags.getU64("retry-budget", 0));
-    cfg.retryBackoffBase =
-        des::fromSeconds(flags.getDouble("backoff-us", 50.0) / 1e6);
-    cfg.requestDeadline =
-        des::fromSeconds(flags.getDouble("deadline-ms", 0.0) / 1e3);
-    cfg.shedBacklogLimit =
-        static_cast<uint32_t>(flags.getU64("shed-backlog", 0));
-    cfg.shedLatencySlo =
-        des::fromSeconds(flags.getDouble("shed-p99-ms", 0.0) / 1e3);
-    cfg.watchdogTimeout =
-        des::fromSeconds(flags.getDouble("watchdog-ms", 0.0) / 1e3);
-
-    fault::FaultConfig fcfg;
-    fcfg.seed = flags.getU64("fault-seed", 1);
-    fcfg.at(fault::Site::BackendFail).probability =
-        flags.getDouble("backend-fail", 0.0);
-    fcfg.at(fault::Site::BackendSlow).probability =
-        flags.getDouble("backend-slow", 0.0);
-    fcfg.at(fault::Site::BackendSlow).meanDelay =
-        des::fromSeconds(flags.getDouble("backend-slow-ms", 5.0) / 1e3);
-    fcfg.at(fault::Site::PcieCorrupt).probability =
-        flags.getDouble("pcie-corrupt", 0.0);
-    fcfg.at(fault::Site::PcieDegrade).probability =
-        flags.getDouble("pcie-degrade", 0.0);
-    fcfg.at(fault::Site::PcieDegrade).factor =
-        flags.getDouble("pcie-degrade-factor", 2.0);
-    fcfg.at(fault::Site::StreamStall).probability =
-        flags.getDouble("stall", 0.0);
-    fcfg.at(fault::Site::StreamStall).meanDelay =
-        des::fromSeconds(flags.getDouble("stall-ms", 1.0) / 1e3);
-    fcfg.at(fault::Site::ClientDisconnect).probability =
-        flags.getDouble("disconnect", 0.0);
-    fcfg.at(fault::Site::BackendCrash).probability =
-        flags.getDouble("crash", 0.0);
-    fcfg.at(fault::Site::JournalTorn).probability =
-        flags.getDouble("torn", 0.0);
-    fcfg.at(fault::Site::KernelHang).probability =
-        flags.getDouble("hang", 0.0);
-    fcfg.at(fault::Site::KernelHang).meanDelay =
-        des::fromSeconds(flags.getDouble("hang-ms", 0.0) / 1e3);
-    for (const auto &site : fcfg.sites) {
-        if (site.probability < 0.0 || site.probability > 1.0)
-            return usage("fault probabilities must be in [0, 1]");
-        if (site.factor < 1.0)
-            return usage("--pcie-degrade-factor must be >= 1");
-    }
-    const bool faults_on = !fcfg.allQuiet();
-    const bool recovery_on = flags.getBool("recovery", false);
+    const bool faults_on = !faults.config.allQuiet();
     const bool robust = faults_on || cfg.backendRetryBudget ||
                         cfg.requestDeadline || cfg.shedBacklogLimit ||
                         cfg.shedLatencySlo || cfg.watchdogTimeout ||
-                        recovery_on;
+                        faults.recovery;
 
-    const uint64_t seed = flags.getU64("seed", 42);
-    const uint32_t cohorts =
-        static_cast<uint32_t>(flags.getU64("cohorts", 10));
+    const uint64_t seed = flags.count("seed");
+    const uint32_t cohorts = static_cast<uint32_t>(flags.count("cohorts"));
     const uint64_t total =
         static_cast<uint64_t>(cohorts) * cfg.cohortSize;
 
     // ---- Warp profile cache (host-side memoization, off by default) --
-    const std::string pc_mode = flags.getString("profile-cache", "off");
-    if (pc_mode != "on" && pc_mode != "off")
-        return usage("--profile-cache must be on or off");
-    const bool pc_on = pc_mode == "on";
-    const uint64_t pc_entries =
-        flags.getU64("profile-cache-entries", 4096);
-    if (pc_on && pc_entries == 0)
-        return usage("--profile-cache-entries must be >= 1");
+    const bool pc_on = flags.on("profile-cache");
+    const uint64_t pc_entries = flags.count("profile-cache-entries");
     if (pc_on)
         cfg.traceTemplateCacheEntries =
             static_cast<uint32_t>(pc_entries);
     // Outlives every workload branch's device; attached only when on.
-    simt::ProfileCache profile_cache(std::max<uint64_t>(pc_entries, 1));
+    simt::ProfileCache profile_cache(pc_entries);
 
     // ---- Observability -----------------------------------------------
-    bench::Reporter json_report("rhythm_sim", argc, argv);
-    const std::string trace_path = flags.getString("trace-out", "");
+    bench::Reporter json_report("rhythm_sim", flags);
+    const std::string trace_path = flags.text("trace-out");
     const bool observe = json_report.enabled() || !trace_path.empty();
-    json_report.config("workload", flags.getString("workload", "banking"));
+    json_report.config("workload", workload);
     json_report.config("platform", preset);
     json_report.config("cohorts", static_cast<double>(cohorts));
     json_report.config("cohort_size", static_cast<double>(cfg.cohortSize));
@@ -950,31 +684,32 @@ main(int argc, char **argv)
     sharding.recordConfig(json_report);
 
     ResponseDigest digest;
-    digest.path = flags.getString("digest-out", "");
+    digest.path = flags.text("digest-out");
 
-    std::cout << "rhythm_sim: " << flags.getString("workload", "banking")
-              << " on " << preset << " (" << variant.device.numSms
+    std::cout << "rhythm_sim: " << workload << " on " << preset << " ("
+              << variant.device.numSms
               << " SMs, " << variant.device.memBandwidthGBs << " GB/s, "
               << cohorts << " cohorts x " << cfg.cohortSize << ")\n";
 
     // ---- Workloads -----------------------------------------------------
-    const std::string workload = flags.getString("workload", "banking");
     if (arrival.open() && workload != "banking")
-        return usage("--arrival supports the banking workload only");
+        return bench::usageError(
+            "--arrival supports the banking workload only");
     if (workload == "banking") {
-        const uint64_t users = flags.getU64("users", 2000);
+        const uint64_t users = flags.count("users");
         backend::BankDb db(users, seed);
         specweb::WorkloadGenerator gen(db, seed * 31 + 7);
 
         std::optional<specweb::RequestType> only;
-        const std::string type_name = flags.getString("type", "");
+        const std::string type_name = flags.text("type");
         if (!type_name.empty()) {
             for (size_t i = 0; i < specweb::kNumRequestTypes; ++i) {
                 if (specweb::typeTable()[i].name == type_name)
                     only = specweb::typeTable()[i].type;
             }
             if (!only)
-                return usage("unknown banking type: " + type_name);
+                return bench::usageError("unknown banking type: " +
+                                         type_name);
             if (*only == specweb::RequestType::Login ||
                 *only == specweb::RequestType::Logout)
                 cfg.sessionNodesPerBucket = static_cast<uint32_t>(
@@ -989,18 +724,18 @@ main(int argc, char **argv)
         // so the default output stays byte-identical to the seed tree.
         if (sharding.fleet()) {
             if (!arrival.open())
-                return usage(
+                return bench::usageError(
                     "--devices > 1 requires an open-loop --arrival");
             if (only)
-                return usage("--type isolation is single-device only");
+                return bench::usageError(
+                    "--type isolation is single-device only");
 
             des::EventQueue queue;
             if (observe)
                 obs::global().enable(queue);
             core::FleetConfig fc = sharding.toFleetConfig();
-            fc.recovery = recovery_on;
-            fc.checkpointInterval =
-                flags.getU64("checkpoint-interval", 4096);
+            fc.recovery = faults.recovery;
+            fc.checkpointInterval = faults.checkpointInterval;
             // The batching policy resolves per-type deadline slugs
             // against a service instance; a front-end throwaway works
             // because every shard shares this one RhythmConfig.
@@ -1019,7 +754,7 @@ main(int argc, char **argv)
             // Per-device profile caches: one shared cache would leak
             // warp profiles across shards.
             std::vector<std::unique_ptr<simt::ProfileCache>> caches;
-            fault::FaultPlan plan(fcfg);
+            fault::FaultPlan plan(faults.config);
             for (uint32_t i = 0; i < fleet.devices(); ++i) {
                 if (pc_on) {
                     caches.push_back(
@@ -1050,7 +785,7 @@ main(int argc, char **argv)
                     if (k < p.size())
                         flat.push_back(p[k]);
             if (flat.empty())
-                return usage("no sessions could be populated");
+                return bench::usageError("no sessions could be populated");
 
             const uint64_t cross_every =
                 sharding.crossShard > 0
@@ -1102,11 +837,8 @@ main(int argc, char **argv)
         specweb::StaticContent content(32, seed);
         server.setStaticContent(&content);
         digest.attach(server);
-        fault::FaultPlan plan(fcfg);
-        if (faults_on) {
-            server.setFaultPlan(&plan);
-            fault::installDeviceFaults(device, plan, queue);
-        }
+        std::optional<fault::FaultPlan> plan;
+        faults.arm(server, device, queue, plan);
 
         // Logout consumes one session per request; other types reuse a
         // pool.
@@ -1118,15 +850,14 @@ main(int argc, char **argv)
         // Recovery wraps the populated baseline: the constructor takes
         // the first checkpoint, so it must run after populate().
         std::unique_ptr<backend::RecoverableBackend> recoverable;
-        if (recovery_on) {
+        if (faults.recovery) {
             backend::RecoveryConfig rcfg;
-            rcfg.checkpointInterval =
-                flags.getU64("checkpoint-interval", 4096);
+            rcfg.checkpointInterval = faults.checkpointInterval;
             recoverable = std::make_unique<backend::RecoverableBackend>(
                 service.backendService(), db, rcfg);
-            if (faults_on)
+            if (plan)
                 recoverable->setFaultPlan(
-                    &plan, [&queue]() { return queue.now(); });
+                    &*plan, [&queue]() { return queue.now(); });
             core::attachSessionRecovery(*recoverable, server.sessions());
             service.setRecovery(recoverable.get());
         }
@@ -1183,13 +914,14 @@ main(int argc, char **argv)
         }
         queue.run();
         report(server, device, queue, variant.power,
-               faults_on ? &plan : nullptr, robust, &json_report,
+               plan ? &*plan : nullptr, robust, &json_report,
                pc_on ? &profile_cache : nullptr, recoverable.get());
         return finish(json_report, trace_path, digest);
     }
 
-    if (recovery_on)
-        return usage("--recovery supports the banking workload only");
+    if (faults.recovery)
+        return bench::usageError(
+            "--recovery supports the banking workload only");
 
     if (workload == "chat") {
         chat::RoomStore store(256, 40, seed);
@@ -1205,11 +937,8 @@ main(int argc, char **argv)
         batching.apply(cfg, service);
         core::RhythmServer server(queue, device, service, cfg);
         digest.attach(server);
-        fault::FaultPlan plan(fcfg);
-        if (faults_on) {
-            server.setFaultPlan(&plan);
-            fault::installDeviceFaults(device, plan, queue);
-        }
+        std::optional<fault::FaultPlan> plan;
+        faults.arm(server, device, queue, plan);
 
         uint64_t issued = 0;
         server.start([&]() -> std::optional<std::string> {
@@ -1221,7 +950,7 @@ main(int argc, char **argv)
         });
         queue.run();
         report(server, device, queue, variant.power,
-               faults_on ? &plan : nullptr, robust, &json_report,
+               plan ? &*plan : nullptr, robust, &json_report,
                pc_on ? &profile_cache : nullptr);
         std::cout << "messages posted during run: "
                   << withCommas(store.totalPosted() - 256ull * 40)
@@ -1229,42 +958,35 @@ main(int argc, char **argv)
         return finish(json_report, trace_path, digest);
     }
 
-    if (workload == "search") {
-        const uint32_t docs =
-            static_cast<uint32_t>(flags.getU64("docs", 4000));
-        search::Corpus corpus(docs, 4096, seed);
-        search::InvertedIndex index(corpus);
-        search::QueryGenerator gen(corpus, seed * 17 + 3);
+    // ---- Search (the remaining --workload choice) ----------------------
+    const uint32_t docs = static_cast<uint32_t>(flags.count("docs"));
+    search::Corpus corpus(docs, 4096, seed);
+    search::InvertedIndex index(corpus);
+    search::QueryGenerator gen(corpus, seed * 17 + 3);
 
-        des::EventQueue queue;
-        if (observe)
-            obs::global().enable(queue);
-        simt::Device device(queue, variant.device);
-        if (pc_on)
-            device.engine().setProfileCache(&profile_cache);
-        search::SearchService service(index);
-        batching.apply(cfg, service);
-        core::RhythmServer server(queue, device, service, cfg);
-        digest.attach(server);
-        fault::FaultPlan plan(fcfg);
-        if (faults_on) {
-            server.setFaultPlan(&plan);
-            fault::installDeviceFaults(device, plan, queue);
-        }
+    des::EventQueue queue;
+    if (observe)
+        obs::global().enable(queue);
+    simt::Device device(queue, variant.device);
+    if (pc_on)
+        device.engine().setProfileCache(&profile_cache);
+    search::SearchService service(index);
+    batching.apply(cfg, service);
+    core::RhythmServer server(queue, device, service, cfg);
+    digest.attach(server);
+    std::optional<fault::FaultPlan> plan;
+    faults.arm(server, device, queue, plan);
 
-        uint64_t issued = 0;
-        server.start([&]() -> std::optional<std::string> {
-            if (issued >= total)
-                return std::nullopt;
-            ++issued;
-            return gen.next().raw;
-        });
-        queue.run();
-        report(server, device, queue, variant.power,
-               faults_on ? &plan : nullptr, robust, &json_report,
-               pc_on ? &profile_cache : nullptr);
-        return finish(json_report, trace_path, digest);
-    }
-
-    return usage("unknown workload: " + workload);
+    uint64_t issued = 0;
+    server.start([&]() -> std::optional<std::string> {
+        if (issued >= total)
+            return std::nullopt;
+        ++issued;
+        return gen.next().raw;
+    });
+    queue.run();
+    report(server, device, queue, variant.power,
+           plan ? &*plan : nullptr, robust, &json_report,
+           pc_on ? &profile_cache : nullptr);
+    return finish(json_report, trace_path, digest);
 }

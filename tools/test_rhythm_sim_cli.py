@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Bad-input contract of rhythm_sim: an out-of-range flag exits 2 with an
-`error: ...` line on stderr and never panics.
+"""Command-line contract of rhythm_sim: an unknown flag or a bad value
+exits 2 with an `error: ...` line on stderr before anything runs, and
+never panics; on/off flags take every spelling; `--help` lists every
+entry of the flag tables exactly once.
 
 Run via ctest, which registers this file as the `rhythm_sim_bad_input`
 test, or directly:
@@ -12,9 +14,10 @@ a regression that lets a bad value through to the simulation still fails
 in seconds.
 """
 
-import subprocess
 import sys
 import unittest
+
+import cli_contract
 
 SIM = None
 
@@ -35,7 +38,16 @@ BAD_INPUTS = [
     ["--cohorts=abc"],
     ["--timeout-ms=xyz"],
     ["--sim-threads=two"],
+    # On/off flags take on|off, true|false, 1|0 and yes|no, nothing else.
+    ["--recovery=maybe"],
+    ["--pcie-crc=2"],
+    ["--fusion=sometimes"],
 ]
+
+# The flag tables rhythm_sim reads, in --help order.
+TABLES = ["kCommonSpecs", "kRunSpecs", "kDeviceSpecs", "kOverlapSpecs",
+          "kBatchingSpecs", "kFusionSpecs", "kShardingSpecs",
+          "kArrivalSpecs", "kOutputSpecs", "kFaultSpecs"]
 
 
 class BadInputTest(unittest.TestCase):
@@ -45,12 +57,34 @@ class BadInputTest(unittest.TestCase):
                 # A later --cohorts would override the case's own value.
                 cap = [] if any(f.startswith("--cohorts=") for f in flags) \
                     else ["--cohorts=1"]
-                proc = subprocess.run(
-                    [SIM, *flags, *cap], capture_output=True,
-                    text=True, timeout=120)
-                self.assertEqual(proc.returncode, 2, proc.stderr)
-                self.assertIn("error:", proc.stderr)
-                self.assertNotIn("panic:", proc.stderr)
+                cli_contract.expect_usage_error(self, [SIM, *flags, *cap])
+
+    def test_help_lists_every_table_entry_once(self):
+        cli_contract.check_help(self, SIM, TABLES)
+
+    def test_every_listed_flag_rejects_a_value_that_cannot_parse(self):
+        flags = cli_contract.check_help(self, SIM, TABLES)
+        cli_contract.check_bad_values(self, SIM, flags, ["--cohorts=1"])
+
+
+class OnOffSpellingTest(unittest.TestCase):
+    def assert_same_run(self, base, a, b):
+        self.assertEqual(cli_contract.stdout_of([SIM, *base, a]),
+                         cli_contract.stdout_of([SIM, *base, b]))
+
+    def test_equals_off_matches_no_prefix(self):
+        base = ["--cohorts=1"]
+        self.assertNotEqual(cli_contract.stdout_of([SIM, *base]),
+                            cli_contract.stdout_of([SIM, *base,
+                                                    "--no-transpose"]))
+        self.assert_same_run(base, "--transpose=off", "--no-transpose")
+
+    def test_equals_on_matches_bare_switch(self):
+        base = ["--platform=titanA", "--cohorts=1"]
+        self.assertNotEqual(cli_contract.stdout_of([SIM, *base]),
+                            cli_contract.stdout_of([SIM, *base,
+                                                    "--pcie-crc"]))
+        self.assert_same_run(base, "--pcie-crc=on", "--pcie-crc")
 
 
 if __name__ == "__main__":
