@@ -21,7 +21,7 @@ BankDb::BankDb(uint64_t num_users, uint64_t seed)
     : numUsers_(num_users), nextTxId_(1), nextPayeeId_(1), nextPaymentId_(1),
       nextOrderId_(1)
 {
-    RHYTHM_ASSERT(num_users > 0);
+    RHYTHM_ASSERT(num_users > 0 && num_users <= UINT32_MAX);
     Rng rng(seed);
     users_.resize(num_users);
     for (uint64_t uid = 1; uid <= num_users; ++uid) {
@@ -46,7 +46,6 @@ BankDb::BankDb(uint64_t num_users, uint64_t seed)
         const int ntx = static_cast<int>(rng.nextRange(10, 20));
         for (int i = 0; i < ntx; ++i) {
             Transaction tx;
-            tx.txId = nextTxId_++;
             tx.accountId =
                 rng.nextBool(0.7) ? u.checking.accountId
                                   : u.savings.accountId;
@@ -56,7 +55,7 @@ BankDb::BankDb(uint64_t num_users, uint64_t seed)
             tx.description = kDescriptions[rng.nextBounded(
                 sizeof(kDescriptions) / sizeof(kDescriptions[0]))];
             tx.hasCheck = tx.amountCents < 0 && rng.nextBool(0.3);
-            u.txs.push_back(std::move(tx));
+            appendTx(uid, std::move(tx));
         }
 
         const int npayee = static_cast<int>(rng.nextRange(2, 8));
@@ -104,6 +103,18 @@ BankDb::user(uint64_t user_id) const
 {
     RHYTHM_ASSERT(validUser(user_id), "invalid user id");
     return users_[user_id - 1];
+}
+
+uint64_t
+BankDb::appendTx(uint64_t user_id, Transaction tx)
+{
+    std::vector<Transaction> &txs = user(user_id).txs;
+    RHYTHM_ASSERT(txs.size() < UINT32_MAX);
+    tx.txId = nextTxId_++;
+    txIndex_.push_back(TxRef{static_cast<uint32_t>(user_id - 1),
+                             static_cast<uint32_t>(txs.size())});
+    txs.push_back(std::move(tx));
+    return txs.back().txId;
 }
 
 bool
@@ -173,15 +184,10 @@ BankDb::transactions(uint64_t account_id, size_t max) const
 const Transaction *
 BankDb::transaction(uint64_t tx_id) const
 {
-    // Transaction ids are allocated sequentially per user at populate
-    // time; post-populate transactions are also appended to their user.
-    for (const UserData &u : users_) {
-        for (const Transaction &tx : u.txs) {
-            if (tx.txId == tx_id)
-                return &tx;
-        }
-    }
-    return nullptr;
+    if (tx_id == 0 || tx_id > txIndex_.size())
+        return nullptr;
+    const TxRef ref = txIndex_[tx_id - 1];
+    return &users_[ref.user].txs[ref.pos];
 }
 
 std::vector<uint64_t>
@@ -245,12 +251,11 @@ BankDb::payBill(uint64_t user_id, uint64_t payee_id, int64_t amount_cents,
     u.payments.push_back(bp);
 
     Transaction tx;
-    tx.txId = nextTxId_++;
     tx.accountId = u.checking.accountId;
     tx.amountCents = -amount_cents;
     tx.date = date;
     tx.description = "bill payment";
-    u.txs.push_back(std::move(tx));
+    appendTx(user_id, std::move(tx));
     return bp.paymentId;
 }
 
@@ -287,13 +292,11 @@ BankDb::transfer(uint64_t user_id, uint64_t from_account,
     to->balanceCents += amount_cents;
 
     Transaction tx;
-    tx.txId = nextTxId_++;
     tx.accountId = from_account;
     tx.amountCents = -amount_cents;
     tx.date = 18100;
     tx.description = "transfer";
-    u.txs.push_back(std::move(tx));
-    return u.txs.back().txId;
+    return appendTx(user_id, std::move(tx));
 }
 
 uint64_t
@@ -305,13 +308,11 @@ BankDb::externalDebit(uint64_t user_id, uint64_t peer_user,
         return 0;
     u.checking.balanceCents -= amount_cents;
     Transaction tx;
-    tx.txId = nextTxId_++;
     tx.accountId = u.checking.accountId;
     tx.amountCents = -amount_cents;
     tx.date = 18100;
     tx.description = "xfer-out to user " + std::to_string(peer_user);
-    u.txs.push_back(std::move(tx));
-    return u.txs.back().txId;
+    return appendTx(user_id, std::move(tx));
 }
 
 uint64_t
@@ -323,13 +324,11 @@ BankDb::externalCredit(uint64_t user_id, uint64_t peer_user,
         return 0;
     u.checking.balanceCents += amount_cents;
     Transaction tx;
-    tx.txId = nextTxId_++;
     tx.accountId = u.checking.accountId;
     tx.amountCents = amount_cents;
     tx.date = 18100;
     tx.description = "xfer-in from user " + std::to_string(peer_user);
-    u.txs.push_back(std::move(tx));
-    return u.txs.back().txId;
+    return appendTx(user_id, std::move(tx));
 }
 
 uint64_t

@@ -86,8 +86,9 @@ struct CheckOrder
 /**
  * The bank's data store.
  *
- * Lookups are O(1) by user id (dense vectors); per-user collections are
- * small (the SPECWeb data model), so linear scans inside a user are fine.
+ * Lookups are O(1) by user id (dense vectors) and by transaction id (an
+ * id-indexed table of ledger positions); per-user collections are small
+ * (the SPECWeb data model), so linear scans inside a user are fine.
  */
 class BankDb
 {
@@ -128,7 +129,7 @@ class BankDb
     std::vector<const Transaction *> transactions(uint64_t account_id,
                                                   size_t max) const;
 
-    /** Returns a transaction by id, or nullptr. */
+    /** Returns a transaction by id in O(1), or nullptr. */
     const Transaction *transaction(uint64_t tx_id) const;
 
     /**
@@ -220,11 +221,24 @@ class BankDb
         std::vector<CheckOrder> orders;
     };
 
+    /** Where one transaction sits: users_[user].txs[pos]. Positions,
+     *  not pointers, so a copied database's table stays valid. */
+    struct TxRef
+    {
+        uint32_t user;
+        uint32_t pos;
+    };
+
     UserData &user(uint64_t user_id);
     const UserData &user(uint64_t user_id) const;
+    /** Appends @p tx to the user's ledger under the next transaction
+     *  id and indexes it; every transaction is created here. */
+    uint64_t appendTx(uint64_t user_id, Transaction tx);
 
     uint64_t numUsers_;
     std::vector<UserData> users_; //!< Index = user id - 1.
+    /** Index = transaction id - 1 (ids are allocated sequentially). */
+    std::vector<TxRef> txIndex_;
     uint64_t nextTxId_;
     uint64_t nextPayeeId_;
     uint64_t nextPaymentId_;

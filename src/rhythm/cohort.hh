@@ -42,19 +42,22 @@ std::string_view cohortStateName(CohortState state);
 /** One request riding in a cohort. */
 struct CohortEntry
 {
-    /** Sentinel: the entry's cohort type has not been resolved yet. */
+    /** Sentinel: the entry has no cohort type (host fallback or 404). */
     static constexpr uint32_t kTypeUnresolved = UINT32_MAX;
+    /** Sentinel: the entry is a stored static asset (image cohort). */
+    static constexpr uint32_t kRouteStatic = UINT32_MAX - 1;
 
     http::Request request;
     std::string raw;
     des::Time arrival = 0;
     uint64_t clientId = 0;
     /**
-     * Cohort type memoized by the dispatcher on first resolution, so
-     * entries blocked on a busy context (structural hazard) do not
-     * re-run path matching on every dispatch pass.
+     * Route resolved once, when the dispatcher queues the entry: a
+     * cohort type id, kRouteStatic, or kTypeUnresolved.
      */
     uint32_t routeType = kTypeUnresolved;
+    /** Dispatch arrival order (the dispatcher's merge key). */
+    uint64_t routeSeq = 0;
 };
 
 /** One cohort's context. */

@@ -191,6 +191,8 @@ RhythmServer::RhythmServer(des::EventQueue &queue, simt::Device &device,
     }
     if (config_.overlapPipeline)
         parserStream2_ = device_.createStream();
+    routeQueues_.resize(service_.numTypes() + 1);
+    typeBlocked_.assign(service_.numTypes(), 0);
     // Deadline accounting is active whenever adaptive batching is on
     // or any per-type deadline was configured (fixed-mode runs then
     // report comparable attainment without any scheduling change).
@@ -264,7 +266,9 @@ uint64_t
 RhythmServer::formationBacklog() const
 {
     uint64_t backlog = forming_ ? forming_->entries.size() : 0;
-    backlog += pendingDispatch_.size() + pendingImages_.size();
+    for (const std::deque<CohortEntry> &fifo : routeQueues_)
+        backlog += fifo.size();
+    backlog += pendingImages_.size();
     for (const CohortContext &ctx : pool_.contexts()) {
         if (ctx.state() == CohortState::PartiallyFull ||
             ctx.state() == CohortState::Full)
@@ -681,7 +685,9 @@ RhythmServer::parsedReady(uint64_t seq, std::vector<CohortEntry> parsed)
             std::move(parsedReorder_.begin()->second);
         parsedReorder_.erase(parsedReorder_.begin());
         ++parseDispatchNext_;
-        dispatchParsed(std::move(next));
+        for (CohortEntry &entry : next)
+            queueForDispatch(std::move(entry));
+        drainDispatch();
     }
 }
 
@@ -689,30 +695,6 @@ void
 RhythmServer::setStaticContent(const specweb::StaticContent *content)
 {
     staticContent_ = content;
-}
-
-void
-RhythmServer::dispatchParsed(std::vector<CohortEntry> parsed)
-{
-    // Fast path: nothing queued and no drain in progress — route each
-    // entry straight from the parsed batch into its cohort context.
-    // This skips the pendingDispatch_ round trip (one CohortEntry move
-    // instead of two, no deque churn); entries blocked on a busy
-    // context queue up for the next pass. Routing order is identical
-    // to the queued path.
-    if (!drainActive_ && pendingDispatch_.empty()) {
-        drainActive_ = true;
-        typeBlocked_.assign(service_.numTypes(), 0);
-        for (CohortEntry &entry : parsed) {
-            if (routeEntry(entry) == RouteResult::Blocked)
-                pendingDispatch_.push_back(std::move(entry));
-        }
-        drainActive_ = false;
-        return;
-    }
-    for (CohortEntry &entry : parsed)
-        pendingDispatch_.push_back(std::move(entry));
-    drainDispatch();
 }
 
 bool
@@ -782,32 +764,54 @@ RhythmServer::launchImageCohort()
 }
 
 void
+RhythmServer::queueForDispatch(CohortEntry entry)
+{
+    // Static content and cohort type are pure functions of the parsed
+    // request, so they are resolved once here instead of on every pass
+    // that finds the entry's type blocked.
+    const http::Request &req = entry.request;
+    uint32_t type = CohortEntry::kTypeUnresolved;
+    if (staticContent_ && specweb::StaticContent::isStaticPath(req.path) &&
+        staticContent_->lookup(req.path))
+        type = CohortEntry::kRouteStatic;
+    else if (req.path.empty() || !service_.resolveType(req, type))
+        type = CohortEntry::kTypeUnresolved;
+    entry.routeType = type;
+    entry.routeSeq = routeSeqNext_++;
+    const size_t fifo = std::min<size_t>(type, typeBlocked_.size());
+    routeQueues_[fifo].push_back(std::move(entry));
+}
+
+void
 RhythmServer::drainDispatch()
 {
     // Guard against reentrancy: completeRequest's callback may inject
-    // requests synchronously, re-entering dispatch mid-loop.
+    // requests synchronously, re-entering dispatch mid-pass.
     if (drainActive_)
         return;
     drainActive_ = true;
-    typeBlocked_.assign(service_.numTypes(), 0);
-    // One pass over the queue, compacting in place: consumed entries
-    // leave gaps, retained (blocked) entries slide forward to fill
-    // them. The common steady-state prefix — entries of types whose
-    // contexts are all busy — stays exactly where it is with no moves
-    // at all (keep == i). Relative order of retained entries is
-    // preserved, and entries appended mid-pass (reentrant injection)
-    // are picked up by the dynamic size check, matching the historical
-    // drain-until-empty loop.
-    size_t keep = 0;
-    for (size_t i = 0; i < pendingDispatch_.size(); ++i) {
-        CohortEntry &entry = pendingDispatch_[i];
-        if (routeEntry(entry) == RouteResult::Blocked) {
-            if (keep != i)
-                pendingDispatch_[keep] = std::move(entry);
-            ++keep;
+    std::fill(typeBlocked_.begin(), typeBlocked_.end(), 0);
+    // Merge the FIFO heads in arrival order. A type whose head blocks
+    // sits out the rest of the pass with its entries unread, so this
+    // is the order of one scan over all queued entries in arrival
+    // order that skips the blocked types' entries — without reading
+    // them. Entries queued mid-pass (reentrant injection) carry higher
+    // sequence numbers and are merged in the same pass.
+    const size_t types = typeBlocked_.size();
+    for (;;) {
+        std::deque<CohortEntry> *next = nullptr;
+        for (size_t q = 0; q < routeQueues_.size(); ++q) {
+            std::deque<CohortEntry> &fifo = routeQueues_[q];
+            if (fifo.empty() || (q < types && typeBlocked_[q]))
+                continue;
+            if (!next || fifo.front().routeSeq < next->front().routeSeq)
+                next = &fifo;
         }
+        if (!next)
+            break;
+        if (routeEntry(next->front()) == RouteResult::Consumed)
+            next->pop_front();
     }
-    pendingDispatch_.resize(keep);
     drainActive_ = false;
 }
 
@@ -817,9 +821,9 @@ RhythmServer::routeEntry(CohortEntry &entry)
     // Routes one dispatch-ready entry: static content, cohort type,
     // host fallback or 404. Consumes the entry unless it reports
     // Blocked (structural hazard: no cohort context for its type).
-    if (staticContent_ &&
-        specweb::StaticContent::isStaticPath(entry.request.path) &&
-        staticContent_->lookup(entry.request.path)) {
+    ++routeVisits_;
+    const uint32_t type = entry.routeType;
+    if (type == CohortEntry::kRouteStatic) {
         const bool was_empty = pendingImages_.empty();
         pendingImages_.push_back(std::move(entry));
         if (pendingImages_.size() >= config_.cohortSize)
@@ -828,32 +832,24 @@ RhythmServer::routeEntry(CohortEntry &entry)
             scheduleTimeoutScan();
         return RouteResult::Consumed;
     }
-    uint32_t type = entry.routeType;
     if (type == CohortEntry::kTypeUnresolved) {
-        if (entry.request.path.empty() ||
-            !service_.resolveType(entry.request, type)) {
-            // Not a cohort type: try the service's host fallback
-            // (requests outside the data-parallel model, Section 3.1),
-            // else 404.
-            if (!entry.request.path.empty() && serveOnHost(entry))
-                return RouteResult::Consumed;
-            completeRequest(entry.clientId,
-                            "HTTP/1.1 404 Not Found\r\n"
-                            "Content-Length: 0\r\n\r\n",
-                            queue_.now() - entry.arrival, true);
+        // Not a cohort type: try the service's host fallback (requests
+        // outside the data-parallel model, Section 3.1), else 404.
+        if (!entry.request.path.empty() && serveOnHost(entry))
             return RouteResult::Consumed;
-        }
-        entry.routeType = type;
+        completeRequest(entry.clientId,
+                        "HTTP/1.1 404 Not Found\r\n"
+                        "Content-Length: 0\r\n\r\n",
+                        queue_.now() - entry.arrival, true);
+        return RouteResult::Consumed;
     }
-    // Structural-hazard memo, valid for the rest of this dispatch
-    // pass: contexts only fill up or go Busy while the pass runs
-    // (releases happen in later DES events), so once acquireFor fails
-    // for a type it keeps failing until the pass ends. Blocked
-    // entries keep per-type FIFO order but do not head-of-line block
-    // other types — with more types than contexts a strict FIFO
-    // collapses into timeout-launched fragments.
-    if (typeBlocked_[type])
-        return RouteResult::Blocked;
+    // Structural hazard: contexts only fill up or go Busy while a pass
+    // runs (releases happen in later DES events), so once acquireFor
+    // fails for a type it keeps failing until the pass ends, and the
+    // type sits out the rest of the pass. Blocked entries keep per-type
+    // FIFO order but do not head-of-line block other types — with more
+    // types than contexts a strict FIFO collapses into timeout-launched
+    // fragments.
     CohortContext *ctx = pool_.acquireFor(type);
     if (!ctx) {
         typeBlocked_[type] = 1;

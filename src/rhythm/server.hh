@@ -426,6 +426,14 @@ class RhythmServer
      */
     uint64_t memoryFootprintBytes() const;
 
+    /**
+     * Dispatch route visits so far: one per routing attempt, so a
+     * request blocked on a busy context counts again when it is retried.
+     * A host-side work count, not a simulated quantity: it is in no
+     * report, and tests gate visits per request.
+     */
+    uint64_t routeVisits() const { return routeVisits_; }
+
   private:
     struct RawEntry
     {
@@ -454,7 +462,12 @@ class RhythmServer
     /** Batch-order hand-off: queues out-of-order parse completions and
      *  dispatches in-order ones (the overlap determinism contract). */
     void parsedReady(uint64_t seq, std::vector<CohortEntry> parsed);
-    void dispatchParsed(std::vector<CohortEntry> parsed);
+    /** Resolves @p entry's route and appends it to its dispatch FIFO. */
+    void queueForDispatch(CohortEntry entry);
+    /**
+     * One dispatch pass: routes the lowest-sequence head among the
+     * FIFOs whose type has not blocked in this pass, until none is left.
+     */
     void drainDispatch();
     /** routeEntry outcome: Blocked means the caller keeps the entry. */
     enum class RouteResult : uint8_t { Consumed, Blocked };
@@ -576,12 +589,22 @@ class RhythmServer
     std::map<uint64_t, std::vector<CohortEntry>> parsedReorder_;
     uint64_t inflightRequests_ = 0;
     uint64_t nextClientId_ = 1;
-    std::deque<CohortEntry> pendingDispatch_;
+    /**
+     * Entries waiting for dispatch: one FIFO per cohort type, then one
+     * for entries that never block (static content, host fallback and
+     * 404). The vector is sized once at construction and a deque never
+     * moves its elements, so a push during a pass leaves the entry
+     * being routed in place.
+     */
+    std::vector<std::deque<CohortEntry>> routeQueues_;
+    /** Sequence number of the next entry queued for dispatch. */
+    uint64_t routeSeqNext_ = 0;
+    uint64_t routeVisits_ = 0;
     bool drainActive_ = false;
     /**
      * Per-dispatch-pass structural-hazard memo, indexed by type id:
-     * set when acquireFor first fails for the type, letting the rest
-     * of the pass skip the context scan (see routeEntry).
+     * set when acquireFor fails for the type, which then sits out the
+     * rest of the pass (see drainDispatch).
      */
     std::vector<uint8_t> typeBlocked_;
     std::vector<CohortEntry> pendingImages_;

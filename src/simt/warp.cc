@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <numeric>
-#include <unordered_map>
 #include <vector>
 
 #include "util/logging.hh"
@@ -290,6 +290,133 @@ coalesceGroupOp(std::span<const MemOp *const> ops, const WarpModel &model,
 }
 
 /**
+ * Dense numbering of one warp's block ids: a flat open-addressing table
+ * (linear probing, Fibonacci hashing) mapping each distinct id to
+ * 0, 1, 2, ... in first-seen order. Cleared in O(distinct ids), so one
+ * table serves every warp a thread simulates.
+ */
+class BlockNumbering
+{
+  public:
+    BlockNumbering() { grow(); }
+
+    /** Dense number of @p id, assigning the next one on first sight. */
+    uint32_t
+    number(uint32_t id)
+    {
+        if ((ids_.size() + 1) * 2 > slots_.size())
+            grow();
+        for (size_t s = slotOf(id);; s = (s + 1) & (slots_.size() - 1)) {
+            Slot &slot = slots_[s];
+            if (slot.dense == kEmpty) {
+                slot = Slot{id, static_cast<uint32_t>(ids_.size())};
+                ids_.push_back(id);
+                return slot.dense;
+            }
+            if (slot.id == id)
+                return slot.dense;
+        }
+    }
+
+    /** Original id of dense number @p dense. */
+    uint32_t id(uint32_t dense) const { return ids_[dense]; }
+
+    /** Distinct ids numbered so far. */
+    uint32_t size() const { return static_cast<uint32_t>(ids_.size()); }
+
+    /** Forgets every id, keeping the table's capacity. */
+    void
+    clear()
+    {
+        for (uint32_t id : ids_)
+            slots_[find(id)].dense = kEmpty;
+        ids_.clear();
+    }
+
+  private:
+    static constexpr uint32_t kEmpty = UINT32_MAX;
+
+    struct Slot
+    {
+        uint32_t id = 0;
+        uint32_t dense = kEmpty;
+    };
+
+    size_t
+    slotOf(uint32_t id) const
+    {
+        return static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+
+    size_t
+    find(uint32_t id) const
+    {
+        size_t s = slotOf(id);
+        while (slots_[s].id != id || slots_[s].dense == kEmpty)
+            s = (s + 1) & (slots_.size() - 1);
+        return s;
+    }
+
+    /** Doubles the table (64 slots at first) and re-inserts every id. */
+    void
+    grow()
+    {
+        const size_t capacity = std::max<size_t>(64, slots_.size() * 2);
+        shift_ = 64 - std::countr_zero(capacity);
+        slots_.assign(capacity, Slot{});
+        for (uint32_t dense = 0; dense < ids_.size(); ++dense) {
+            size_t s = slotOf(ids_[dense]);
+            while (slots_[s].dense != kEmpty)
+                s = (s + 1) & (capacity - 1);
+            slots_[s] = Slot{ids_[dense], dense};
+        }
+    }
+
+    std::vector<Slot> slots_;
+    std::vector<uint32_t> ids_; //!< Original id by dense number.
+    int shift_ = 0; //!< 64 - log2(table size), set by grow().
+};
+
+/**
+ * One thread's scheduler state, reused across warps so the hot path
+ * does not allocate. Blocks are the warp's dense block numbers.
+ */
+struct SchedulerScratch
+{
+    BlockNumbering numbering;
+    /** Every lane's trace as dense numbers, lane after lane. */
+    std::vector<uint32_t> trace;
+    std::vector<size_t> begin; //!< Lane's first entry in `trace`.
+    std::vector<uint32_t> len; //!< Lane's trace length.
+    std::vector<uint32_t> pos; //!< Lane's front position.
+    /** Lanes × blocks: how often the block occurs in the lane's window. */
+    std::vector<uint32_t> window;
+    /** Per block: lanes whose window holds it. */
+    std::vector<uint32_t> holders;
+    /** Per block, this step only: lanes at it, and those of them whose
+     *  own window also holds it. */
+    std::vector<uint32_t> atFront;
+    std::vector<uint32_t> frontHolders;
+    /** Unfinished lanes in lane order, and each one's front block. */
+    std::vector<uint32_t> active;
+    std::vector<uint32_t> front;
+    /** This step's distinct front blocks. */
+    std::vector<uint32_t> fronts;
+    /** This step's group (lanes at the chosen block, in lane order)
+     *  and one aligned memory op of it. */
+    std::vector<size_t> group;
+    std::vector<const MemOp *> groupOps;
+};
+
+/** The calling thread's scheduler scratch. */
+SchedulerScratch &
+schedulerScratch()
+{
+    thread_local SchedulerScratch scratch;
+    return scratch;
+}
+
+/**
  * Shared lockstep scheduler. The @p kMemOps = false instantiation skips
  * the per-group memory-op alignment loop (the only consumer of MemOp
  * data), so the control-flow fields it produces are bit-equal to the
@@ -306,111 +433,131 @@ simulateWarpImpl(std::span<const ThreadTrace *const> lanes,
 
     WarpStats stats;
     const size_t n = lanes.size();
-    std::vector<size_t> pos(n, 0);
-    std::vector<size_t> group;
-    std::vector<const MemOp *> group_ops;
-    group.reserve(n);
+    SchedulerScratch &sc = schedulerScratch();
+    std::vector<size_t> &group = sc.group;
+    std::vector<const MemOp *> &group_ops = sc.groupOps;
 
-    for (size_t l = 0; l < n; ++l) {
-        if (lanes[l]) {
-            stats.laneBlockExecs += lanes[l]->blocks.size();
-            stats.laneInstructions += lanes[l]->totalInstructions();
-        }
-    }
-
-    // Sliding-window multiset of upcoming block ids per lane, covering
-    // trace entries [pos+1, pos+reconvergenceWindow]. Used to detect
-    // future merge points: a front block that another lane will reach
-    // soon is deferred so the lanes can reconverge there (approximating
-    // stack-based reconvergence on structured control flow).
-    const size_t window = model.reconvergenceWindow;
-    std::vector<std::unordered_map<uint32_t, uint32_t>> future(n);
+    // Number the warp's distinct blocks densely and lay every lane's
+    // trace out as dense numbers.
+    sc.numbering.clear();
+    sc.trace.clear();
+    sc.begin.assign(n, 0);
+    sc.len.assign(n, 0);
+    sc.pos.assign(n, 0);
+    sc.active.clear();
     for (size_t l = 0; l < n; ++l) {
         if (!lanes[l])
             continue;
-        const size_t limit = std::min(lanes[l]->blocks.size(), 1 + window);
-        for (size_t k = 1; k < limit; ++k)
-            ++future[l][lanes[l]->blocks[k].blockId];
+        stats.laneBlockExecs += lanes[l]->blocks.size();
+        stats.laneInstructions += lanes[l]->totalInstructions();
+        sc.begin[l] = sc.trace.size();
+        sc.len[l] = static_cast<uint32_t>(lanes[l]->blocks.size());
+        for (const BlockExec &be : lanes[l]->blocks)
+            sc.trace.push_back(sc.numbering.number(be.blockId));
+        if (sc.len[l] > 0)
+            sc.active.push_back(static_cast<uint32_t>(l));
     }
-    auto advance_lane = [&](size_t l) {
-        const size_t p = pos[l];
-        const auto &blocks = lanes[l]->blocks;
-        if (p + 1 < blocks.size()) {
-            auto it = future[l].find(blocks[p + 1].blockId);
-            if (it != future[l].end() && --it->second == 0)
-                future[l].erase(it);
-        }
-        if (p + 1 + window < blocks.size())
-            ++future[l][blocks[p + 1 + window].blockId];
-        pos[l] = p + 1;
+    const size_t blocks = sc.numbering.size();
+
+    // Sliding window of upcoming blocks per lane, covering trace
+    // entries [pos+1, pos+reconvergenceWindow], as per-lane counts.
+    // Used to detect future merge points: a front block that another
+    // lane will reach soon is deferred so the lanes can reconverge there
+    // (approximating stack-based reconvergence on structured control
+    // flow). `holders` counts, per block, the unfinished lanes whose
+    // window holds it.
+    const size_t window = model.reconvergenceWindow;
+    sc.window.assign(n * blocks, 0);
+    sc.holders.assign(blocks, 0);
+    sc.atFront.assign(blocks, 0);
+    sc.frontHolders.assign(blocks, 0);
+    auto enter = [&](size_t l, uint32_t b) {
+        if (sc.window[l * blocks + b]++ == 0)
+            ++sc.holders[b];
     };
-    // True if any lane not currently at @p id will reach it soon.
-    auto shared_in_future = [&](uint32_t id) {
-        for (size_t m = 0; m < n; ++m) {
-            if (!lanes[m] || pos[m] >= lanes[m]->blocks.size())
-                continue;
-            if (lanes[m]->blocks[pos[m]].blockId == id)
-                continue; // lane is already at the block
-            if (future[m].contains(id))
-                return true;
+    for (uint32_t l : sc.active) {
+        const uint32_t *trace = &sc.trace[sc.begin[l]];
+        const size_t limit = std::min<size_t>(sc.len[l], 1 + window);
+        for (size_t k = 1; k < limit; ++k)
+            enter(l, trace[k]);
+    }
+    // Steps lane @p l past its front block: entry p + 1 leaves the
+    // window, dropped only if the window holds it, and entry
+    // p + 1 + window enters. At reconvergenceWindow 0 both are the
+    // block the lane moves to, so the window comes to hold every block
+    // the lane has reached after its first. A finished lane stops
+    // counting as a holder.
+    auto advance_lane = [&](size_t l) {
+        const size_t p = sc.pos[l];
+        const uint32_t *trace = &sc.trace[sc.begin[l]];
+        uint32_t *counts = &sc.window[l * blocks];
+        if (p + 1 < sc.len[l] && counts[trace[p + 1]] > 0 &&
+            --counts[trace[p + 1]] == 0)
+            --sc.holders[trace[p + 1]];
+        if (p + 1 + window < sc.len[l])
+            enter(l, trace[p + 1 + window]);
+        sc.pos[l] = static_cast<uint32_t>(p + 1);
+        if (p + 1 == sc.len[l]) {
+            for (size_t b = 0; b < blocks; ++b) {
+                if (counts[b] > 0)
+                    --sc.holders[b];
+            }
         }
-        return false;
     };
 
-    for (;;) {
-        // Candidate = a distinct front block. Selection priority:
+    while (!sc.active.empty()) {
+        // One pass over the unfinished lanes finds the distinct front
+        // blocks, the lanes at each, and how many of those lanes hold
+        // the block in their own window. Another lane will reach block
+        // b soon iff some lane not at b holds it: holders[b] >
+        // frontHolders[b].
+        sc.front.resize(sc.active.size());
+        sc.fronts.clear();
+        for (size_t k = 0; k < sc.active.size(); ++k) {
+            const uint32_t l = sc.active[k];
+            const uint32_t b = sc.trace[sc.begin[l] + sc.pos[l]];
+            sc.front[k] = b;
+            if (sc.atFront[b]++ == 0)
+                sc.fronts.push_back(b);
+            if (sc.window[l * blocks + b] > 0)
+                ++sc.frontHolders[b];
+        }
+        // Selection priority:
         //  1. divergent-only blocks (no other lane will reach them soon)
         //     run first, so lanes do not execute past a merge point;
         //  2. larger lane count (amortize the fetch over more lanes);
-        //  3. lowest id (determinism).
-        uint32_t best_id = 0;
-        size_t best_count = 0;
-        bool best_shared = true;
-        bool best_valid = false;
-        for (size_t l = 0; l < n; ++l) {
-            if (!lanes[l] || pos[l] >= lanes[l]->blocks.size())
-                continue;
-            const uint32_t id = lanes[l]->blocks[pos[l]].blockId;
-            if (best_valid && id == best_id)
-                continue;
-            size_t count = 0;
-            for (size_t m = 0; m < n; ++m) {
-                if (lanes[m] && pos[m] < lanes[m]->blocks.size() &&
-                    lanes[m]->blocks[pos[m]].blockId == id)
-                    ++count;
-            }
-            const bool shared = shared_in_future(id);
-            bool better = false;
-            if (!best_valid) {
-                better = true;
-            } else if (shared != best_shared) {
-                better = !shared;
-            } else if (count != best_count) {
-                better = count > best_count;
-            } else {
-                better = id < best_id;
-            }
-            if (better) {
-                best_count = count;
-                best_id = id;
-                best_shared = shared;
-                best_valid = true;
+        //  3. lowest original block id (determinism).
+        auto shared = [&](uint32_t b) {
+            return sc.holders[b] > sc.frontHolders[b];
+        };
+        uint32_t best = sc.fronts[0];
+        for (uint32_t b : sc.fronts) {
+            if (shared(b) != shared(best)) {
+                if (!shared(b))
+                    best = b;
+            } else if (sc.atFront[b] != sc.atFront[best]) {
+                if (sc.atFront[b] > sc.atFront[best])
+                    best = b;
+            } else if (sc.numbering.id(b) < sc.numbering.id(best)) {
+                best = b;
             }
         }
-        if (!best_valid)
-            break;
+        for (uint32_t b : sc.fronts)
+            sc.atFront[b] = sc.frontHolders[b] = 0;
 
+        // The group, in lane order: the mixed-shape coalescer takes the
+        // last active lane's width.
         group.clear();
         uint32_t max_insts = 0;
         uint32_t max_ops = 0;
-        for (size_t l = 0; l < n; ++l) {
-            if (lanes[l] && pos[l] < lanes[l]->blocks.size() &&
-                lanes[l]->blocks[pos[l]].blockId == best_id) {
-                group.push_back(l);
-                const BlockExec &be = lanes[l]->blocks[pos[l]];
-                max_insts = std::max(max_insts, be.instructions);
-                max_ops = std::max(max_ops, be.memCount);
-            }
+        for (size_t k = 0; k < sc.active.size(); ++k) {
+            if (sc.front[k] != best)
+                continue;
+            const size_t l = sc.active[k];
+            group.push_back(l);
+            const BlockExec &be = lanes[l]->blocks[sc.pos[l]];
+            max_insts = std::max(max_insts, be.instructions);
+            max_ops = std::max(max_ops, be.memCount);
         }
 
         // One fetch/issue sequence covers the whole group; lanes with
@@ -424,7 +571,7 @@ simulateWarpImpl(std::span<const ThreadTrace *const> lanes,
             for (uint32_t j = 0; j < max_ops; ++j) {
                 group_ops.clear();
                 for (size_t l : group) {
-                    const BlockExec &be = lanes[l]->blocks[pos[l]];
+                    const BlockExec &be = lanes[l]->blocks[sc.pos[l]];
                     if (j < be.memCount)
                         group_ops.push_back(
                             &lanes[l]->memOps[be.memBegin + j]);
@@ -438,8 +585,15 @@ simulateWarpImpl(std::span<const ThreadTrace *const> lanes,
             (void)max_ops;
         }
 
-        for (size_t l : group)
+        bool finished = false;
+        for (size_t l : group) {
             advance_lane(l);
+            finished = finished || sc.pos[l] == sc.len[l];
+        }
+        if (finished)
+            std::erase_if(sc.active, [&](uint32_t l) {
+                return sc.pos[l] == sc.len[l];
+            });
     }
 
     return stats;

@@ -62,7 +62,6 @@ ThreadPool::parallelRanges(size_t n, size_t grain, const RangeBody &body)
     if (n == 0)
         return;
     grain = std::max<size_t>(grain, 1);
-    ++regions_;
     // Serial pool, nested call from a worker, or trivially small job:
     // run inline on the calling thread. Identical results by contract
     // (per-index output slots, canonical merge by the caller).

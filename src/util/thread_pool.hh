@@ -85,9 +85,6 @@ class ThreadPool
      */
     void parallelRanges(size_t n, size_t grain, const RangeBody &body);
 
-    /** Total parallelRanges/parallelFor invocations (for tests). */
-    uint64_t regions() const { return regions_; }
-
   private:
     struct Job
     {
@@ -105,7 +102,6 @@ class ThreadPool
     void runChunks(Job &job);
 
     unsigned threads_ = 1;
-    uint64_t regions_ = 0;
 
     std::mutex mutex_;
     std::condition_variable workCv_; //!< Wakes workers on a new job.

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+
 #include "backend/bankdb.hh"
 #include "backend/protocol.hh"
 #include "backend/service.hh"
@@ -159,6 +162,82 @@ TEST_F(BankDbTest, CheckOrderLifecycle)
     EXPECT_TRUE(db_.placeCheckOrder(3, id));
     EXPECT_TRUE(db_.checkOrder(id)->placed);
     EXPECT_FALSE(db_.placeCheckOrder(3, 999999));
+}
+
+/** Every transaction in the per-account ledgers, by id (a full scan). */
+std::map<uint64_t, const Transaction *>
+scanTransactions(const BankDb &db)
+{
+    std::map<uint64_t, const Transaction *> out;
+    for (uint64_t uid = 1; uid <= db.numUsers(); ++uid) {
+        for (const Account *a : db.accounts(uid)) {
+            for (const Transaction *tx :
+                 db.transactions(a->accountId, SIZE_MAX))
+                EXPECT_TRUE(out.emplace(tx->txId, tx).second) << tx->txId;
+        }
+    }
+    return out;
+}
+
+/** transaction(id) is the scan's record for every id, nullptr beyond. */
+void
+expectLookupMatchesScan(const BankDb &db)
+{
+    const auto scan = scanTransactions(db);
+    ASSERT_FALSE(scan.empty());
+    // Ids are allocated densely from 1.
+    EXPECT_EQ(scan.begin()->first, 1u);
+    EXPECT_EQ(scan.rbegin()->first, scan.size());
+    for (const auto &[id, tx] : scan)
+        EXPECT_EQ(db.transaction(id), tx) << "id " << id;
+    EXPECT_EQ(db.transaction(0), nullptr);
+    EXPECT_EQ(db.transaction(scan.size() + 1), nullptr);
+    EXPECT_EQ(db.transaction(UINT64_MAX), nullptr);
+}
+
+/** Every transaction-creating call, some of them rejected. */
+void
+mutateLedgers(BankDb &db)
+{
+    for (uint64_t uid = 1; uid <= db.numUsers(); uid += 3) {
+        const uint64_t peer = uid % db.numUsers() + 1;
+        EXPECT_NE(db.payBill(uid, db.payees(uid)[0]->payeeId, 1500, 18050),
+                  0u);
+        EXPECT_EQ(db.payBill(uid, 0, 1500, 18050), 0u);
+        EXPECT_NE(db.transfer(uid, BankDb::checkingId(uid),
+                              BankDb::savingsId(uid), 700),
+                  0u);
+        EXPECT_EQ(db.transfer(uid, BankDb::checkingId(uid),
+                              BankDb::savingsId(uid), INT64_MAX),
+                  0u);
+        EXPECT_NE(db.externalDebit(uid, peer, 300), 0u);
+        EXPECT_EQ(db.externalDebit(uid, peer, 0), 0u);
+        EXPECT_NE(db.externalCredit(peer, uid, 300), 0u);
+    }
+}
+
+TEST(BankDbIndex, TransactionLookupMatchesFullScan)
+{
+    BankDb db(60, 5);
+    expectLookupMatchesScan(db);
+    mutateLedgers(db);
+    expectLookupMatchesScan(db);
+
+    // A checkpoint is a copy and a restore is copy-assignment: the
+    // copy's lookups land in the copy's own ledgers.
+    const BankDb snapshot = db;
+    expectLookupMatchesScan(snapshot);
+    mutateLedgers(db);
+    expectLookupMatchesScan(db);
+    db = snapshot;
+    expectLookupMatchesScan(db);
+    EXPECT_EQ(db.digest(), snapshot.digest());
+
+    // The index is not database state: an identical history digests
+    // identically.
+    BankDb twin(60, 5);
+    mutateLedgers(twin);
+    EXPECT_EQ(twin.digest(), db.digest());
 }
 
 TEST(Protocol, OpNamesRoundTrip)

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "backend/bankdb.hh"
 #include "host/server.hh"
 #include "http/parser.hh"
@@ -223,9 +228,9 @@ TEST(HostServerExtensions, ServesQuickPay)
 
 struct ExtensionRig
 {
-    ExtensionRig()
+    explicit ExtensionRig(uint32_t contexts = 4)
         : db(100, 7), device(queue, simt::DeviceConfig{}),
-          service(db), server(queue, device, service, config()),
+          service(db), server(queue, device, service, config(contexts)),
           content(8, 5)
     {
         server.setStaticContent(&content);
@@ -237,11 +242,11 @@ struct ExtensionRig
     }
 
     static core::RhythmConfig
-    config()
+    config(uint32_t contexts)
     {
         core::RhythmConfig cfg;
         cfg.cohortSize = 16;
-        cfg.cohortContexts = 4;
+        cfg.cohortContexts = contexts;
         cfg.cohortTimeout = des::kMillisecond;
         cfg.backendOnDevice = true;
         cfg.networkOverPcie = false;
@@ -339,6 +344,109 @@ TEST(RhythmServerExtensions, MixedImagesPagesAndFallback)
     EXPECT_EQ(rig.server.stats().imageRequests, 16u);
     EXPECT_EQ(rig.server.stats().cohortsLaunched, 1u);
     EXPECT_TRUE(rig.server.drained());
+}
+
+// With more cohort types than contexts, dispatch routes past a blocked
+// type in arrival order and keeps every type's own FIFO order; static
+// content, host fallback and 404s never block. The completion order,
+// each latency and the DES event-order hash are pinned to the values
+// the backlog-rescan dispatcher produced, so any change to routing
+// order shows here (response digests ignore order).
+TEST(RhythmServerExtensions, DispatchOrderUnderContextPressureIsPinned)
+{
+    ExtensionRig rig(2);
+    simt::NullTracer null;
+    specweb::WorkloadGenerator gen(rig.db, 5);
+    const specweb::RequestType kTypes[] = {
+        specweb::RequestType::AccountSummary,
+        specweb::RequestType::BillPay,
+        specweb::RequestType::Profile,
+        specweb::RequestType::CheckDetailHtml,
+    };
+    auto page = [&](uint64_t k) {
+        const uint64_t user = 1 + k % 40;
+        const uint64_t sid = rig.server.sessions().create(user, null);
+        return gen.generate(kTypes[(k * 5 / 3) % 4], user, sid).raw;
+    };
+    // Pulled in this order; the server numbers them 1, 2, ...
+    std::vector<std::string> script;
+    for (uint64_t i = 0; i < 72; ++i) {
+        if (i % 9 == 4) {
+            script.push_back(http::buildRequest(
+                http::Method::Get,
+                "/images/check_" + std::to_string(1 + i % 8) + "_back.gif",
+                {}));
+        } else if (i % 13 == 6) {
+            script.push_back(http::buildRequest(
+                http::Method::Get, "/bank/nope" + std::to_string(i) + ".php",
+                {}));
+        } else if (i % 17 == 8) {
+            const uint64_t user = 1 + i % 40;
+            const uint64_t sid = rig.server.sessions().create(user, null);
+            script.push_back(http::buildRequest(
+                http::Method::Post, std::string(specweb::kQuickPayPath),
+                {{"payees",
+                  std::to_string(rig.db.payees(user)[0]->payeeId)},
+                 {"amounts", "15"}},
+                "session=" + std::to_string(sid)));
+        } else {
+            script.push_back(page(i));
+        }
+    }
+    // Some responses inject a follow-up request from inside the
+    // callback, re-entering the server mid-delivery.
+    std::vector<std::pair<uint64_t, des::Time>> done;
+    uint64_t injected = 0;
+    rig.server.setResponseCallback(
+        [&](uint64_t client, std::string_view, des::Time latency) {
+            done.emplace_back(client, latency);
+            if (client % 7 == 3 && injected < 10) {
+                const uint64_t k = 100 + injected++;
+                EXPECT_TRUE(rig.server.injectRequest(page(k), 1000 + k));
+            }
+        });
+    size_t next = 0;
+    rig.server.start([&]() -> std::optional<std::string> {
+        if (next >= script.size())
+            return std::nullopt;
+        return script[next++];
+    });
+    rig.queue.run();
+    EXPECT_TRUE(rig.server.drained());
+    EXPECT_EQ(injected, 10u);
+    ASSERT_EQ(done.size(), script.size() + injected);
+    const auto &stats = rig.server.stats();
+    EXPECT_GT(stats.imageRequests, 0u);
+    EXPECT_GT(stats.hostFallbackRequests, 0u);
+    EXPECT_GT(stats.errorResponses, 0u);
+    const std::vector<std::pair<uint64_t, des::Time>> kExpected = {
+        {7, 37709632}, {9, 41404182}, {20, 75502227}, {26, 79197777},
+        {33, 75419264}, {46, 75419264}, {43, 79112914}, {60, 78782062},
+        {5, 1038709632}, {14, 1038709632}, {23, 1038709632}, {32, 1038709632},
+        {41, 1001000000}, {50, 963207405}, {59, 963207405}, {72, 1449928886},
+        {68, 1950928886}, {2, 2669180189}, {4, 2669180189}, {16, 2669180189},
+        {21, 2669180189}, {28, 2669180189}, {38, 2631470557},
+        {40, 2631470557}, {45, 2631470557}, {52, 2593677962},
+        {57, 2593677962}, {62, 2593677962}, {64, 2593677962}, {1, 3073228043},
+        {6, 3073228043}, {11, 3073228043}, {13, 3073228043}, {18, 3073228043},
+        {25, 3073228043}, {30, 3073228043}, {35, 3035518411},
+        {37, 3035518411}, {42, 3035518411}, {47, 3035518411},
+        {49, 2997725816}, {54, 2997725816}, {61, 2997725816}, {3, 4154487273},
+        {8, 4154487273}, {10, 4154487273}, {15, 4154487273}, {22, 4154487273},
+        {27, 4154487273}, {34, 4116777641}, {39, 4116777641},
+        {44, 4116777641}, {51, 4078985046}, {56, 4078985046},
+        {58, 4078985046}, {63, 4078985046}, {70, 4041358377},
+        {66, 5736860221}, {71, 5736860221}, {1101, 3180808928},
+        {12, 5857171209}, {17, 5857171209}, {19, 5857171209},
+        {24, 5857171209}, {29, 5857171209}, {31, 5857171209},
+        {36, 5819461577}, {48, 5819461577}, {53, 5781668982},
+        {55, 5781668982}, {65, 5744042313}, {67, 5744042313},
+        {1100, 4818461577}, {69, 7280047672}, {1104, 3238689295},
+        {1102, 5309528837}, {1103, 5914341202}, {1105, 4429034118},
+        {1106, 3761382469}, {1108, 3754200377}, {1107, 4855070091},
+        {1109, 5169824691}};
+    EXPECT_EQ(done, kExpected);
+    EXPECT_EQ(rig.queue.orderHash(), 17096187413259257548ull);
 }
 
 } // namespace

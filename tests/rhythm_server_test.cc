@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+
 #include "backend/bankdb.hh"
 #include "rhythm/banking_service.hh"
 #include "rhythm/server.hh"
+#include "simt/profile_cache.hh"
 #include "specweb/workload.hh"
 
 namespace rhythm::core {
@@ -326,6 +331,50 @@ TEST(RhythmServer, LatenciesAreMonotoneWithQueueing)
     rig.queue.run();
     ASSERT_EQ(rig.latencies.size(), 64u);
     EXPECT_GT(rig.server.stats().latencyMs.percentile(99.0), 0.0);
+}
+
+// Dispatch work grows with the requests served, not with the backlog.
+// One type and eight contexts: the parser outruns the process stage,
+// so parsed requests queue for a context. A dispatch pass runs on every
+// parsed batch and every completion; the backlog-rescan dispatcher
+// re-visited every queued request on each pass. Visits per request are
+// a deterministic host-side work count.
+TEST(RhythmServer, RouteVisitsPerRequestDoNotGrowWithTheRun)
+{
+    for (uint32_t cohorts : {16u, 64u}) {
+        RhythmConfig cfg = TestRig::smallConfig();
+        cfg.cohortSize = 512;
+        cfg.cohortContexts = 8;
+        cfg.cohortTimeout = 2 * des::kMillisecond;
+        cfg.laneSample = 128;
+        cfg.traceTemplateCacheEntries = 4096;
+        TestRig rig(cfg);
+        simt::ProfileCache cache(4096);
+        rig.device.engine().setProfileCache(&cache);
+        uint64_t answered = 0;
+        rig.server.setResponseCallback(
+            [&](uint64_t, std::string_view, des::Time) { ++answered; });
+        const uint64_t total = uint64_t{cohorts} * cfg.cohortSize;
+        const auto sessions = rig.server.sessions().populate(
+            std::min<uint64_t>(total, 8192), rig.db.numUsers());
+        uint64_t issued = 0;
+        rig.server.start([&]() -> std::optional<std::string> {
+            if (issued >= total)
+                return std::nullopt;
+            const auto &[sid, user] = sessions[issued++ % sessions.size()];
+            return rig.gen
+                .generate(specweb::RequestType::AccountSummary, user, sid)
+                .raw;
+        });
+        rig.queue.run();
+        ASSERT_EQ(answered, total);
+        EXPECT_EQ(rig.server.stats().responsesCompleted, total);
+        const double per_request =
+            static_cast<double>(rig.server.routeVisits()) /
+            static_cast<double>(total);
+        EXPECT_GE(per_request, 1.0);
+        EXPECT_LE(per_request, 1.05) << cohorts << " cohorts";
+    }
 }
 
 } // namespace

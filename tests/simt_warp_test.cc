@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "simt/kernel.hh"
@@ -835,6 +837,257 @@ TEST_P(CoalescerReferenceProperty, SimulatedMatchesReference)
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, CoalescerReferenceProperty,
                          ::testing::Range<uint64_t>(1, 17));
+
+// ---- Lockstep scheduler against a reference ------------------------
+//
+// simulateWarp() numbers a warp's block ids densely and keeps the
+// per-lane window counts and per-block holder counts in flat arrays,
+// making one pass over the lanes per step. The reference below is the
+// scheduler it replaced: a hash-map window per lane, every candidate's
+// lanes counted by a full scan and "another lane will reach it" probed
+// in every other lane's window.
+
+/**
+ * The memory side of one reference step: the ops @p group issues at its
+ * current blocks. simulateWarp() of a one-block warp built from those
+ * blocks runs one step over every lane in lane order, so its memory
+ * counters are exactly the coalescer's for this group.
+ */
+WarpStats
+groupMemoryStats(std::span<const ThreadTrace *const> lanes,
+                 const std::vector<size_t> &group,
+                 const std::vector<size_t> &pos, const WarpModel &model)
+{
+    std::vector<ThreadTrace> step(group.size());
+    for (size_t g = 0; g < group.size(); ++g) {
+        const ThreadTrace &t = *lanes[group[g]];
+        const BlockExec &be = t.blocks[pos[group[g]]];
+        step[g].blocks.push_back(
+            BlockExec{be.blockId, be.instructions, 0, be.memCount});
+        step[g].memOps.assign(t.memOps.begin() + be.memBegin,
+                              t.memOps.begin() + be.memBegin + be.memCount);
+    }
+    auto p = ptrs(step);
+    const WarpStats all = simulateWarp(p, model);
+    WarpStats mem;
+    mem.globalTransactions = all.globalTransactions;
+    mem.globalBytes = all.globalBytes;
+    mem.sharedAccesses = all.sharedAccesses;
+    mem.sharedReplaySlots = all.sharedReplaySlots;
+    mem.constantAccesses = all.constantAccesses;
+    return mem;
+}
+
+/** The replaced scheduler; memory ops are coalesced when @p mem_ops. */
+WarpStats
+referenceWarp(std::span<const ThreadTrace *const> lanes,
+              const WarpModel &model, bool mem_ops)
+{
+    WarpStats stats;
+    const size_t n = lanes.size();
+    std::vector<size_t> pos(n, 0);
+    std::vector<size_t> group;
+    for (size_t l = 0; l < n; ++l) {
+        if (lanes[l]) {
+            stats.laneBlockExecs += lanes[l]->blocks.size();
+            stats.laneInstructions += lanes[l]->totalInstructions();
+        }
+    }
+    // Multiset of block ids at trace entries [pos+1, pos+window].
+    const size_t window = model.reconvergenceWindow;
+    std::vector<std::unordered_map<uint32_t, uint32_t>> future(n);
+    for (size_t l = 0; l < n; ++l) {
+        if (!lanes[l])
+            continue;
+        const size_t limit = std::min(lanes[l]->blocks.size(), 1 + window);
+        for (size_t k = 1; k < limit; ++k)
+            ++future[l][lanes[l]->blocks[k].blockId];
+    }
+    auto advance_lane = [&](size_t l) {
+        const size_t p = pos[l];
+        const auto &blocks = lanes[l]->blocks;
+        if (p + 1 < blocks.size()) {
+            auto it = future[l].find(blocks[p + 1].blockId);
+            if (it != future[l].end() && --it->second == 0)
+                future[l].erase(it);
+        }
+        if (p + 1 + window < blocks.size())
+            ++future[l][blocks[p + 1 + window].blockId];
+        pos[l] = p + 1;
+    };
+    auto at = [&](size_t l) -> const BlockExec * {
+        if (!lanes[l] || pos[l] >= lanes[l]->blocks.size())
+            return nullptr;
+        return &lanes[l]->blocks[pos[l]];
+    };
+    auto shared_in_future = [&](uint32_t id) {
+        for (size_t m = 0; m < n; ++m) {
+            if (at(m) && at(m)->blockId != id && future[m].contains(id))
+                return true;
+        }
+        return false;
+    };
+    for (;;) {
+        uint32_t best_id = 0;
+        size_t best_count = 0;
+        bool best_shared = true;
+        bool best_valid = false;
+        for (size_t l = 0; l < n; ++l) {
+            if (!at(l))
+                continue;
+            const uint32_t id = at(l)->blockId;
+            size_t count = 0;
+            for (size_t m = 0; m < n; ++m)
+                count += at(m) && at(m)->blockId == id;
+            const bool shared = shared_in_future(id);
+            bool better = !best_valid;
+            if (best_valid && shared != best_shared)
+                better = !shared;
+            else if (best_valid && count != best_count)
+                better = count > best_count;
+            else if (best_valid)
+                better = id < best_id;
+            if (better) {
+                best_count = count;
+                best_id = id;
+                best_shared = shared;
+                best_valid = true;
+            }
+        }
+        if (!best_valid)
+            break;
+        group.clear();
+        uint32_t max_insts = 0;
+        for (size_t l = 0; l < n; ++l) {
+            if (at(l) && at(l)->blockId == best_id) {
+                group.push_back(l);
+                max_insts = std::max(max_insts, at(l)->instructions);
+            }
+        }
+        stats.issueSlots += max_insts;
+        stats.steps += 1;
+        stats.activeLaneSteps += group.size();
+        if (mem_ops)
+            stats.merge(groupMemoryStats(lanes, group, pos, model));
+        for (size_t l : group)
+            advance_lane(l);
+    }
+    return stats;
+}
+
+// Random warps: partial and full warps of width 32 and 256, null lanes
+// and empty traces, small dense or sparse 32-bit block ids, lanes that
+// follow one program with divergent branches and loop trip counts, and
+// per-block memory ops of every space with shapes that differ between
+// lanes. Every reconvergence window the model treats specially.
+class WarpSchedulerReferenceProperty
+    : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(WarpSchedulerReferenceProperty, MatchesReferenceScheduler)
+{
+    rhythm::Rng rng(GetParam());
+    for (int w = 0; w < 10; ++w) {
+        WarpModel model;
+        model.warpWidth = rng.nextBool(0.3) ? 256 : 32;
+        const uint32_t kWindows[] = {0, 1, 2, 4, 512};
+        model.reconvergenceWindow = kWindows[rng.nextBounded(5)];
+        model.segmentBytes = rng.nextBool(0.5) ? 128 : 32;
+
+        // Block ids: dense small, or sparse across the 32-bit range.
+        const size_t num_ids = static_cast<size_t>(rng.nextRange(1, 24));
+        const bool sparse = rng.nextBool(0.5);
+        std::vector<uint32_t> ids(num_ids);
+        for (uint32_t &id : ids)
+            id = sparse ? static_cast<uint32_t>(rng.next())
+                        : static_cast<uint32_t>(rng.nextRange(0, 30));
+        if (sparse && rng.nextBool(0.3))
+            ids[0] = UINT32_MAX;
+        // One program of straight runs and loops (a body of ids
+        // repeated); each lane runs it with branch and trip-count
+        // divergence.
+        struct Segment
+        {
+            std::vector<uint32_t> body;
+            uint32_t trips = 1;
+        };
+        std::vector<Segment> program(
+            static_cast<size_t>(rng.nextRange(1, 12)));
+        for (Segment &seg : program) {
+            seg.body.resize(static_cast<size_t>(rng.nextRange(1, 4)));
+            for (uint32_t &id : seg.body)
+                id = ids[rng.nextBounded(num_ids)];
+            seg.trips = rng.nextBool(0.4)
+                            ? static_cast<uint32_t>(rng.nextRange(2, 12))
+                            : 1;
+        }
+        auto memop = [&](RecordingTracer &rec) {
+            const uint64_t pick = rng.nextBounded(10);
+            const MemSpace space = pick < 7   ? MemSpace::Global
+                                   : pick < 9 ? MemSpace::Shared
+                                              : MemSpace::Constant;
+            const uint64_t addr = rng.nextBounded(1u << 14);
+            const uint32_t count =
+                static_cast<uint32_t>(rng.nextRange(1, 40));
+            const uint32_t stride =
+                rng.nextBool(0.5) ? 4
+                                  : static_cast<uint32_t>(rng.nextRange(0, 300));
+            const uint16_t width = rng.nextBool(0.6)
+                                       ? 4
+                                       : static_cast<uint16_t>(
+                                             rng.nextRange(1, 64));
+            if (rng.nextBool(0.5))
+                rec.load(addr, count, stride, width, space);
+            else
+                rec.store(addr, count, stride, width, space);
+        };
+
+        const size_t lanes_n = static_cast<size_t>(
+            rng.nextRange(0, static_cast<uint64_t>(model.warpWidth)));
+        std::vector<ThreadTrace> traces(lanes_n);
+        std::vector<const ThreadTrace *> lanes(lanes_n, nullptr);
+        const double diverge = rng.nextBool(0.5) ? 0.05 : 0.3;
+        for (size_t l = 0; l < lanes_n; ++l) {
+            if (rng.nextBool(0.1))
+                continue; // null lane
+            lanes[l] = &traces[l];
+            if (rng.nextBool(0.05))
+                continue; // empty trace
+            RecordingTracer rec(traces[l]);
+            for (const Segment &seg : program) {
+                if (rng.nextBool(diverge))
+                    continue; // branch not taken
+                uint32_t trips = seg.trips;
+                if (trips > 1 && rng.nextBool(diverge))
+                    trips = static_cast<uint32_t>(rng.nextRange(1, 14));
+                for (uint32_t t = 0; t < trips; ++t) {
+                    for (uint32_t id : seg.body) {
+                        const uint32_t block = rng.nextBool(diverge / 2)
+                                                   ? ids[rng.nextBounded(num_ids)]
+                                                   : id;
+                        rec.block(block,
+                                  static_cast<uint32_t>(rng.nextRange(1, 40)));
+                        const uint64_t ops = rng.nextBounded(4);
+                        for (uint64_t k = 0; k < ops; ++k)
+                            memop(rec);
+                    }
+                }
+            }
+        }
+        const std::span<const ThreadTrace *const> span(lanes);
+        EXPECT_EQ(simulateWarp(span, model), referenceWarp(span, model, true))
+            << "warp " << w << " width " << model.warpWidth << " window "
+            << model.reconvergenceWindow << " lanes " << lanes_n;
+        EXPECT_EQ(mergeBlockSchedule(span, model),
+                  referenceWarp(span, model, false))
+            << "warp " << w << " width " << model.warpWidth << " window "
+            << model.reconvergenceWindow << " lanes " << lanes_n;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, WarpSchedulerReferenceProperty,
+                         ::testing::Range<uint64_t>(1, 25));
 
 } // namespace
 } // namespace rhythm::simt
