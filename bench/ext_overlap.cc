@@ -55,8 +55,9 @@ main(int argc, char **argv)
     faults.recordConfig(report);
 
     // --copy-engines / --copy-chunk-kb tune the overlapped
-    // configuration; the off run always uses the legacy single-engine
-    // whole-buffer path (so --overlap itself changes nothing here).
+    // configuration; the off run always uses the serial configuration,
+    // one engine and whole transfers (so --overlap itself changes
+    // nothing here).
     bench::OverlapFlags overlap(flags);
     overlap.overlap = true;
     platform::TitanVariant on = a;

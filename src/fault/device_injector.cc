@@ -12,9 +12,9 @@ installDeviceFaults(simt::Device &device, FaultPlan &plan,
         return d.fire ? d.delay : 0;
     };
     // With the frame-CRC link model on, Site::PcieCorrupt is consulted
-    // per frame through frameCorrupt; the legacy whole-transfer replay
-    // path must then NOT consult it again, or one corruption schedule
-    // would be drawn twice per copy.
+    // per frame through frameCorrupt; copyExtra's whole-transfer replay
+    // must then NOT consult it again, or one corruption schedule would
+    // be drawn twice per copy.
     const bool frame_crc = device.config().pcieCrcEnabled;
     hooks.copyExtra = [&plan, &queue, frame_crc](
                           bool, uint64_t, des::Time nominal) -> des::Time {

@@ -31,6 +31,40 @@ baseServerConfig()
 
 } // namespace
 
+RunUtilization
+measureUtilization(const core::RhythmServer &server,
+                   const simt::Device &device, double elapsed)
+{
+    RunUtilization u;
+    u.device = device.kernelUtilization();
+    if (elapsed <= 0.0)
+        return u;
+    const simt::Device::Stats dstats = device.stats();
+    const simt::DeviceConfig &dcfg = device.config();
+    const core::RhythmConfig &cfg = server.config();
+    u.memory = static_cast<double>(dstats.kernelMemoryBytes) /
+               (dcfg.memBandwidthGBs * dcfg.memoryEfficiency * 1e9 *
+                elapsed);
+    u.copy = std::max(dstats.h2dBusySeconds, dstats.d2hBusySeconds) /
+             elapsed;
+    if (!cfg.backendOnDevice)
+        u.hostBackend =
+            static_cast<double>(server.stats().backendRequests) /
+            cfg.hostBackendReqsPerSec / elapsed;
+    return u;
+}
+
+double
+TitanPowerModel::dynamicWatts(const RunUtilization &u) const
+{
+    const double activity = computeWeight * u.device +
+                            (1.0 - computeWeight) * std::min(1.0, u.memory);
+    return devicePeakWatts *
+               (deviceActiveFloor + (1.0 - deviceActiveFloor) * activity) +
+           pcieWatts * std::min(1.0, u.copy) +
+           hostBackendWatts * std::min(1.0, u.hostBackend);
+}
+
 TitanVariant
 titanA()
 {
@@ -167,23 +201,11 @@ runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
                       : 0.0;
     result.avgLatencyMs = stats.latencyMs.mean();
     result.p99LatencyMs = stats.latencyMs.percentile(99.0);
-    result.deviceUtilization = device.kernelUtilization();
-    result.memoryUtilization =
-        elapsed > 0.0
-            ? static_cast<double>(dstats.kernelMemoryBytes) /
-                  (variant.device.memBandwidthGBs *
-                   variant.device.memoryEfficiency * 1e9 * elapsed)
-            : 0.0;
-    result.copyUtilization =
-        elapsed > 0.0
-            ? std::max(dstats.h2dBusySeconds, dstats.d2hBusySeconds) /
-                  elapsed
-            : 0.0;
-    result.hostBackendUtilization =
-        (!cfg.backendOnDevice && elapsed > 0.0)
-            ? static_cast<double>(stats.backendRequests) /
-                  cfg.hostBackendReqsPerSec / elapsed
-            : 0.0;
+    const RunUtilization util = measureUtilization(server, device, elapsed);
+    result.deviceUtilization = util.device;
+    result.memoryUtilization = util.memory;
+    result.copyUtilization = util.copy;
+    result.hostBackendUtilization = util.hostBackend;
     result.simdEfficiency =
         stats.processIssueSlots > 0.0
             ? stats.processLaneInstructions /
@@ -215,15 +237,7 @@ runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
             dstats.overlapSeconds / dstats.copyBusySeconds;
 
     const TitanPowerModel &pm = variant.power;
-    const double activity =
-        pm.computeWeight * result.deviceUtilization +
-        (1.0 - pm.computeWeight) * std::min(1.0, result.memoryUtilization);
-    result.dynamicWatts =
-        pm.devicePeakWatts *
-            (pm.deviceActiveFloor +
-             (1.0 - pm.deviceActiveFloor) * activity) +
-        pm.pcieWatts * std::min(1.0, result.copyUtilization) +
-        pm.hostBackendWatts * std::min(1.0, result.hostBackendUtilization);
+    result.dynamicWatts = pm.dynamicWatts(util);
     if (result.dynamicWatts > 0.0) {
         result.reqsPerJouleDynamic =
             result.throughput / result.dynamicWatts;

@@ -19,10 +19,28 @@
 
 #include "fault/plan.hh"
 #include "rhythm/server.hh"
+#include "simt/device.hh"
 #include "simt/kernel.hh"
 #include "specweb/types.hh"
 
 namespace rhythm::platform {
+
+/** The utilizations of one run that its power draw depends on. */
+struct RunUtilization
+{
+    double device = 0.0;      //!< kernel engine
+    double memory = 0.0;      //!< DRAM bandwidth (not clamped)
+    double copy = 0.0;        //!< busiest PCIe direction
+    double hostBackend = 0.0; //!< host backend (0 when on the device)
+};
+
+/**
+ * Measures the utilizations of @p server's run on @p device over
+ * @p elapsed simulated seconds.
+ */
+RunUtilization measureUtilization(const core::RhythmServer &server,
+                                  const simt::Device &device,
+                                  double elapsed);
 
 /** Power model of a Titan-based server node. */
 struct TitanPowerModel
@@ -44,6 +62,13 @@ struct TitanPowerModel
     double hostBackendWatts = 55.0;
     /** PCIe/DMA dynamic power at full copy-engine utilization. */
     double pcieWatts = 18.0;
+
+    /**
+     * Dynamic power of a run: the device's active floor plus its
+     * compute/DRAM activity, the PCIe engines and the host backend,
+     * each utilization clamped at 1.
+     */
+    double dynamicWatts(const RunUtilization &u) const;
 };
 
 /** One Titan platform variant. */
@@ -85,8 +110,11 @@ struct TypeRunResult
     uint64_t pcieBytesPerRequest = 0;
     double responseBytesPerRequest = 0.0;
     // ---- PCIe breakdown (Fig. 9 diagnostics; DESIGN.md 6h) ----------
-    double h2dUtilization = 0.0; //!< host→device link occupancy
-    double d2hUtilization = 0.0; //!< device→host link occupancy
+    /** Fraction of the run with a host→device transfer in flight,
+     *  DMA setup included. */
+    double h2dUtilization = 0.0;
+    /** Same for device→host. */
+    double d2hUtilization = 0.0;
     uint64_t h2dBytesPerRequest = 0;
     uint64_t d2hBytesPerRequest = 0;
     /** CRC-framed wire bytes per request (0 with the CRC model off). */

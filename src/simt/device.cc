@@ -104,16 +104,10 @@ Device::startCommand(int queue_index)
     }
     switch (cmd.type) {
       case CommandType::CopyH2D:
-        if (pooledCopies())
-            assignEngine(h2dPool_, PendingCopy{cmd.bytes, true, queue_index});
-        else
-            startCopy(h2d_, PendingCopy{cmd.bytes, true, queue_index});
+        assignEngine(h2dPool_, PendingCopy{cmd.bytes, queue_index});
         break;
       case CommandType::CopyD2H:
-        if (pooledCopies())
-            assignEngine(d2hPool_, PendingCopy{cmd.bytes, false, queue_index});
-        else
-            startCopy(d2h_, PendingCopy{cmd.bytes, false, queue_index});
+        assignEngine(d2hPool_, PendingCopy{cmd.bytes, queue_index});
         break;
       case CommandType::Kernel:
         // Model the fixed launch overhead as serial latency before the
@@ -142,102 +136,12 @@ Device::commandFinished(int queue_index)
 }
 
 void
-Device::startCopy(CopyEngine &engine, PendingCopy copy)
-{
-    if (engine.busy) {
-        engine.waiting.push_back(copy);
-        return;
-    }
-    engine.busy = true;
-    accrueCopyOverlap();
-    ++activeCopies_;
-    if (copy.toDevice) {
-        ++stats_.copiesToDevice;
-        stats_.bytesToDevice += copy.bytes;
-    } else {
-        ++stats_.copiesToHost;
-        stats_.bytesToHost += copy.bytes;
-    }
-    const PcieLink link(config_);
-    const des::Time nominal = link.nominal(copy.bytes);
-    des::Time base = nominal;
-    if (config_.pcieCrcEnabled) {
-        // Frame-level CRC + bounded retransmit (simt/pcie.hh). The
-        // per-frame corruption oracle is the installed hook; without
-        // one no frame ever corrupts, but framing overhead still rides
-        // on the wire — CRC protection costs bandwidth even when
-        // nothing goes wrong, and the §6.3 accounting must show that.
-        const PcieTransfer xfer = link.transfer(
-            copy.bytes, [this, &copy]() {
-                return faultHooks_.frameCorrupt &&
-                       faultHooks_.frameCorrupt(copy.toDevice);
-            });
-        base = xfer.duration;
-        stats_.pcieFrames += xfer.frames;
-        stats_.pcieWireBytes += xfer.wireBytes;
-        stats_.pcieCrcErrors += xfer.crcErrors;
-        stats_.pcieRetransmittedBytes += xfer.retransmittedBytes;
-        stats_.pcieRetrains += xfer.retrains;
-        if (OBS_ENABLED()) {
-            OBS_COUNTER_ADD("pcie.crc.frames", xfer.frames);
-            OBS_COUNTER_ADD("pcie.crc.wire_bytes", xfer.wireBytes);
-            if (xfer.crcErrors > 0)
-                OBS_COUNTER_ADD("pcie.crc.errors", xfer.crcErrors);
-            if (xfer.retransmittedBytes > 0)
-                OBS_COUNTER_ADD("pcie.crc.retransmitted_bytes",
-                                xfer.retransmittedBytes);
-            if (xfer.retrains > 0)
-                OBS_COUNTER_ADD("pcie.crc.retrains", xfer.retrains);
-        }
-    }
-    des::Time extra = 0;
-    if (faultHooks_.copyExtra)
-        extra = faultHooks_.copyExtra(copy.toDevice, copy.bytes, nominal);
-    const des::Time duration = base + extra;
-    engine.busySeconds += des::toSeconds(duration);
-    if (OBS_ENABLED()) {
-        const uint32_t tr =
-            copy.toDevice ? obs::track::kPcieH2D : obs::track::kPcieD2H;
-        OBS_TRACK_NAME(tr, copy.toDevice ? "pcie h2d" : "pcie d2h");
-        OBS_SPAN_COMPLETE(tr, copy.toDevice ? "copy h2d" : "copy d2h",
-                          "pcie", queue_.now(), queue_.now() + duration,
-                          {"bytes", copy.bytes});
-        OBS_COUNTER_ADD(copy.toDevice ? "device.pcie_bytes_h2d"
-                                      : "device.pcie_bytes_d2h",
-                        copy.bytes);
-        if (extra > 0) {
-            OBS_INSTANT(obs::track::kEvents, "pcie-fault", "fault",
-                        {"extra_us", des::toMicros(extra)},
-                        {"bytes", copy.bytes});
-            OBS_COUNTER_ADD("device.pcie_faults", 1);
-        }
-    }
-    queue_.scheduleAfter(duration, [this, &engine, qi = copy.queueIndex]() {
-        copyFinished(engine);
-        commandFinished(qi);
-    });
-}
-
-void
-Device::copyFinished(CopyEngine &engine)
-{
-    accrueCopyOverlap();
-    --activeCopies_;
-    engine.busy = false;
-    if (!engine.waiting.empty()) {
-        PendingCopy next = engine.waiting.front();
-        engine.waiting.pop_front();
-        startCopy(engine, next);
-    }
-}
-
-void
 Device::accrueCopyOverlap()
 {
     const des::Time now = queue_.now();
     const double dt = des::toSeconds(now - overlapLast_);
     overlapLast_ = now;
-    if (dt <= 0.0 || activeCopies_ == 0)
+    if (dt <= 0.0 || h2dPool_.inFlight + d2hPool_.inFlight == 0)
         return;
     copyBusySeconds_ += dt;
     if (!pool_.empty())
@@ -262,7 +166,8 @@ Device::assignEngine(CopyDirection &dir, PendingCopy copy)
         return;
     }
     accrueCopyOverlap();
-    ++activeCopies_;
+    if (dir.inFlight++ == 0)
+        dir.busySince = queue_.now();
     DmaEngine &eng = dir.engines[static_cast<size_t>(idx)];
     eng.busy = true;
     eng.assignedAt = queue_.now();
@@ -278,9 +183,9 @@ Device::assignEngine(CopyDirection &dir, PendingCopy copy)
         stats_.bytesToHost += copy.bytes;
     }
     const des::Time nominal = PcieLink(config_).nominal(copy.bytes);
-    // The copyExtra fault hook is consulted exactly once per transfer
-    // (same contract as the legacy path); the penalty lands on the
-    // final chunk so the transfer still completes as one unit.
+    // The copyExtra fault hook is consulted exactly once per transfer,
+    // at assignment; the penalty lands on the final chunk so the
+    // transfer still completes as one unit.
     if (faultHooks_.copyExtra)
         eng.extra = faultHooks_.copyExtra(dir.toDevice, copy.bytes, nominal);
     if (OBS_ENABLED()) {
@@ -296,6 +201,8 @@ Device::assignEngine(CopyDirection &dir, PendingCopy copy)
     }
     // DMA setup / per-transfer link latency: engines pay it
     // concurrently, then arbitrate for the serial wire chunk by chunk.
+    // With one engine and whole transfers this is the serial model:
+    // latency + wire + extra per transfer, one transfer at a time.
     queue_.scheduleAfter(config_.pcieLatency, [this, &dir, idx]() {
         engineReady(dir, idx);
     });
@@ -321,17 +228,18 @@ Device::startNextChunk(CopyDirection &dir)
         config_.copyChunkBytes == 0
             ? eng.bytesLeft
             : std::min<uint64_t>(config_.copyChunkBytes, eng.bytesLeft);
+    const PcieLink link(config_);
     des::Time duration = 0;
     if (config_.pcieCrcEnabled) {
-        // Chunks carry the same frame/CRC/retransmit accounting as a
-        // whole legacy transfer; only the per-transfer latency is
-        // excluded (charged once in the engine setup phase).
-        const PcieLink link(config_);
-        const PcieTransfer xfer = link.transferChunk(
-            chunk, [this, &dir]() {
-                return faultHooks_.frameCorrupt &&
-                       faultHooks_.frameCorrupt(dir.toDevice);
-            });
+        // Frame-level CRC + bounded retransmit (simt/pcie.hh). The
+        // per-frame corruption oracle is the installed hook; without
+        // one no frame ever corrupts, but framing overhead still rides
+        // on the wire — CRC protection costs bandwidth even when
+        // nothing goes wrong, and the §6.3 accounting must show that.
+        const PcieTransfer xfer = link.plan(chunk, [this, &dir]() {
+            return faultHooks_.frameCorrupt &&
+                   faultHooks_.frameCorrupt(dir.toDevice);
+        });
         duration = xfer.duration;
         stats_.pcieFrames += xfer.frames;
         stats_.pcieWireBytes += xfer.wireBytes;
@@ -350,14 +258,11 @@ Device::startNextChunk(CopyDirection &dir)
                 OBS_COUNTER_ADD("pcie.crc.retrains", xfer.retrains);
         }
     } else {
-        const double seconds = static_cast<double>(chunk) /
-                               (config_.pcieBandwidthGBs * 1e9);
-        duration = des::fromSeconds(seconds);
+        duration = link.wireTime(chunk);
     }
     if (chunk >= eng.bytesLeft && eng.extra > 0)
         duration += eng.extra;
     dir.linkBusy = true;
-    dir.linkBusySeconds += des::toSeconds(duration);
     if (dir.toDevice)
         ++stats_.copyChunksH2D;
     else
@@ -375,13 +280,12 @@ Device::startNextChunk(CopyDirection &dir)
                           {"transfer_bytes", eng.totalBytes});
     }
     queue_.scheduleAfter(duration, [this, &dir, idx, chunk]() {
-        chunkDone(dir, idx, chunk, 0);
+        chunkDone(dir, idx, chunk);
     });
 }
 
 void
-Device::chunkDone(CopyDirection &dir, int engine_index, uint64_t chunk,
-                  des::Time /*wire*/)
+Device::chunkDone(CopyDirection &dir, int engine_index, uint64_t chunk)
 {
     dir.linkBusy = false;
     DmaEngine &eng = dir.engines[static_cast<size_t>(engine_index)];
@@ -392,9 +296,13 @@ Device::chunkDone(CopyDirection &dir, int engine_index, uint64_t chunk,
         dir.ready.push_back(engine_index);
     } else {
         accrueCopyOverlap();
-        --activeCopies_;
         eng.busy = false;
         eng.busySeconds += des::toSeconds(queue_.now() - eng.assignedAt);
+        // Close the direction's busy interval before the next waiting
+        // transfer is assigned, so back-to-back transfers on one engine
+        // each add exactly their own latency + wire + extra.
+        if (--dir.inFlight == 0)
+            dir.busySeconds += des::toSeconds(queue_.now() - dir.busySince);
         const int qi = eng.queueIndex;
         if (OBS_ENABLED()) {
             const uint32_t tr =
@@ -559,34 +467,29 @@ Device::stats() const
             total_rate += k.rate;
         s.kernelBusySeconds += total_rate * dt;
     }
-    s.h2dBusySeconds = h2d_.busySeconds;
-    s.d2hBusySeconds = d2h_.busySeconds;
-    if (pooledCopies()) {
-        // Pooled path: direction busy time is serial link occupancy
-        // (the legacy single-engine analog); per-engine busy time spans
-        // assignment → completion, with open intervals folded in.
-        s.h2dBusySeconds = h2dPool_.linkBusySeconds;
-        s.d2hBusySeconds = d2hPool_.linkBusySeconds;
-        const des::Time now = queue_.now();
-        auto fold = [now](const CopyDirection &dir) {
-            std::vector<double> busy;
-            busy.reserve(dir.engines.size());
-            for (const auto &eng : dir.engines) {
-                double secs = eng.busySeconds;
-                if (eng.busy)
-                    secs += des::toSeconds(now - eng.assignedAt);
-                busy.push_back(secs);
-            }
-            return busy;
-        };
-        s.engineBusySecondsH2D = fold(h2dPool_);
-        s.engineBusySecondsD2H = fold(d2hPool_);
-    }
+    // Direction and per-engine busy time span assignment → completion,
+    // with the intervals still open at `now` folded in.
+    const des::Time now = queue_.now();
+    auto fold = [now](const CopyDirection &dir, double &busy,
+                      std::vector<double> &engines) {
+        busy = dir.busySeconds;
+        if (dir.inFlight > 0)
+            busy += des::toSeconds(now - dir.busySince);
+        engines.reserve(dir.engines.size());
+        for (const auto &eng : dir.engines) {
+            double secs = eng.busySeconds;
+            if (eng.busy)
+                secs += des::toSeconds(now - eng.assignedAt);
+            engines.push_back(secs);
+        }
+    };
+    fold(h2dPool_, s.h2dBusySeconds, s.engineBusySecondsH2D);
+    fold(d2hPool_, s.d2hBusySeconds, s.engineBusySecondsD2H);
     s.copyBusySeconds = copyBusySeconds_;
     s.overlapSeconds = overlapSeconds_;
     // Fold the open copy-busy interval without mutating the integrals.
-    const double odt = des::toSeconds(queue_.now() - overlapLast_);
-    if (odt > 0.0 && activeCopies_ > 0) {
+    const double odt = des::toSeconds(now - overlapLast_);
+    if (odt > 0.0 && h2dPool_.inFlight + d2hPool_.inFlight > 0) {
         s.copyBusySeconds += odt;
         if (!pool_.empty())
             s.overlapSeconds += odt;

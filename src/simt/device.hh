@@ -15,8 +15,9 @@
  *    with each kernel's share capped by its occupancy (a launch with few
  *    warps cannot fill the machine — hence Rhythm keeps several cohorts
  *    in flight, Section 4.2).
- *  - Host↔device copies use one DMA engine per direction over a PCIe
- *    link model (bandwidth + latency), the Titan A bottleneck (Fig. 9).
+ *  - Host↔device copies run on a pool of DMA engines per direction
+ *    (one by default) sharing a PCIe link model (bandwidth + latency),
+ *    the Titan A bottleneck (Fig. 9; DESIGN.md Section 6h).
  */
 
 #ifndef RHYTHM_SIMT_DEVICE_HH
@@ -122,6 +123,9 @@ class Device
         uint64_t kernelMemoryBytes = 0;
         /** Integral of kernel-engine service rate over time (seconds). */
         double kernelBusySeconds = 0.0;
+        /** Wall time with at least one transfer of that direction in
+         *  flight, from engine assignment (DMA setup included) to
+         *  completion. */
         double h2dBusySeconds = 0.0;
         double d2hBusySeconds = 0.0;
         /** CRC link model accounting (all 0 with pcieCrcEnabled off). */
@@ -130,18 +134,18 @@ class Device
         uint64_t pcieCrcErrors = 0;
         uint64_t pcieRetransmittedBytes = 0;
         uint64_t pcieRetrains = 0;
-        // ---- Overlapped copy model (DESIGN.md 6h) ------------------
+        // ---- Copy engines (DESIGN.md 6h) ---------------------------
         /** Wall time with at least one transfer in flight (either
          *  direction; includes the latency phase). */
         double copyBusySeconds = 0.0;
         /** Wall time with a transfer in flight AND a kernel running —
          *  transfer latency hidden under compute. */
         double overlapSeconds = 0.0;
-        /** Chunks transmitted per direction (0 on the legacy path). */
+        /** Chunks transmitted per direction (one per whole transfer
+         *  when copyChunkBytes is 0). */
         uint64_t copyChunksH2D = 0;
         uint64_t copyChunksD2H = 0;
-        /** Per-engine busy time, assignment → completion (empty on the
-         *  legacy path). */
+        /** Per-engine busy time, assignment → completion. */
         std::vector<double> engineBusySecondsH2D;
         std::vector<double> engineBusySecondsD2H;
     };
@@ -181,21 +185,13 @@ class Device
     struct PendingCopy
     {
         uint64_t bytes = 0;
-        bool toDevice = false;
         int queueIndex = 0;
     };
 
-    struct CopyEngine
-    {
-        bool busy = false;
-        double busySeconds = 0.0;
-        std::deque<PendingCopy> waiting;
-    };
-
     /**
-     * One DMA engine of the pooled (overlapped) copy model. An engine
-     * holds at most one transfer at a time; chunks of concurrent
-     * transfers share the link round robin (DESIGN.md 6h).
+     * One DMA engine. An engine holds at most one transfer at a time;
+     * chunks of concurrent transfers share the link round robin
+     * (DESIGN.md 6h).
      */
     struct DmaEngine
     {
@@ -209,7 +205,7 @@ class Device
         int queueIndex = 0;            //!< HW queue to release on finish.
     };
 
-    /** The pooled copy model's per-direction state. */
+    /** Per-direction copy state: engine pool, queues and link. */
     struct CopyDirection
     {
         bool toDevice = false;
@@ -219,27 +215,22 @@ class Device
         /** Engines with bytes ready for the link, in service order. */
         std::deque<int> ready;
         bool linkBusy = false;
-        double linkBusySeconds = 0.0;
+        /** Transfers assigned to an engine and not yet complete. */
+        int inFlight = 0;
+        /** Start of the open busy interval (inFlight > 0). */
+        des::Time busySince = 0;
+        /** Closed busy intervals (Stats::h2dBusySeconds). */
+        double busySeconds = 0.0;
     };
 
     void enqueue(int stream, Command cmd);
     void startCommand(int queue_index);
     void commandFinished(int queue_index);
 
-    void startCopy(CopyEngine &engine, PendingCopy copy);
-    void copyFinished(CopyEngine &engine);
-
-    // ---- Pooled (overlapped) copy path ---------------------------------
-    /** True when the multi-engine/chunked model is configured. */
-    bool pooledCopies() const
-    {
-        return config_.copyEngines > 1 || config_.copyChunkBytes > 0;
-    }
     void assignEngine(CopyDirection &dir, PendingCopy copy);
     void engineReady(CopyDirection &dir, int engine_index);
     void startNextChunk(CopyDirection &dir);
-    void chunkDone(CopyDirection &dir, int engine_index, uint64_t chunk,
-                   des::Time wire);
+    void chunkDone(CopyDirection &dir, int engine_index, uint64_t chunk);
     /** Accrues copy-busy / copy-kernel-overlap wall time up to now. */
     void accrueCopyOverlap();
 
@@ -257,14 +248,8 @@ class Device
     int nextStream_ = 0;
     std::vector<std::deque<Command>> hwQueues_;
 
-    CopyEngine h2d_;
-    CopyEngine d2h_;
-
     CopyDirection h2dPool_;
     CopyDirection d2hPool_;
-    /** Transfers currently in flight across both directions (pooled and
-     *  legacy paths; drives the overlap accounting). */
-    int activeCopies_ = 0;
     des::Time overlapLast_ = 0;
     double overlapSeconds_ = 0.0;
     double copyBusySeconds_ = 0.0;

@@ -61,9 +61,9 @@ struct DeviceConfig
     des::Time pcieLatency = 8 * des::kMicrosecond;
     /**
      * Frame-level CRC + bounded retransmit on the PCIe link model
-     * (simt/pcie.hh). Off by default: the legacy model treats an
-     * injected corruption as one whole-transfer link-layer replay,
-     * and the default path must stay byte-identical to it.
+     * (simt/pcie.hh). Off by default: an injected corruption is then
+     * one whole-transfer link-layer replay (DeviceFaultHooks::
+     * copyExtra).
      */
     bool pcieCrcEnabled = false;
     /** Link frame payload bytes — the CRC/retransmit granularity. */
@@ -75,14 +75,13 @@ struct DeviceConfig
     /** Retrain penalty once a frame exhausts its retransmit budget. */
     des::Time pcieRetrainTime = 50 * des::kMicrosecond;
     /**
-     * Modeled DMA copy engines per direction. 1 (the default) keeps the
-     * legacy single-engine serial copy model bit for bit. With more
-     * engines (or a non-zero chunk size) the device switches to the
-     * overlapped copy model (DESIGN.md Section 6h): each transfer's
-     * per-transfer latency phase runs on its own engine concurrently
-     * with other transfers, while the shared link wire transmits one
-     * chunk at a time at full bandwidth, round-robin over the engines
-     * with data ready.
+     * Modeled DMA copy engines per direction (DESIGN.md Section 6h).
+     * Each transfer's per-transfer latency phase runs on its own
+     * engine concurrently with other transfers, while the shared link
+     * wire transmits one chunk at a time at full bandwidth, round-robin
+     * over the engines with data ready. 1 (the default) with whole
+     * transfers is the serial model: one transfer per direction at a
+     * time, latency + bytes/bandwidth each.
      */
     int copyEngines = 1;
     /**

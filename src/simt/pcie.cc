@@ -5,8 +5,8 @@
 namespace rhythm::simt {
 
 PcieTransfer
-PcieLink::plan(uint64_t bytes, const std::function<bool()> &frame_corrupt,
-               bool include_latency) const
+PcieLink::plan(uint64_t bytes,
+               const std::function<bool()> &frame_corrupt) const
 {
     RHYTHM_ASSERT(frame_corrupt, "frame corruption oracle required");
     const uint64_t frame_payload = config_->pcieFrameBytes;
@@ -37,27 +37,9 @@ PcieLink::plan(uint64_t bytes, const std::function<bool()> &frame_corrupt,
         }
     }
 
-    const double wire_seconds = static_cast<double>(t.wireBytes) /
-                                (config_->pcieBandwidthGBs * 1e9);
-    t.duration = des::fromSeconds(wire_seconds) +
+    t.duration = wireTime(t.wireBytes) +
                  t.retrains * config_->pcieRetrainTime;
-    if (include_latency)
-        t.duration += config_->pcieLatency;
     return t;
-}
-
-PcieTransfer
-PcieLink::transfer(uint64_t bytes,
-                   const std::function<bool()> &frame_corrupt) const
-{
-    return plan(bytes, frame_corrupt, /*include_latency=*/true);
-}
-
-PcieTransfer
-PcieLink::transferChunk(uint64_t bytes,
-                        const std::function<bool()> &frame_corrupt) const
-{
-    return plan(bytes, frame_corrupt, /*include_latency=*/false);
 }
 
 } // namespace rhythm::simt

@@ -1,27 +1,32 @@
 /**
  * @file
- * Copy-engine scheduling corners of the overlapped transfer model
- * (DESIGN.md Section 6h).
+ * Copy-engine scheduling corners of the copy model (DESIGN.md
+ * Section 6h).
  *
- * Device level: chunk boundaries landing exactly on transfer edges,
- * engine starvation with fewer engines than transfers, per-transfer
- * setup latency hiding across engines, round-robin link arbitration,
- * CRC retransmits inside a chunked transfer, and the busy/overlap
- * accounting behind fig9's overlap_fraction. Server level: the
- * pipelined (double-buffered) server must produce the same completed
- * requests and response bytes as the serial pipeline under any thread
- * count, with watchdog hedges firing while downloads are in flight,
- * and under CRC-detected link corruption.
+ * Device level: the default configuration (one engine, whole
+ * transfers) against the serial closed form, chunk boundaries landing
+ * exactly on transfer edges, engine starvation with fewer engines than
+ * transfers, per-transfer setup latency hiding across engines,
+ * round-robin link arbitration, CRC retransmits inside a chunked
+ * transfer, and the busy/overlap accounting behind fig9's
+ * overlap_fraction. Server level: the pipelined (double-buffered)
+ * server must produce the same completed requests and response bytes
+ * as the serial pipeline under any thread count, with watchdog hedges
+ * firing while downloads are in flight, and under CRC-detected link
+ * corruption.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <vector>
 
 #include "des/event_queue.hh"
 #include "fault/plan.hh"
 #include "platform/titan.hh"
 #include "simt/device.hh"
+#include "util/rng.hh"
 #include "util/thread_pool.hh"
 
 namespace rhythm::simt {
@@ -53,7 +58,7 @@ kernelOf(double seconds)
 TEST(OverlapDevice, PooledWholeTransferMatchesLegacyTiming)
 {
     // Multiple engines but no chunking: a lone transfer costs exactly
-    // the legacy latency + bytes/bandwidth and ships as one chunk.
+    // the serial latency + bytes/bandwidth and ships as one chunk.
     des::EventQueue eq;
     Device dev(eq, pooledConfig(4, 0));
     int s = dev.createStream();
@@ -180,6 +185,7 @@ TEST(OverlapDevice, RoundRobinInterleavesConcurrentTransfers)
     ASSERT_EQ(s.engineBusySecondsH2D.size(), 2u);
     EXPECT_NEAR(s.engineBusySecondsH2D[0], 3 * c, 1e-9);
     EXPECT_NEAR(s.engineBusySecondsH2D[1], 4 * c, 1e-9);
+    // The direction had a transfer in flight for all four chunk times.
     EXPECT_NEAR(s.h2dBusySeconds, 4 * c, 1e-9);
     EXPECT_NEAR(s.copyBusySeconds, 4 * c, 1e-9);
     // No kernels ran, so nothing was hidden under compute.
@@ -256,20 +262,164 @@ TEST(OverlapDevice, CrcRetransmitMidOverlappedTransfer)
     EXPECT_NEAR(des::toSeconds(eq.now()), 2e-3, 1e-6);
 }
 
-TEST(OverlapDevice, LegacyDefaultsBypassPooledPath)
+TEST(OverlapDevice, BusyTimeCountsDmaSetup)
 {
-    // copyEngines == 1 and copyChunkBytes == 0 is the paper-exact
-    // serial model: no chunk accounting, no per-engine vectors.
+    // A direction is busy while any of its transfers is in flight,
+    // from engine assignment on: two engines set up concurrently for
+    // one latency, then the two transfers share the wire back to back.
     des::EventQueue eq;
-    Device dev(eq, pooledConfig(1, 0));
-    dev.copyToDevice(dev.createStream(), 1000000, nullptr);
+    DeviceConfig cfg = pooledConfig(2, 0);
+    cfg.pcieLatency = 10 * des::kMicrosecond;
+    Device dev(eq, cfg);
+    dev.copyToDevice(dev.createStream(), kMiB, nullptr);
+    dev.copyToDevice(dev.createStream(), kMiB, nullptr);
     eq.run();
-    const Device::Stats s = dev.stats();
-    EXPECT_EQ(s.copyChunksH2D, 0u);
-    EXPECT_TRUE(s.engineBusySecondsH2D.empty());
-    EXPECT_TRUE(s.engineBusySecondsD2H.empty());
-    EXPECT_NEAR(s.h2dBusySeconds, 1e-3, 1e-9);
+    EXPECT_NEAR(dev.stats().h2dBusySeconds, 1e-5 + 2 * kMiB * 1e-9, 1e-12);
+    EXPECT_EQ(dev.stats().d2hBusySeconds, 0.0);
 }
+
+/** One copy of the serial-model property test, as issued and seen. */
+struct SerialCopy
+{
+    int stream = 0;
+    bool toDevice = false;
+    uint64_t bytes = 0;
+    des::Time enqueued = 0;
+    des::Time extra = 0;   //!< What the copyExtra hook returns.
+    int hookCalls = 0;
+    des::Time started = 0; //!< When the hook was consulted.
+    des::Time done = -1;
+};
+
+class SerialCopiesMatchClosedForm : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(SerialCopiesMatchClosedForm, CompletionAndBusyTime)
+{
+    // The default copy configuration (one engine per direction, whole
+    // transfers) is the serial model: a transfer starts once its
+    // command heads its hardware queue and the previous transfer of
+    // its direction is done, and completes latency + wire + extra
+    // later. Random sizes, directions, streams, enqueue times and
+    // fault extras; with 1 hardware queue every command serializes,
+    // with 32 each stream has its own.
+    for (const int queues : {1, 32}) {
+        SCOPED_TRACE(queues);
+        Rng rng(GetParam() * 64 + static_cast<uint64_t>(queues));
+        DeviceConfig cfg;
+        cfg.hardwareQueues = queues;
+        cfg.pcieLatency = 8 * des::kMicrosecond;
+        ASSERT_EQ(cfg.copyEngines, 1);
+        ASSERT_EQ(cfg.copyChunkBytes, 0u);
+        des::EventQueue eq;
+        Device dev(eq, cfg);
+        const int streams = static_cast<int>(rng.nextRange(2, 8));
+        for (int s = 0; s < streams; ++s)
+            dev.createStream();
+
+        // Distinct sizes let the copyExtra hook tell the copies apart.
+        std::vector<SerialCopy> copies(rng.nextRange(10, 60));
+        std::set<uint64_t> sizes;
+        for (size_t i = 0; i < copies.size(); ++i) {
+            SerialCopy &c = copies[i];
+            c.stream = static_cast<int>(rng.nextBounded(streams));
+            c.toDevice = rng.nextBool(0.5);
+            do {
+                c.bytes = static_cast<uint64_t>(rng.nextRange(1, 2 * kMiB));
+            } while (!sizes.insert(c.bytes).second);
+            c.enqueued = rng.nextRange(0, 4) * 500 * des::kMicrosecond;
+            if (rng.nextBool(0.3))
+                c.extra = rng.nextRange(1, 50) * des::kMicrosecond;
+        }
+        auto wire = [&cfg](uint64_t bytes) {
+            return des::fromSeconds(static_cast<double>(bytes) /
+                                    (cfg.pcieBandwidthGBs * 1e9));
+        };
+        DeviceFaultHooks hooks;
+        hooks.copyExtra = [&](bool to_device, uint64_t bytes,
+                              des::Time nominal) {
+            auto it = std::find_if(copies.begin(), copies.end(),
+                                   [bytes](const SerialCopy &c) {
+                                       return c.bytes == bytes;
+                                   });
+            EXPECT_NE(it, copies.end());
+            if (it == copies.end())
+                return des::Time{0};
+            EXPECT_EQ(it->toDevice, to_device);
+            EXPECT_EQ(nominal, cfg.pcieLatency + wire(bytes));
+            ++it->hookCalls;
+            it->started = eq.now();
+            return it->extra;
+        };
+        dev.setFaultHooks(hooks);
+        // Enqueue in index order: copies enqueued at the same instant
+        // reach the device in index order.
+        for (size_t i = 0; i < copies.size(); ++i) {
+            eq.scheduleAt(copies[i].enqueued, [&, i]() {
+                SerialCopy &c = copies[i];
+                auto done = [&eq, &c]() { c.done = eq.now(); };
+                if (c.toDevice)
+                    dev.copyToDevice(c.stream, c.bytes, done);
+                else
+                    dev.copyToHost(c.stream, c.bytes, done);
+            });
+        }
+        eq.run();
+        ASSERT_TRUE(dev.idle());
+
+        // Command start: the later of its enqueue and the completion of
+        // the command ahead of it in its hardware queue.
+        std::vector<size_t> by_enqueue(copies.size());
+        for (size_t i = 0; i < copies.size(); ++i)
+            by_enqueue[i] = i;
+        std::stable_sort(by_enqueue.begin(), by_enqueue.end(),
+                         [&](size_t a, size_t b) {
+                             return copies[a].enqueued < copies[b].enqueued;
+                         });
+        std::vector<des::Time> command_start(copies.size());
+        std::vector<des::Time> queue_free(static_cast<size_t>(queues), 0);
+        for (size_t i : by_enqueue) {
+            des::Time &free = queue_free[static_cast<size_t>(
+                copies[i].stream % queues)];
+            command_start[i] = std::max(copies[i].enqueued, free);
+            free = copies[i].done;
+        }
+
+        for (const bool to_device : {true, false}) {
+            std::vector<size_t> served;
+            for (size_t i = 0; i < copies.size(); ++i)
+                if (copies[i].toDevice == to_device)
+                    served.push_back(i);
+            std::sort(served.begin(), served.end(), [&](size_t a, size_t b) {
+                return copies[a].started < copies[b].started;
+            });
+            des::Time previous_done = 0;
+            double busy = 0.0;
+            for (size_t k = 0; k < served.size(); ++k) {
+                const SerialCopy &c = copies[served[k]];
+                EXPECT_EQ(c.hookCalls, 1);
+                // Waiting transfers are served in command-start order.
+                if (k > 0) {
+                    EXPECT_LE(command_start[served[k - 1]],
+                              command_start[served[k]]);
+                }
+                EXPECT_EQ(c.started,
+                          std::max(command_start[served[k]], previous_done));
+                const des::Time duration =
+                    cfg.pcieLatency + wire(c.bytes) + c.extra;
+                EXPECT_EQ(c.done, c.started + duration);
+                previous_done = c.done;
+                busy += des::toSeconds(duration);
+            }
+            const Device::Stats s = dev.stats();
+            EXPECT_EQ(to_device ? s.h2dBusySeconds : s.d2hBusySeconds, busy);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, SerialCopiesMatchClosedForm,
+                         ::testing::Range<uint64_t>(1, 17));
 
 } // namespace
 } // namespace rhythm::simt

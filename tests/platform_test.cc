@@ -151,6 +151,46 @@ TEST(Titan, IsolatedRunCompletesAndIsPcieBound)
     EXPECT_GT(r.dynamicWatts, 0.0);
 }
 
+TEST(Titan, PowerChargesHostBackendClampedAtOne)
+{
+    // The host backend (Titan A) draws power in proportion to its
+    // utilization, clamped at 1 like the device and PCIe terms.
+    const TitanPowerModel pm;
+    RunUtilization u;
+    u.device = 0.5;
+    u.memory = 0.25;
+    u.copy = 0.75;
+    const double without = pm.dynamicWatts(u);
+    u.hostBackend = 0.5;
+    EXPECT_NEAR(pm.dynamicWatts(u) - without, 0.5 * pm.hostBackendWatts,
+                1e-9);
+    u.hostBackend = 1.0;
+    const double saturated = pm.dynamicWatts(u);
+    EXPECT_NEAR(saturated - without, pm.hostBackendWatts, 1e-9);
+    u.hostBackend = 3.0;
+    EXPECT_EQ(pm.dynamicWatts(u), saturated);
+
+    // An isolated Titan A run reports the host backend it used and is
+    // charged for it.
+    TitanVariant a = titanA();
+    a.server.cohortSize = 512;
+    a.server.laneSample = 64;
+    IsolatedRunOptions opts;
+    opts.cohorts = 4;
+    opts.users = 500;
+    const TypeRunResult r =
+        runIsolatedType(a, specweb::RequestType::BillPay, opts);
+    EXPECT_GT(r.hostBackendUtilization, 0.0);
+    RunUtilization ru;
+    ru.device = r.deviceUtilization;
+    ru.memory = r.memoryUtilization;
+    ru.copy = r.copyUtilization;
+    ru.hostBackend = r.hostBackendUtilization;
+    EXPECT_EQ(r.dynamicWatts, a.power.dynamicWatts(ru));
+    ru.hostBackend = 0.0;
+    EXPECT_GT(r.dynamicWatts, a.power.dynamicWatts(ru));
+}
+
 TEST(Titan, TitanBOutperformsTitanA)
 {
     IsolatedRunOptions opts;

@@ -157,29 +157,14 @@ report(const core::RhythmServer &server, const simt::Device &device,
         elapsed > 0 ? static_cast<double>(stats.responsesCompleted) /
                           elapsed
                     : 0.0;
-    const double util = device.kernelUtilization();
-    const double copy_util =
-        elapsed > 0
-            ? std::max(dstats.h2dBusySeconds, dstats.d2hBusySeconds) /
-                  elapsed
-            : 0.0;
-    const double mem_util =
-        elapsed > 0 ? static_cast<double>(dstats.kernelMemoryBytes) /
-                          (device.config().memBandwidthGBs *
-                           device.config().memoryEfficiency * 1e9 *
-                           elapsed)
-                    : 0.0;
-    const double activity =
-        pm.computeWeight * util +
-        (1.0 - pm.computeWeight) * std::min(1.0, mem_util);
-    const double dynamic_watts =
-        pm.devicePeakWatts *
-            (pm.deviceActiveFloor + (1 - pm.deviceActiveFloor) * activity) +
-        pm.pcieWatts * std::min(1.0, copy_util);
+    const platform::RunUtilization util =
+        platform::measureUtilization(server, device, elapsed);
+    const double dynamic_watts = pm.dynamicWatts(util);
+    const core::RhythmConfig &scfg = server.config();
     const double simd_eff =
         stats.processIssueSlots > 0
             ? stats.processLaneInstructions /
-                  (stats.processIssueSlots * 32.0)
+                  (stats.processIssueSlots * scfg.warpModel.warpWidth)
             : 0.0;
 
     TableWriter t({"metric", "value"});
@@ -200,10 +185,10 @@ report(const core::RhythmServer &server, const simt::Device &device,
                   " ms pipeline"});
     t.addRow({"cohorts launched", withCommas(stats.cohortsLaunched)});
     t.addRow({"cohort timeouts", withCommas(stats.cohortTimeouts)});
-    t.addRow({"device utilization", formatDouble(util, 3)});
+    t.addRow({"device utilization", formatDouble(util.device, 3)});
     t.addRow({"DRAM bandwidth utilization",
-              formatDouble(std::min(1.0, mem_util), 3)});
-    t.addRow({"PCIe engine utilization", formatDouble(copy_util, 3)});
+              formatDouble(std::min(1.0, util.memory), 3)});
+    t.addRow({"PCIe engine utilization", formatDouble(util.copy, 3)});
     t.addRow({"process SIMD efficiency", formatDouble(simd_eff, 3)});
     t.addRow({"PCIe bytes",
               humanBytes(static_cast<double>(dstats.bytesToDevice +
@@ -227,7 +212,6 @@ report(const core::RhythmServer &server, const simt::Device &device,
     // Deadline/adaptive section, printed (and emitted as metrics) only
     // when per-type deadline tracking is configured — default runs stay
     // byte-identical to the seed output.
-    const core::RhythmConfig &scfg = server.config();
     bool deadlines_tracked = scfg.adaptiveBatching;
     for (const des::Time d : scfg.typeDeadlines)
         deadlines_tracked = deadlines_tracked || d != 0;
@@ -270,12 +254,6 @@ report(const core::RhythmServer &server, const simt::Device &device,
     // --fusion=on — default runs stay byte-identical to the seed
     // output.
     if (scfg.fusionEnabled) {
-        const double simd_eff =
-            stats.processIssueSlots > 0
-                ? stats.processLaneInstructions /
-                      (stats.processIssueSlots *
-                       scfg.warpModel.warpWidth)
-                : 0.0;
         TableWriter ft({"cohort fusion", "value"});
         ft.addRow({"fused launches", withCommas(stats.fusedLaunches)});
         ft.addRow({"cohorts fused", withCommas(stats.fusedCohorts)});
@@ -321,8 +299,8 @@ report(const core::RhythmServer &server, const simt::Device &device,
         rep->metric("latency.mean_ms", stats.latencyMs.mean());
         rep->metric("latency.p50_ms", stats.latencyMs.median());
         rep->metric("latency.p99_ms", stats.latencyMs.percentile(99));
-        rep->metric("device_utilization", util);
-        rep->metric("pcie_utilization", copy_util);
+        rep->metric("device_utilization", util.device);
+        rep->metric("pcie_utilization", util.copy);
         rep->metric("simd_efficiency", simd_eff);
         rep->metric("pcie_bytes",
                     static_cast<double>(dstats.bytesToDevice +

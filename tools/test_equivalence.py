@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Equivalence table: pairs of rhythm_sim runs whose outputs must match.
+
+Run via ctest, which registers this file as the `rhythm_sim_equivalence`
+test, or directly:
+
+    python3 test_equivalence.py build/tools/rhythm_sim
+
+Each row names two rhythm_sim flag sets and what must be identical
+between their runs:
+
+  - "digest": the order-insensitive digest of every delivered response
+    (--digest-out), so the two runs served the same bytes whatever
+    their timing;
+  - "json": the whole --json document, so every simulated metric and
+    the DES fingerprint (event count, dispatch-order hash) agree.
+
+A flag set shared by several rows runs once. Every run must exit 0.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+
+# Titan A in the fig9 shape, one request type per run.
+FIG9 = ["--platform=titanA", "--cohorts=10", "--users=2000",
+        "--lane-sample=128"]
+LOGOUT = FIG9 + ["--type=logout"]
+PAYEE = FIG9 + ["--type=post payee"]
+
+
+def rows():
+    """(what must match, flags of run A, flags of run B) for each row."""
+    table = []
+    for base in (LOGOUT, PAYEE):
+        # DESIGN.md 6h: the overlapped pipeline never changes a response
+        # byte, and each mode is thread-count invariant.
+        for overlap in ("off", "on"):
+            mode = base + ["--overlap=" + overlap]
+            for what in ("json", "digest"):
+                table.append((what, mode + ["--sim-threads=1"],
+                              mode + ["--sim-threads=8"]))
+        table.append(("digest", base + ["--overlap=off", "--sim-threads=1"],
+                      base + ["--overlap=on", "--sim-threads=1"]))
+    # The copy configuration changes when bytes cross the link, never
+    # which bytes are served.
+    for copies in (["--copy-engines=2"], ["--copy-chunk-kb=64"],
+                   ["--copy-engines=4", "--copy-chunk-kb=256"]):
+        table.append(("digest", PAYEE, PAYEE + copies))
+    return table
+
+
+def run(sim, flags, outdir, cache):
+    """Runs rhythm_sim once per distinct flag set; returns its outputs."""
+    key = tuple(flags)
+    if key not in cache:
+        stem = os.path.join(outdir, "run%d" % len(cache))
+        proc = subprocess.run(
+            [sim, *flags, "--json=" + stem + ".json",
+             "--digest-out=" + stem + ".digest"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            check=False)
+        if proc.returncode != 0:
+            raise RuntimeError("rhythm_sim %s exited %d: %s" %
+                               (" ".join(flags), proc.returncode,
+                                proc.stderr.strip()))
+        outputs = {}
+        for what in ("json", "digest"):
+            with open(stem + "." + what, "rb") as f:
+                outputs[what] = f.read()
+        cache[key] = outputs
+    return cache[key]
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sim = argv[1]
+    failures = 0
+    cache = {}
+    table = rows()
+    with tempfile.TemporaryDirectory() as outdir:
+        for what, flags_a, flags_b in table:
+            same = (run(sim, flags_a, outdir, cache)[what] ==
+                    run(sim, flags_b, outdir, cache)[what])
+            failures += not same
+            common = [f for f in flags_a if f in flags_b]
+            only_a = [f for f in flags_a if f not in flags_b] or ["(none)"]
+            only_b = [f for f in flags_b if f not in flags_a] or ["(none)"]
+            print("%s  %-6s  %s:  %s  vs  %s" %
+                  ("ok  " if same else "FAIL", what, " ".join(common),
+                   " ".join(only_a), " ".join(only_b)))
+    print("%d of %d rows match (%d runs)" %
+          (len(table) - failures, len(table), len(cache)))
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
