@@ -46,7 +46,8 @@ constexpr uint32_t kLaneSample = 128;
 constexpr size_t kCacheEntries = 4096;
 
 constexpr FlagSpec kSpeedupSpecs[] = {
-    {"cohorts", FlagKind::Count, "24", "cohorts per timed run", kAtLeastOne},
+    {"cohorts", FlagKind::Count, "24", "cohorts per timed run",
+     {1, kMaxU32}},
 };
 constexpr FlagTable kSpeedupFlags = {"speedup run", kSpeedupSpecs};
 

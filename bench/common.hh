@@ -141,7 +141,8 @@ inline constexpr FlagSpec kCommonSpecs[] = {
      {}, "PATH"},
     {"sim-threads", FlagKind::Count, "1",
      "host worker threads of the execution engine; outputs are "
-     "byte-identical for any N, so the value is not recorded"},
+     "byte-identical for any N, so the value is not recorded",
+     {0, 256}},
 };
 inline constexpr FlagTable kCommonFlags = {"common", kCommonSpecs};
 
@@ -391,13 +392,15 @@ struct FaultFlags
          "write-ahead journal and checkpointed backend (banking only)"},
         {"checkpoint-interval", FlagKind::Count, "4096",
          "journaled records between checkpoints"},
-        {"retry-budget", FlagKind::Count, "0", "backend retries per cohort"},
+        {"retry-budget", FlagKind::Count, "0", "backend retries per cohort",
+         {0, kMaxU32}},
         {"backoff-us", FlagKind::Number, "50", "retry backoff base",
          kNonNegative},
         {"deadline-ms", FlagKind::Number, "0",
          "per-request deadline; 0 = none", kNonNegative},
         {"shed-backlog", FlagKind::Count, "0",
-         "shed arrivals at or above this formation backlog; 0 = off"},
+         "shed arrivals at or above this formation backlog; 0 = off",
+         {0, kMaxU32}},
         {"shed-p99-ms", FlagKind::Number, "0",
          "shed arrivals while the observed p99 exceeds this; 0 = off",
          kNonNegative},
@@ -555,10 +558,12 @@ struct OverlapFlags
          "256 KiB chunks (responses are byte-identical on or off)"},
         {"copy-engines", FlagKind::Count, "",
          "modeled DMA engines per PCIe direction (1, or 4 with --overlap)",
-         kAtLeastOne},
+         {1, kMaxI32}},
+        // The chunk is held in bytes, in 32 bits.
         {"copy-chunk-kb", FlagKind::Count, "0",
          "DMA chunk size in KiB; 0 = whole transfers, or 256 with "
-         "--overlap"},
+         "--overlap",
+         {0, 4194303}},
     };
     static constexpr FlagTable kTable = {
         "transfer/compute overlap (off by default)", kOverlapSpecs};
@@ -843,11 +848,11 @@ struct FusionFlags
          "indifference point)",
          kPositive},
         {"fusion-max-cohorts", FlagKind::Count, "4",
-         "cohorts fusable into one launch", kAtLeastOne},
+         "cohorts fusable into one launch", {1, kMaxU32}},
         {"fingerprint-alpha", FlagKind::Number, "0.25",
          "similarity EWMA smoothing factor", {0, 1, true}},
         {"fingerprint-lanes", FlagKind::Count, "32",
-         "lanes sampled per fingerprint update", {2}},
+         "lanes sampled per fingerprint update", {2, kMaxU32}},
     };
     static constexpr FlagTable kTable = {
         "cross-type cohort fusion (off by default)", kFusionSpecs};
@@ -905,7 +910,7 @@ struct ShardingFlags
          "serve from an N-device fleet: per-device event streams, PCIe "
          "links, copy engines and backends behind a front-end balancer "
          "(banking, open-loop arrivals only)",
-         kAtLeastOne},
+         {1, kMaxU32}},
         {"balance", FlagKind::Choice, "hash",
          "front-end routing: stable session hash or least outstanding "
          "requests",

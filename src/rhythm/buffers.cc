@@ -247,26 +247,10 @@ CohortBuffer::finalizeStores(std::vector<simt::ThreadTrace> &traces)
     const uint32_t width = static_cast<uint32_t>(config_.warpWidth);
     const uint32_t n = static_cast<uint32_t>(lanes_.size());
     const size_t warps = (n + width - 1) / width;
-
-    auto emit = [&](uint32_t lane, uint32_t block_id, uint32_t insts,
-                    size_t offset, uint32_t bytes) {
-        simt::ThreadTrace &t = traces[lane];
-        t.blocks.push_back(simt::BlockExec{
-            block_id, insts, static_cast<uint32_t>(t.memOps.size()), 0});
-        if (bytes > 0) {
-            simt::MemOp op;
-            op.addr = elementAddr(lane, offset);
-            op.count = (bytes + 3) / 4;
-            op.stride = config_.layout == BufferLayout::Transposed
-                            ? config_.cohortSize * 4
-                            : 4;
-            op.width = 4;
-            op.space = simt::MemSpace::Global;
-            op.isStore = true;
-            t.memOps.push_back(op);
-            ++t.blocks.back().memCount;
-        }
-    };
+    const bool pad = config_.padToWarpMax;
+    const uint32_t stride = config_.layout == BufferLayout::Transposed
+                                ? config_.cohortSize * 4
+                                : 4;
 
     // Warps are independent (each touches only its own lanes' traces
     // and Lane records), so the replay fans out over the sim pool; the
@@ -277,50 +261,55 @@ CohortBuffer::finalizeStores(std::vector<simt::ThreadTrace> &traces)
     std::vector<uint8_t> warp_overflow(warps, 0);
     util::simPool().parallelRanges(
         warps, 1, [&](size_t wbegin, size_t wend) {
+            // Warp-max length of each append index (the butterfly
+            // reduction on device), one warp at a time.
+            std::vector<uint32_t> max_len;
             for (size_t w = wbegin; w < wend; ++w) {
                 const uint32_t base = static_cast<uint32_t>(w) * width;
                 const uint32_t warp_lanes = std::min(width, n - base);
-                size_t max_appends = 0;
-                for (uint32_t l = 0; l < warp_lanes; ++l) {
-                    if (lanes_[base + l].used)
-                        max_appends =
-                            std::max(max_appends,
-                                     lanes_[base + l].appends.size());
-                }
-                std::vector<size_t> offsets(warp_lanes, 0);
-                for (size_t j = 0; j < max_appends; ++j) {
-                    // Warp-max padded length (butterfly reduction on
-                    // device).
-                    uint32_t max_len = 0;
+                max_len.clear();
+                if (pad) {
                     for (uint32_t l = 0; l < warp_lanes; ++l) {
                         const Lane &lane = lanes_[base + l];
-                        if (lane.used && j < lane.appends.size())
-                            max_len = std::max(max_len,
-                                               lane.appends[j].length);
-                    }
-                    for (uint32_t l = 0; l < warp_lanes; ++l) {
-                        Lane &lane = lanes_[base + l];
-                        if (!lane.used || j >= lane.appends.size())
+                        if (!lane.used)
                             continue;
-                        const uint32_t own = lane.appends[j].length;
-                        const uint32_t stored =
-                            config_.padToWarpMax ? max_len : own;
-                        const uint32_t insts =
-                            20 + stored * 2 +
-                            (config_.padToWarpMax ? kReduceInsts : 0);
-                        emit(base + l, kBlockStorePass, insts,
-                             offsets[l], stored);
-                        if (config_.padToWarpMax)
-                            warp_padding[w] += stored - own;
-                        offsets[l] += stored;
+                        if (max_len.size() < lane.appends.size())
+                            max_len.resize(lane.appends.size(), 0);
+                        for (size_t j = 0; j < lane.appends.size(); ++j)
+                            max_len[j] = std::max(max_len[j],
+                                                  lane.appends[j].length);
                     }
                 }
+                // Each lane replays its own appends in order, one store
+                // pass (a block, plus a store unless empty) per append.
                 for (uint32_t l = 0; l < warp_lanes; ++l) {
                     Lane &lane = lanes_[base + l];
                     if (!lane.used)
                         continue;
-                    lane.paddedSize = offsets[l];
-                    if (offsets[l] > config_.laneBytes)
+                    simt::ThreadTrace &t = traces[base + l];
+                    t.blocks.reserve(t.blocks.size() + lane.appends.size());
+                    t.memOps.reserve(t.memOps.size() + lane.appends.size());
+                    size_t offset = 0;
+                    for (size_t j = 0; j < lane.appends.size(); ++j) {
+                        const uint32_t own = lane.appends[j].length;
+                        const uint32_t stored = pad ? max_len[j] : own;
+                        const uint32_t mem_begin =
+                            static_cast<uint32_t>(t.memOps.size());
+                        if (stored > 0) {
+                            t.memOps.push_back(simt::MemOp{
+                                elementAddr(base + l, offset),
+                                (stored + 3) / 4, stride, 4,
+                                simt::MemSpace::Global, true});
+                        }
+                        t.blocks.push_back(simt::BlockExec{
+                            kBlockStorePass,
+                            20 + stored * 2 + (pad ? kReduceInsts : 0),
+                            mem_begin, stored > 0 ? 1u : 0u});
+                        warp_padding[w] += stored - own;
+                        offset += stored;
+                    }
+                    lane.paddedSize = offset;
+                    if (offset > config_.laneBytes)
                         warp_overflow[w] = 1;
                 }
             }

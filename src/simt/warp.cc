@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <numeric>
 #include <vector>
 
 #include "util/logging.hh"
@@ -59,33 +58,78 @@ countSegments(std::span<const uint64_t> sorted, uint64_t offset,
 }
 
 /**
+ * Σ_{j=0}^{n-1} ⌊(a·j + b) / m⌋ modulo 2^64, by the Euclid-like
+ * floor-sum recursion: O(log m) steps. Requires 1 <= m < 2^32 and
+ * n < 2^32, so that n(n-1) and a·n + b (after reducing a and b below m)
+ * fit in 64 bits. Terms past 2^64 wrap, which callers cancel by using
+ * only differences of sums that share n, a and m.
+ */
+uint64_t
+floorSum(uint64_t n, uint64_t m, uint64_t a, uint64_t b)
+{
+    uint64_t sum = 0;
+    while (true) {
+        if (a >= m) {
+            sum += n * (n - 1) / 2 * (a / m);
+            a %= m;
+        }
+        if (b >= m) {
+            sum += n * (b / m);
+            b %= m;
+        }
+        const uint64_t top = a * n + b;
+        if (top < m)
+            return sum;
+        n = top / m;
+        b = top % m;
+        std::swap(m, a);
+    }
+}
+
+/**
  * Sums countSegments() over elements [lo, hi) of lanes that share
  * @p stride and @p width (element i adds i × stride to every base in
- * @p sorted). With P = segment / gcd(stride mod segment, segment),
- * P × stride is a whole number of segments: element i + P is element i
- * translated by whole segments and touches as many. So one period is
- * evaluated and multiplied out, plus the tail — exact for any stride,
- * and a single element for segment-multiple strides (P = 1).
+ * @p sorted), in closed form. The lanes' byte intervals merge into
+ * disjoint runs [x, y]; with F(b) = Σ_i ⌊(i·stride + b) / S⌋ over the
+ * elements, a run touches F(y) - F(x) + N segments in all (N = hi - lo),
+ * and two consecutive runs less than S apart share a segment exactly
+ * when no segment boundary falls between them, N - (F(x_m) - F(y_{m-1}))
+ * times. Cost O(lanes + runs · log S), whatever the count and stride
+ * (docs/SIMULATOR.md, "Memory system").
  */
 uint64_t
 stridedSegments(std::span<const uint64_t> sorted, uint32_t lo, uint32_t hi,
                 uint32_t stride, uint16_t width, uint32_t segment_bytes)
 {
-    const uint64_t period =
-        segment_bytes / std::gcd(stride % segment_bytes, segment_bytes);
+    const uint64_t seg = segment_bytes;
     const uint64_t n = hi - lo;
-    const uint64_t tail = n % period;
-    uint64_t period_sum = 0;
-    uint64_t tail_sum = 0;
-    for (uint64_t k = 0; k < std::min(n, period); ++k) {
-        if (k == tail)
-            tail_sum = period_sum;
-        period_sum += countSegments(sorted, (lo + k) * stride, width,
-                                    segment_bytes);
+    // Only differences of F are used, so the terms every F shares drop
+    // out: ⌊lo·stride / S⌋ and the whole segments of stride. What is
+    // left of element lo's offset is its remainder mod S.
+    const uint64_t step = stride % seg;
+    const uint64_t rem = static_cast<uint64_t>(lo) * stride % seg;
+    auto F = [&](uint64_t b) {
+        return n * (b / seg) + floorSum(n, seg, step, rem + b % seg);
+    };
+    uint64_t total = 0;
+    uint64_t prev_y = 0;
+    uint64_t prev_fy = 0;
+    for (size_t k = 0; k < sorted.size();) {
+        // The run starting at lane k: intervals that overlap or touch.
+        const bool first = k == 0;
+        const uint64_t x = sorted[k];
+        uint64_t y = x + width - 1;
+        for (++k; k < sorted.size() && sorted[k] <= y + 1; ++k)
+            y = std::max(y, sorted[k] + width - 1);
+        const uint64_t fx = F(x);
+        const uint64_t fy = F(y);
+        total += fy - fx + n;
+        if (!first && x - prev_y < seg)
+            total -= n - (fx - prev_fy);
+        prev_y = y;
+        prev_fy = fy;
     }
-    if (n < period)
-        return period_sum;
-    return n / period * period_sum + tail_sum;
+    return total;
 }
 
 } // namespace
@@ -252,8 +296,12 @@ coalesceGroupOp(std::span<const MemOp *const> ops, const WarpModel &model,
             if (op->space == MemSpace::Global)
                 by_addr[k++] = Lane{op->addr, op->count};
         }
-        std::sort(by_addr, by_addr + lanes,
-                  [](const Lane &a, const Lane &b) { return a.addr < b.addr; });
+        // Transposed stores arrive in address order already.
+        auto lower = [](const Lane &a, const Lane &b) {
+            return a.addr < b.addr;
+        };
+        if (!std::is_sorted(by_addr, by_addr + lanes, lower))
+            std::sort(by_addr, by_addr + lanes, lower);
         for (uint32_t lo = 0; lo < max_count;) {
             uint32_t hi = max_count;
             size_t n = 0;

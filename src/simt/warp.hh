@@ -120,10 +120,11 @@ WarpStats mergeBlockSchedule(std::span<const ThreadTrace *const> lanes,
 /**
  * Counts the distinct segments touched by one warp-level element access:
  * the addresses are sorted and the accesses' segment intervals merged in
- * one linear pass. simulateWarp() counts every element of a bulk op this
- * way, except that lanes sharing a stride and width are sorted once per
- * op and only one period of elements is evaluated (docs/SIMULATOR.md,
- * "Memory system").
+ * one linear pass. simulateWarp() counts the elements of a bulk op this
+ * way when its lanes differ in stride or width. Lanes sharing both are
+ * sorted once per op, merged into runs of touching intervals and
+ * counted over all elements in closed form, a floor sum per run end
+ * (docs/SIMULATOR.md, "Memory system").
  *
  * Exposed for unit testing of the coalescer.
  *

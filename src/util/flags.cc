@@ -62,6 +62,7 @@ expectation(const FlagSpec &f, std::string_view value)
     if (x >= r.min && !(r.minOpen && x == r.min) && x <= r.max)
         return "";
     std::ostringstream os;
+    os.precision(15); // whole-number bounds print in full
     if (r.max != std::numeric_limits<double>::infinity())
         os << (r.minOpen ? "in (" : "in [") << r.min << ", " << r.max << "]";
     else

@@ -51,6 +51,12 @@ inline constexpr FlagRange kPositive{
 inline constexpr FlagRange kAtLeastOne{1};
 inline constexpr FlagRange kProbability{0, 1};
 
+// The largest values of the fields counts are read into: a Count flag
+// narrowed to one declares its maximum, so a larger value is refused
+// instead of wrapping.
+inline constexpr double kMaxU32 = std::numeric_limits<uint32_t>::max();
+inline constexpr double kMaxI32 = std::numeric_limits<int32_t>::max();
+
 /**
  * One declared flag. A name ending in "<...>" declares an open family:
  * "deadline-ms-<type>" accepts --deadline-ms-transfer=3.

@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "rhythm/buffers.hh"
 #include "simt/warp.hh"
+#include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 namespace rhythm::core {
 namespace {
@@ -331,6 +334,192 @@ TEST(CohortBufferZeroCopy, ResetRecyclesSlotsAndBumpsEpoch)
     EXPECT_EQ(buf.content(0), "second");
     EXPECT_FALSE(buf.overflowed());
 }
+
+// ---- Store replay against a reference -------------------------------
+//
+// finalizeStores() walks each warp lane by lane: one pass takes the
+// warp-max length of every append index, then each lane emits its own
+// stores in order. The reference below is the loop it replaced: append
+// index outermost, the warp's lanes inside, fed the appends the test
+// made.
+
+constexpr uint32_t kStorePassBlock = 5100; // buffers.cc's store pass
+constexpr uint32_t kPadReduceInsts = 30;   // its butterfly reduction
+
+/** What finalizeStores() leaves behind, besides the traces. */
+struct ReplayTotals
+{
+    std::vector<size_t> paddedSize;
+    uint64_t paddingBytes = 0;
+    bool overflowed = false;
+};
+
+/**
+ * Append-major store replay of a cohort whose lane l made appends of
+ * lengths @p appends[l] (no entry for an unused lane), into @p traces.
+ */
+ReplayTotals
+referenceReplay(const CohortBufferConfig &cfg,
+                const std::vector<std::vector<uint32_t>> &appends,
+                const std::vector<bool> &used,
+                std::vector<ThreadTrace> &traces)
+{
+    const uint32_t n = cfg.cohortSize;
+    const uint32_t width = static_cast<uint32_t>(cfg.warpWidth);
+    const bool transposed = cfg.layout == BufferLayout::Transposed;
+    ReplayTotals totals;
+    totals.paddedSize.assign(n, 0);
+    for (uint32_t base = 0; base < n; base += width) {
+        const uint32_t warp_lanes = std::min(width, n - base);
+        size_t max_appends = 0;
+        for (uint32_t l = base; l < base + warp_lanes; ++l) {
+            if (used[l])
+                max_appends = std::max(max_appends, appends[l].size());
+        }
+        std::vector<size_t> offsets(n, 0);
+        for (size_t j = 0; j < max_appends; ++j) {
+            uint32_t max_len = 0;
+            for (uint32_t l = base; l < base + warp_lanes; ++l) {
+                if (used[l] && j < appends[l].size())
+                    max_len = std::max(max_len, appends[l][j]);
+            }
+            for (uint32_t l = base; l < base + warp_lanes; ++l) {
+                if (!used[l] || j >= appends[l].size())
+                    continue;
+                const uint32_t own = appends[l][j];
+                const uint32_t stored = cfg.padToWarpMax ? max_len : own;
+                ThreadTrace &t = traces[l];
+                t.blocks.push_back(simt::BlockExec{
+                    kStorePassBlock,
+                    20 + stored * 2 +
+                        (cfg.padToWarpMax ? kPadReduceInsts : 0),
+                    static_cast<uint32_t>(t.memOps.size()), 0});
+                if (stored > 0) {
+                    const uint64_t addr =
+                        transposed
+                            ? transposedRegionAddr(cfg.deviceBase, l,
+                                                   offsets[l], n)
+                            : cfg.deviceBase +
+                                  static_cast<uint64_t>(l) * cfg.laneBytes +
+                                  offsets[l];
+                    t.memOps.push_back(MemOp{addr, (stored + 3) / 4,
+                                             transposed ? n * 4 : 4, 4,
+                                             MemSpace::Global, true});
+                    ++t.blocks.back().memCount;
+                }
+                totals.paddingBytes += stored - own;
+                offsets[l] += stored;
+            }
+        }
+        for (uint32_t l = base; l < base + warp_lanes; ++l) {
+            if (!used[l])
+                continue;
+            totals.paddedSize[l] = offsets[l];
+            if (offsets[l] > cfg.laneBytes)
+                totals.overflowed = true;
+        }
+    }
+    return totals;
+}
+
+/**
+ * Random cohorts: sizes 1-300, warp widths 32, 64 and 24, both layouts,
+ * padding on and off, unused lanes, zero-length appends (a store-pass
+ * block with no store) and lanes that outgrow laneBytes. Each cohort is
+ * replayed at 1 and at 8 sim threads.
+ */
+class StoreReplayMatchesReference : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(StoreReplayMatchesReference, TracesPaddingAndOverflow)
+{
+    const int kWidths[] = {32, 64, 24};
+    for (unsigned threads : {1u, 8u}) {
+        util::setSimThreads(threads);
+        for (int c = 0; c < 6; ++c) {
+            // The same cohorts at both thread counts.
+            Rng rng(GetParam() * 100 + c);
+            CohortBufferConfig cfg;
+            cfg.cohortSize = static_cast<uint32_t>(rng.nextRange(1, 300));
+            // Small slots overflow; 4 KiB holds any lane's appends.
+            cfg.laneBytes = rng.nextBool(0.5)
+                                ? static_cast<uint32_t>(rng.nextRange(64, 1024))
+                                : 4096;
+            cfg.layout = rng.nextBool(0.5) ? BufferLayout::Transposed
+                                           : BufferLayout::RowMajor;
+            cfg.padToWarpMax = rng.nextBool(0.5);
+            cfg.warpWidth = kWidths[rng.nextBounded(3)];
+            CohortBuffer buf(cfg);
+
+            const uint32_t n = cfg.cohortSize;
+            std::vector<ThreadTrace> traces(n);
+            std::vector<std::vector<uint32_t>> appends(n);
+            std::vector<bool> used(n, false);
+            for (uint32_t l = 0; l < n; ++l) {
+                if (rng.nextBool(0.2))
+                    continue; // an unused lane
+                simt::RecordingTracer rec(traces[l]);
+                auto &w = buf.writer(l, rec);
+                const int count = static_cast<int>(rng.nextRange(0, 10));
+                used[l] = count > 0;
+                for (int k = 0; k < count; ++k) {
+                    const uint32_t block =
+                        static_cast<uint32_t>(rng.nextRange(1, 9));
+                    const size_t len = rng.nextBool(0.15)
+                                           ? 0
+                                           : static_cast<size_t>(
+                                                 rng.nextRange(1, 300));
+                    const std::string text(len, 'a');
+                    switch (rng.nextBounded(3)) {
+                      case 0:
+                        w.appendStatic(block, text);
+                        break;
+                      case 1:
+                        w.appendDynamic(block, text);
+                        break;
+                      default:
+                        w.reserve(block, len);
+                        break;
+                    }
+                    appends[l].push_back(static_cast<uint32_t>(len));
+                }
+            }
+            std::vector<ThreadTrace> expected = traces;
+            const ReplayTotals want =
+                referenceReplay(cfg, appends, used, expected);
+            buf.finalizeStores(traces);
+
+            const std::string where = "cohort " + std::to_string(c) +
+                                      " size " + std::to_string(n) +
+                                      " threads " + std::to_string(threads);
+            EXPECT_EQ(buf.paddingBytes(), want.paddingBytes) << where;
+            EXPECT_EQ(buf.overflowed(), want.overflowed) << where;
+            for (uint32_t l = 0; l < n; ++l) {
+                EXPECT_EQ(buf.paddedSize(l), want.paddedSize[l])
+                    << where << " lane " << l;
+                const ThreadTrace &got = traces[l];
+                const ThreadTrace &ref = expected[l];
+                ASSERT_EQ(got.blocks.size(), ref.blocks.size())
+                    << where << " lane " << l;
+                for (size_t i = 0; i < got.blocks.size(); ++i) {
+                    EXPECT_EQ(got.blocks[i].blockId, ref.blocks[i].blockId);
+                    EXPECT_EQ(got.blocks[i].instructions,
+                              ref.blocks[i].instructions);
+                    EXPECT_EQ(got.blocks[i].memBegin,
+                              ref.blocks[i].memBegin);
+                    EXPECT_EQ(got.blocks[i].memCount,
+                              ref.blocks[i].memCount);
+                }
+                expectSameOps(got, ref);
+            }
+        }
+    }
+    util::setSimThreads(1);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, StoreReplayMatchesReference,
+                         ::testing::Range<uint64_t>(1, 17));
 
 } // namespace
 } // namespace rhythm::core

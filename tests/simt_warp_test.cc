@@ -385,7 +385,7 @@ TEST(Warp, BulkSampledPathMatchesExactForUniformPattern)
 {
     // Uniform bulk ops on either side of the 4096-element limit past
     // which the coalescer once sampled a window and extrapolated: the
-    // one-period form (P = 1 at a segment-sized stride) counts both.
+    // closed form counts both exactly.
     auto build = [](uint32_t count) {
         std::vector<ThreadTrace> traces(32);
         for (int l = 0; l < 32; ++l) {
@@ -641,10 +641,11 @@ TEST(SharedBanks, DuplicatesBeyondCapStillBroadcast)
 
 // ---- Coalescer against a reference ---------------------------------
 //
-// simulateWarp() sorts a bulk op's lanes once and evaluates one period
-// of elements in closed form. The reference below is the straightforward
-// algorithm it replaced: every element on its own, every active lane's
-// segment ids materialized, sorted and deduplicated.
+// simulateWarp() sorts a bulk op's lanes once, merges their byte
+// intervals into runs and counts every element's segments in closed
+// form (a floor sum per run end). The reference below is the
+// straightforward algorithm: every element on its own, every active
+// lane's segment ids materialized, sorted and deduplicated.
 
 /** One lane's bulk global access in a coalescer test group. */
 struct BulkLane
@@ -765,6 +766,36 @@ TEST(Coalescer, MatchesReferenceAcrossSegmentsStridesAndWidths)
     }
 }
 
+TEST(Coalescer, RunsSharingASegmentAcrossAGapCountOnce)
+{
+    // Lanes at 0 and 64 are two runs 61 bytes apart. Element i offsets
+    // both by 32i: elements 0 and 1 keep them in segment 0 (one
+    // transaction each), elements 2 and 3 put a boundary between them
+    // (two each).
+    const std::vector<BulkLane> group = {{0, 4, 32, 4}, {64, 4, 32, 4}};
+    EXPECT_EQ(referenceTransactions(group, 128), 6u);
+    EXPECT_EQ(simulatedTransactions(group, 128), 6u);
+}
+
+TEST(Coalescer, PieceOffsetPastFourGigabytesIsExact)
+{
+    // Store replay into a transposed 4096-lane buffer: stride 16 KiB.
+    // The last piece holds lane 0 alone from element 299,999, whose
+    // offset lo × stride is past 2^32. On 96-byte segments its 4-byte
+    // store straddles a boundary at the true offset; a product taken
+    // mod 2^32 is 2^32 short, which moves the store 32 bytes along the
+    // segment, off the boundary, and counts one segment.
+    const uint64_t base = (1ull << 32) + 93;
+    const std::vector<BulkLane> group = {{base, 300000, 16384, 4},
+                                         {base + 4, 299999, 16384, 4}};
+    EXPECT_EQ(referenceTransactions(group, 128), 300000u);
+    EXPECT_EQ(simulatedTransactions(group, 128), 300000u);
+    const std::vector<BulkLane> last = {{base + 299999ull * 16384, 1, 0, 4}};
+    EXPECT_EQ(referenceTransactions(last, 96), 2u);
+    EXPECT_EQ(simulatedTransactions(group, 96),
+              referenceTransactions(group, 96));
+}
+
 // Random groups: uniform and mixed counts, shared and mixed strides and
 // widths, counts past the old 4096-element limit and warps past the
 // 64-lane inline buffers.
@@ -836,6 +867,60 @@ TEST_P(CoalescerReferenceProperty, SimulatedMatchesReference)
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, CoalescerReferenceProperty,
+                         ::testing::Range<uint64_t>(1, 17));
+
+// The shape of CohortBuffer::finalizeStores() on a transposed buffer of
+// n lanes: a subset of the lanes stores 4-byte words from byte offset
+// off of its buffer, at base + (off / 4) · 4n + 4l + off % 4 with stride
+// 4n. An odd n makes the period 32 elements; an unaligned off makes
+// neighbouring lanes' words overlap, so they merge into runs.
+class StoreReplayCoalescerProperty
+    : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(StoreReplayCoalescerProperty, SimulatedMatchesReference)
+{
+    rhythm::Rng rng(GetParam());
+    const uint32_t kSegments[] = {32, 96, 128, 256};
+    for (int g = 0; g < 8; ++g) {
+        const uint32_t seg = kSegments[rng.nextBounded(4)];
+        const uint32_t n = static_cast<uint32_t>(rng.nextRange(1, 4096));
+        const uint64_t base = (1ull << 32) + rng.nextBounded(1u << 24);
+        const size_t lanes = static_cast<size_t>(
+            rng.nextRange(1, std::min<int64_t>(n, 48)));
+        const bool shared_off = rng.nextBool(0.5);
+        const bool shared_count = rng.nextBool(0.5);
+        const uint32_t count =
+            static_cast<uint32_t>(rng.nextRange(1, 10000));
+        auto draw_off = [&] {
+            return 4 * rng.nextBounded(64) +
+                   static_cast<uint64_t>(rng.nextRange(1, 3));
+        };
+        const uint64_t off = draw_off();
+        // A random subset of the n lanes, in lane order.
+        std::vector<uint32_t> subset;
+        for (uint32_t l = 0; l < n && subset.size() < lanes; ++l) {
+            if (rng.nextBounded(n - l) < lanes - subset.size())
+                subset.push_back(l);
+        }
+        std::vector<BulkLane> group;
+        for (uint32_t l : subset) {
+            const uint64_t o = shared_off ? off : draw_off();
+            group.push_back(BulkLane{
+                base + o / 4 * 4ull * n + 4ull * l + o % 4,
+                shared_count ? count
+                             : static_cast<uint32_t>(rng.nextRange(1, count)),
+                4 * n, 4});
+        }
+        EXPECT_EQ(simulatedTransactions(group, seg),
+                  referenceTransactions(group, seg))
+            << "group " << g << " n " << n << " lanes " << group.size()
+            << " segment " << seg << " count " << count;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, StoreReplayCoalescerProperty,
                          ::testing::Range<uint64_t>(1, 17));
 
 // ---- Lockstep scheduler against a reference ------------------------

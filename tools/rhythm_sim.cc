@@ -48,20 +48,23 @@ constexpr FlagSpec kRunSpecs[] = {
      "titanA|titanB|titanC"},
     {"type", FlagKind::Text, "", "isolate one banking request type", {},
      "NAME"},
+    // A cohort executes at most all of its lanes, and the server tags
+    // at most 65,536 lanes per cohort.
     {"cohort-size", FlagKind::Count, "4096", "requests per cohort",
-     kAtLeastOne},
-    {"cohorts", FlagKind::Count, "10", "cohorts to push through"},
+     {1, 65536}},
+    {"cohorts", FlagKind::Count, "10", "cohorts to push through",
+     {0, kMaxU32}},
     {"contexts", FlagKind::Count, "16",
      "cohort contexts (a mixed workload needs about one per request type "
      "in flight)",
-     kAtLeastOne},
+     {1, kMaxU32}},
     {"timeout-ms", FlagKind::Number, "2", "cohort formation timeout",
      kNonNegative},
     {"lane-sample", FlagKind::Count, "128",
-     "lanes executed per cohort; 0 = all"},
+     "lanes executed per cohort; 0 = all", {0, 65536}},
     {"users", FlagKind::Count, "2000", "bank database users", kAtLeastOne},
     {"docs", FlagKind::Count, "4000", "search corpus documents",
-     kAtLeastOne},
+     {1, kMaxU32}},
     {"seed", FlagKind::Count, "42", "deterministic seed"},
     {"transpose", FlagKind::Switch, "on",
      "transposed cohort buffers (off = row-major)"},
@@ -70,17 +73,17 @@ constexpr FlagSpec kRunSpecs[] = {
      "memoize warp profiles across launches (outputs are byte-identical "
      "either way; only host wall-clock changes)"},
     {"profile-cache-entries", FlagKind::Count, "4096",
-     "profile cache capacity in warp entries", kAtLeastOne},
+     "profile cache capacity in warp entries", {1, kMaxU32}},
 };
 constexpr FlagSpec kDeviceSpecs[] = {
     {"sms", FlagKind::Count, "", "streaming multiprocessors (preset)",
-     kAtLeastOne},
+     {1, kMaxI32}},
     {"mem-gbs", FlagKind::Number, "", "device DRAM bandwidth (preset)",
      kPositive},
     {"pcie-gbs", FlagKind::Number, "",
      "PCIe bandwidth per direction (preset)", kPositive},
     {"queues", FlagKind::Count, "", "hardware work queues (preset)",
-     kAtLeastOne},
+     {1, kMaxI32}},
 };
 constexpr FlagSpec kOutputSpecs[] = {
     {"trace-out", FlagKind::Text, "", "Chrome trace_event JSON (perfetto)",

@@ -32,6 +32,14 @@ BAD_INPUTS = [
     ["bench_sim_speedup", "--cohorts=x"],
     # A flag of a family the bench does not read.
     ["ext_recovery", "--fault-seed=2"],
+    # Counts past the field they are read into are refused, not wrapped
+    # (2^32 cohorts used to time zero cohorts and exit 0).
+    ["bench_sim_speedup", "--cohorts=4294967296"],
+    ["ablation_sampling", "--copy-chunk-kb=4194304"],
+    ["ablation_sampling", "--retry-budget=4294967296"],
+    ["ext_warp_fusion", "--fusion-max-cohorts=4294967296"],
+    ["ext_sharding", "--devices=4294967296"],
+    ["ext_recovery", "--sim-threads=257"],
 ]
 
 # The flag tables ext_warp_fusion reads, in --help order.

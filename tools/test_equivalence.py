@@ -13,9 +13,12 @@ between their runs:
     (--digest-out), so the two runs served the same bytes whatever
     their timing;
   - "json": the whole --json document, so every simulated metric and
-    the DES fingerprint (event count, dispatch-order hash) agree.
+    the DES fingerprint (event count, dispatch-order hash) agree;
+  - "trace": the whole --trace-out pipeline trace, so every span on
+    every track starts, lasts and is named alike.
 
-A flag set shared by several rows runs once. Every run must exit 0.
+A flag set shared by several rows runs once; it writes a trace only
+when a "trace" row compares it. Every run must exit 0.
 """
 
 import os
@@ -28,11 +31,37 @@ FIG9 = ["--platform=titanA", "--cohorts=10", "--users=2000",
         "--lane-sample=128"]
 LOGOUT = FIG9 + ["--type=logout"]
 PAYEE = FIG9 + ["--type=post payee"]
+# The serial, cache-off reference run (rhythm_sim's defaults).
+DEFAULT = ["--cohorts=3"]
+
+
+def fleet(devices):
+    """A fleet under open-loop overload with cross-shard transfers."""
+    return ["--workload=banking", "--devices=%d" % devices,
+            "--arrival=poisson", "--arrival-rate=4000000", "--cohorts=10",
+            "--cross-shard=0.005"]
 
 
 def rows():
     """(what must match, flags of run A, flags of run B) for each row."""
     table = []
+    # DESIGN.md 6d: --sim-threads changes wall-clock only.
+    # DESIGN.md 6e: so does the warp profile cache, serial or parallel.
+    # DESIGN.md 6k: --devices=1 is the single-device path itself.
+    for other in (["--sim-threads=8"],
+                  ["--sim-threads=1", "--profile-cache=on"],
+                  ["--sim-threads=8", "--profile-cache=on"],
+                  ["--devices=1"]):
+        for what in ("json", "trace"):
+            table.append((what, DEFAULT, DEFAULT + other))
+    # An N-device fleet merges its per-device streams canonically, so
+    # it is thread-count and cache invariant like one device.
+    for devices in (2, 4):
+        serial = fleet(devices) + ["--sim-threads=1"]
+        for other in (["--sim-threads=8"],
+                      ["--sim-threads=8", "--profile-cache=on"]):
+            for what in ("json", "digest"):
+                table.append((what, serial, fleet(devices) + other))
     for base in (LOGOUT, PAYEE):
         # DESIGN.md 6h: the overlapped pipeline never changes a response
         # byte, and each mode is thread-count invariant.
@@ -51,14 +80,21 @@ def rows():
     return table
 
 
-def run(sim, flags, outdir, cache):
-    """Runs rhythm_sim once per distinct flag set; returns its outputs."""
+# The rhythm_sim flag that writes each output kind.
+OUTPUT_FLAG = {"json": "--json=", "digest": "--digest-out=",
+               "trace": "--trace-out="}
+
+
+def run(sim, flags, outdir, cache, traced):
+    """Runs rhythm_sim once per distinct flag set; returns its outputs.
+    A flag set in @p traced also writes its pipeline trace."""
     key = tuple(flags)
     if key not in cache:
         stem = os.path.join(outdir, "run%d" % len(cache))
+        kinds = ["json", "digest"] + (["trace"] if key in traced else [])
         proc = subprocess.run(
-            [sim, *flags, "--json=" + stem + ".json",
-             "--digest-out=" + stem + ".digest"],
+            [sim, *flags] + [OUTPUT_FLAG[what] + stem + "." + what
+                             for what in kinds],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
             check=False)
         if proc.returncode != 0:
@@ -66,7 +102,7 @@ def run(sim, flags, outdir, cache):
                                (" ".join(flags), proc.returncode,
                                 proc.stderr.strip()))
         outputs = {}
-        for what in ("json", "digest"):
+        for what in kinds:
             with open(stem + "." + what, "rb") as f:
                 outputs[what] = f.read()
         cache[key] = outputs
@@ -81,10 +117,12 @@ def main(argv):
     failures = 0
     cache = {}
     table = rows()
+    traced = {tuple(flags) for what, *pair in table if what == "trace"
+              for flags in pair}
     with tempfile.TemporaryDirectory() as outdir:
         for what, flags_a, flags_b in table:
-            same = (run(sim, flags_a, outdir, cache)[what] ==
-                    run(sim, flags_b, outdir, cache)[what])
+            same = (run(sim, flags_a, outdir, cache, traced)[what] ==
+                    run(sim, flags_b, outdir, cache, traced)[what])
             failures += not same
             common = [f for f in flags_a if f in flags_b]
             only_a = [f for f in flags_a if f not in flags_b] or ["(none)"]

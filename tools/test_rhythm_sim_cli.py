@@ -42,6 +42,32 @@ BAD_INPUTS = [
     ["--recovery=maybe"],
     ["--pcie-crc=2"],
     ["--fusion=sometimes"],
+    # Counts past the field they are read into are refused, not wrapped:
+    # 2^32 contexts or requests per cohort used to wrap to 0 and panic,
+    # 2^32 + 1 to run 1-request cohorts, and 2^32 KiB chunks to mean
+    # whole transfers.
+    ["--contexts=4294967296"],
+    ["--cohort-size=4294967296"],
+    ["--cohort-size=4294967297"],
+    ["--cohorts=4294967296"],
+    ["--workload=search", "--docs=4294967296"],
+    ["--profile-cache-entries=4294967296"],
+    ["--sms=2147483648"],
+    ["--queues=2147483648"],
+    ["--copy-engines=2147483648"],
+    ["--copy-chunk-kb=4194304"],
+    ["--retry-budget=4294967296"],
+    ["--shed-backlog=4294967296"],
+    ["--fusion-max-cohorts=4294967296"],
+    ["--fingerprint-lanes=4294967296"],
+    ["--devices=4294967296"],
+    # A cohort executes at most 65,536 lanes: a larger cohort run in
+    # full used to panic in the server.
+    ["--cohort-size=70000", "--lane-sample=0", "--contexts=1",
+     "--type=login", "--timeout-ms=100000"],
+    ["--lane-sample=65537"],
+    # Refused before any worker thread starts.
+    ["--sim-threads=257"],
 ]
 
 # The flag tables rhythm_sim reads, in --help order.
