@@ -26,7 +26,7 @@ constexpr uint32_t kReduceInsts = 30;
  * Per-lane ResponseWriter view over the cohort buffer. Generation work
  * (instructions, source reads) is charged at append time; stores are
  * replayed with layout and padding by CohortBuffer::finalizeStores().
- * The content bytes land directly in the lane's arena slot (zero-copy);
+ * The content bytes land directly in the lane's slot (zero-copy);
  * distinct lanes write disjoint slots, so writers of different lanes
  * may run on different pool workers concurrently.
  */
@@ -169,13 +169,12 @@ class LaneWriter : public specweb::ResponseWriter
 
 CohortBuffer::CohortBuffer(const CohortBufferConfig &config)
     : config_(config),
-      arena_(static_cast<size_t>(config.cohortSize) * config.laneBytes),
+      slots_(std::make_unique<char[]>(
+          static_cast<size_t>(config.cohortSize) * config.laneBytes)),
       lanes_(config.cohortSize)
 {
     RHYTHM_ASSERT(config.cohortSize > 0 && config.laneBytes > 0);
     RHYTHM_ASSERT(config.warpWidth > 0);
-    slots_ = arena_.alloc(static_cast<size_t>(config.cohortSize) *
-                          config.laneBytes);
     writers_.reserve(config.cohortSize);
     for (uint32_t l = 0; l < config.cohortSize; ++l)
         writers_.push_back(std::make_unique<LaneWriter>(*this, l));
@@ -184,13 +183,13 @@ CohortBuffer::CohortBuffer(const CohortBufferConfig &config)
 char *
 CohortBuffer::slot(uint32_t lane)
 {
-    return slots_ + static_cast<size_t>(lane) * config_.laneBytes;
+    return slots_.get() + static_cast<size_t>(lane) * config_.laneBytes;
 }
 
 const char *
 CohortBuffer::slot(uint32_t lane) const
 {
-    return slots_ + static_cast<size_t>(lane) * config_.laneBytes;
+    return slots_.get() + static_cast<size_t>(lane) * config_.laneBytes;
 }
 
 specweb::ResponseWriter &
@@ -362,6 +361,24 @@ transposeRegionLoads(simt::ThreadTrace &trace, uint64_t region_base,
 }
 
 void
+rebaseRegionTrace(simt::ThreadTrace &trace, uint64_t region_base,
+                  uint32_t lane, uint32_t slot_bytes, uint32_t cohort,
+                  bool transpose)
+{
+    const uint64_t lane_base =
+        region_base + static_cast<uint64_t>(lane) * slot_bytes;
+    for (simt::MemOp &op : trace.memOps) {
+        if (transpose && !op.isStore && op.addr < slot_bytes) {
+            op.addr =
+                transposedRegionAddr(region_base, lane, op.addr, cohort);
+            op.stride = cohort * 4;
+        } else {
+            op.addr += lane_base;
+        }
+    }
+}
+
+void
 untransposeRegionLoads(simt::ThreadTrace &trace, uint64_t region_base,
                        uint32_t lane, uint32_t slot_bytes, uint32_t cohort)
 {
@@ -386,9 +403,6 @@ untransposeRegionLoads(simt::ThreadTrace &trace, uint64_t region_base,
 void
 CohortBuffer::reset()
 {
-    arena_.reset();
-    slots_ = arena_.alloc(static_cast<size_t>(config_.cohortSize) *
-                          config_.laneBytes);
     for (Lane &lane : lanes_) {
         lane.size = 0;
         lane.appends.clear();

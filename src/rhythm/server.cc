@@ -40,6 +40,23 @@ constexpr uint64_t kTokenLaneSlots = 65536;
 
 simt::NullTracer gNull;
 
+/** Holds a scratch slot's busy flag for one call; asserts no re-entry. */
+class ScratchUse
+{
+  public:
+    explicit ScratchUse(bool &busy) : busy_(busy)
+    {
+        RHYTHM_ASSERT(!busy_, "host scratch re-entered");
+        busy_ = true;
+    }
+    ~ScratchUse() { busy_ = false; }
+    ScratchUse(const ScratchUse &) = delete;
+    ScratchUse &operator=(const ScratchUse &) = delete;
+
+  private:
+    bool &busy_;
+};
+
 /** Scales a kernel profile's totals by a sampling factor. */
 simt::KernelProfile
 scaleProfile(simt::KernelProfile profile, double factor)
@@ -157,9 +174,9 @@ struct RhythmServer::LaunchMember
     uint32_t sample = 0; //!< Executed lanes.
     int stages = 0;
     uint32_t laneBytes = 0;
-    /** Recorded traces, [stage][lane]; returned to the trace pool by
-     *  the command-building step that consumes them. */
-    std::vector<std::vector<simt::ThreadTrace>> stageTraces;
+    /** Its place in the launch: recorded traces live in
+     *  memberTraces_[slot], [stage][lane], until the launch returns. */
+    uint32_t slot = 0;
     uint64_t backendInsts = 0;
     uint64_t backendCalls = 0;
     /** Worst per-lane retry attempts per stage (backoff rounds). */
@@ -508,128 +525,84 @@ RhythmServer::parseBatch(std::unique_ptr<ReaderBatch> batch, uint64_t seq)
 
     // Parse every request (dispatch needs the results); record traces
     // for the sampled lanes to cost the parser kernel. Each lane
-    // touches only its own entry/trace slot, so the loop fans out over
-    // the sim pool; results are index-addressed and order-free.
+    // touches only its own entry and trace slot, so the loop fans out
+    // over the sim pool; results are index-addressed and order-free.
     //
-    // Template cache (traceTemplateCacheEntries > 0): the parser's
-    // trace is an affine function of the lane's buffer base address,
-    // so a raw request seen before replays its recorded template with
-    // the base patched in — byte-identical to a fresh recording. The
-    // shared map is consulted serially before the fork (hit pointers
-    // are stable: the map is node-based and never erased from) and
-    // grown serially after the join, in canonical lane order.
-    //
-    // The request-buffer transpose is a single pass everywhere: the
-    // no-cache path records through a TransposingRecorder (loads land
-    // in device-staging layout as they are recorded), and the cache
-    // paths record templates at base 0 natively and materialize each
-    // lane's trace with one fused rebase+transpose loop. All paths use
-    // transposedRegionAddr(), so the result is bit-identical to the
-    // old record → rebase → post-pass-transpose chain.
+    // One recording path: a sampled lane records its trace at base
+    // address 0 into its slot, then one in-place pass
+    // (rebaseRegionTrace) moves it to the lane's request slot, mapping
+    // in-slot loads straight into the transposed layout when active.
+    // The trace is an affine function of the base address, so with the
+    // template cache on (traceTemplateCacheEntries > 0) a raw request
+    // seen before copies its base-0 template instead of recording, and
+    // a miss copies its recording as a new template. The shared map is
+    // consulted serially before the fork (hit pointers are stable: the
+    // map is node-based and never erased from) and grown serially after
+    // the join, in canonical lane order.
+    ScratchUse scratch(parseBusy_);
     auto parsed = std::make_shared<std::vector<CohortEntry>>();
     parsed->resize(n);
-    std::vector<simt::ThreadTrace> traces = tracePool_.acquire();
-    traces.resize(sample);
+    if (parseTraces_.size() < sample)
+        parseTraces_.resize(sample);
     const uint32_t tmpl_cap = config_.traceTemplateCacheEntries;
-    std::vector<const simt::ThreadTrace *> hit_tmpl;
-    std::vector<simt::ThreadTrace> fresh_tmpl;
-    if (tmpl_cap > 0) {
-        hit_tmpl.assign(sample, nullptr);
-        fresh_tmpl.resize(sample);
-        for (uint32_t i = 0; i < sample; ++i) {
-            auto it = parserTemplates_.find(batch->entries[i].raw);
-            if (it != parserTemplates_.end())
-                hit_tmpl[i] = &it->second;
-        }
+    std::vector<const simt::ThreadTrace *> hit_tmpl(sample, nullptr);
+    std::vector<simt::ThreadTrace> fresh_tmpl(tmpl_cap > 0 ? sample : 0);
+    for (uint32_t i = 0; tmpl_cap > 0 && i < sample; ++i) {
+        auto it = parserTemplates_.find(batch->entries[i].raw);
+        if (it != parserTemplates_.end())
+            hit_tmpl[i] = &it->second;
     }
-    // Builds a lane's trace from a base-0 template: rebase every op to
-    // the lane's slot, mapping in-slot loads straight into the
-    // transposed layout when active (one pass over the ops).
-    auto materialize = [this, sample](const simt::ThreadTrace &tmpl,
-                                      simt::ThreadTrace &out, uint32_t i,
-                                      uint64_t vaddr) {
-        out = tmpl;
-        const uint32_t slot_bytes = config_.requestSlotBytes;
-        const bool transpose = config_.transposeBuffers;
-        for (simt::MemOp &op : out.memOps) {
-            if (transpose && !op.isStore && op.addr < slot_bytes) {
-                op.addr = transposedRegionAddr(kRequestRegionBase, i,
-                                               op.addr, sample);
-                op.stride = sample * 4;
-            } else {
-                op.addr += vaddr;
-            }
-        }
-    };
     util::simPool().parallelRanges(
         n, 64,
-        [this, &batch, &parsed, &traces, &hit_tmpl, &fresh_tmpl,
-         &materialize, tmpl_cap, sample](size_t begin, size_t end) {
+        [this, &batch, &parsed, &hit_tmpl, &fresh_tmpl, tmpl_cap,
+         sample](size_t begin, size_t end) {
             for (size_t i = begin; i < end; ++i) {
                 RawEntry &raw = batch->entries[i];
                 CohortEntry &entry = (*parsed)[i];
                 entry.raw = std::move(raw.raw);
                 entry.arrival = raw.arrival;
                 entry.clientId = raw.clientId;
-                const uint32_t lane = static_cast<uint32_t>(i);
-                const uint64_t vaddr =
-                    kRequestRegionBase +
-                    static_cast<uint64_t>(i) * config_.requestSlotBytes;
                 bool ok;
-                if (i < sample && tmpl_cap > 0 && hit_tmpl[i]) {
-                    // Replay: parse without recording (dispatch needs
-                    // the parsed request), then materialize the
-                    // template into this lane's trace slot.
-                    ok = http::parseRequest(entry.raw, vaddr, gNull,
+                if (i >= sample) {
+                    ok = http::parseRequest(entry.raw, 0, gNull,
                                             entry.request);
-                    materialize(*hit_tmpl[i], traces[i], lane, vaddr);
-                } else if (i < sample && tmpl_cap > 0) {
-                    // Record the template at base 0 natively (its
-                    // stored form), then materialize like a hit; the
-                    // template is published serially after the join.
-                    simt::RecordingTracer rec(fresh_tmpl[i]);
+                } else if (hit_tmpl[i]) {
+                    ok = http::parseRequest(entry.raw, 0, gNull,
+                                            entry.request);
+                    parseTraces_[i] = *hit_tmpl[i];
+                } else {
+                    simt::RecordingTracer rec(parseTraces_[i]);
                     ok = http::parseRequest(entry.raw, 0, rec,
                                             entry.request);
-                    materialize(fresh_tmpl[i], traces[i], lane, vaddr);
-                } else if (i < sample && config_.transposeBuffers) {
-                    TransposingRecorder rec(traces[i], kRequestRegionBase,
-                                            lane,
-                                            config_.requestSlotBytes,
-                                            sample);
-                    ok = http::parseRequest(entry.raw, vaddr, rec,
-                                            entry.request);
-                } else if (i < sample) {
-                    simt::RecordingTracer rec(traces[i]);
-                    ok = http::parseRequest(entry.raw, vaddr, rec,
-                                            entry.request);
-                } else {
-                    ok = http::parseRequest(entry.raw, vaddr, gNull,
-                                            entry.request);
+                    if (tmpl_cap > 0)
+                        fresh_tmpl[i] = parseTraces_[i];
                 }
+                if (i < sample)
+                    rebaseRegionTrace(parseTraces_[i], kRequestRegionBase,
+                                      static_cast<uint32_t>(i),
+                                      config_.requestSlotBytes, sample,
+                                      config_.transposeBuffers);
                 if (!ok)
                     entry.request.path.clear(); // dispatch will 400 it
             }
         });
-    if (tmpl_cap > 0) {
-        for (uint32_t i = 0; i < sample; ++i) {
-            if (hit_tmpl[i] || parserTemplates_.size() >= tmpl_cap)
-                continue;
-            parserTemplates_.try_emplace((*parsed)[i].raw,
-                                         std::move(fresh_tmpl[i]));
-        }
+    for (uint32_t i = 0; tmpl_cap > 0 && i < sample; ++i) {
+        if (hit_tmpl[i] || parserTemplates_.size() >= tmpl_cap)
+            continue;
+        parserTemplates_.try_emplace((*parsed)[i].raw,
+                                     std::move(fresh_tmpl[i]));
     }
 
     std::vector<const simt::ThreadTrace *> ptrs;
     ptrs.reserve(sample);
-    for (const auto &t : traces)
-        ptrs.push_back(&t);
+    for (uint32_t i = 0; i < sample; ++i)
+        ptrs.push_back(&parseTraces_[i]);
     const double scale = static_cast<double>(n) / sample;
     simt::KernelProfile parser_profile = scaleProfile(
         device_.engine().profile(ptrs, config_.warpModel, "parser"),
         scale);
     const simt::KernelCost parser_cost =
         computeKernelCost(parser_profile, device_.config());
-    tracePool_.release(std::move(traces));
 
     // Device chain: [H2D copy] → [request transpose] → [parser kernel].
     // With overlapPipeline the two in-flight batches alternate parser
@@ -1049,7 +1022,8 @@ RhythmServer::completeRequest(uint64_t client_id,
 void
 RhythmServer::launchCohort(CohortContext &ctx)
 {
-    LaunchMember member = beginCohort(ctx);
+    ScratchUse scratch(launchBusy_);
+    LaunchMember member = beginCohort(ctx, 0);
     launchMembers(std::span<LaunchMember>(&member, 1));
 }
 
@@ -1067,10 +1041,12 @@ RhythmServer::launchCohortGroup(const std::vector<CohortContext *> &ctxs)
     // written, so running it before (and independently of) the
     // grouping below keeps every delivered byte identical to
     // --fusion=off no matter how the cohorts are packed into launches.
+    ScratchUse scratch(launchBusy_);
     std::vector<LaunchMember> begun;
     begun.reserve(ctxs.size());
     for (CohortContext *ctx : ctxs)
-        begun.push_back(beginCohort(*ctx));
+        begun.push_back(
+            beginCohort(*ctx, static_cast<uint32_t>(begun.size())));
 
     // Greedy grouping in collection order: each cohort joins the first
     // compatible group. Collection order is deterministic (context-pool
@@ -1127,7 +1103,7 @@ RhythmServer::canFuse(const std::vector<LaunchMember> &group,
 }
 
 RhythmServer::LaunchMember
-RhythmServer::beginCohort(CohortContext &ctx)
+RhythmServer::beginCohort(CohortContext &ctx, uint32_t slot)
 {
     if (config_.adaptiveBatching) {
         if (lastLaunch_ != 0)
@@ -1140,6 +1116,7 @@ RhythmServer::beginCohort(CohortContext &ctx)
     ++stats_.cohortsLaunched;
     LaunchMember member;
     member.ctx = &ctx;
+    member.slot = slot;
     member.run = std::make_shared<CohortRun>();
     member.run->seq = cohortSeq_++;
     member.run->launchedAt = queue_.now();
@@ -1253,12 +1230,21 @@ RhythmServer::executeCohortHost(LaunchMember &m)
     run.buffer = acquireBuffer(buf_cfg);
     CohortBuffer &buffer = *run.buffer;
 
+    // The member's trace slot: lanes that finish early record nothing
+    // in later stages, so every lane in use starts empty.
+    if (memberTraces_.size() <= m.slot)
+        memberTraces_.resize(m.slot + 1);
     std::vector<std::vector<simt::ThreadTrace>> &stage_traces =
-        m.stageTraces;
-    stage_traces.resize(static_cast<size_t>(stages));
-    for (auto &v : stage_traces) {
-        v = tracePool_.acquire();
-        v.resize(sample);
+        memberTraces_[m.slot];
+    if (stage_traces.size() < static_cast<size_t>(stages))
+        stage_traces.resize(static_cast<size_t>(stages));
+    for (int s = 0; s < stages; ++s) {
+        std::vector<simt::ThreadTrace> &v =
+            stage_traces[static_cast<size_t>(s)];
+        if (v.size() < sample)
+            v.resize(sample);
+        for (uint32_t lane = 0; lane < sample; ++lane)
+            v[lane].clear();
     }
 
     run.failed.assign(sample, 0);
@@ -1298,10 +1284,25 @@ RhythmServer::executeCohortHost(LaunchMember &m)
     // canned 503 instead of their buffer content.
     std::vector<uint8_t> unavailable(sample, 0);
 
+    // The lanes' handler contexts, scrubbed (string capacity kept).
+    std::vector<specweb::HandlerContext> &ctxs = handlerCtxs_;
+    if (ctxs.size() < sample)
+        ctxs.resize(sample);
+    for (uint32_t lane = 0; lane < sample; ++lane) {
+        specweb::HandlerContext &c = ctxs[lane];
+        c.request = &ctx.entries()[lane].request;
+        c.rec = nullptr;
+        c.out = nullptr;
+        c.sessions = sessions_.get();
+        c.backendRequest.clear();
+        c.backendResponse.clear();
+        c.userId = 0;
+        c.createdSessionId = 0;
+        c.failed = false;
+    }
+
     // Runs one (lane, stage) pair: bind the lane's recorder and writer,
     // execute the handler stage. Pure per-lane for parallel stages.
-    std::vector<specweb::HandlerContext> ctxs = ctxPool_.acquire();
-    ctxs.resize(sample);
     auto run_lane_stage = [&](uint32_t lane, int s) {
         specweb::HandlerContext &hctx = ctxs[lane];
         simt::RecordingTracer rec(
@@ -1361,11 +1362,6 @@ RhythmServer::executeCohortHost(LaunchMember &m)
         return true;
     };
 
-    for (uint32_t lane = 0; lane < sample; ++lane) {
-        ctxs[lane].request = &ctx.entries()[lane].request;
-        ctxs[lane].sessions = sessions_.get();
-    }
-
     // Host-stage execution, stage-major (DESIGN.md 6f): all lanes run
     // stage s before any lane runs s+1. Stages the service declared
     // lane-parallel fan out over the sim pool in lane chunks (each lane
@@ -1402,7 +1398,6 @@ RhythmServer::executeCohortHost(LaunchMember &m)
                                         kBackendUnavailableResponse)
                                   : buffer.content(lane);
     }
-    ctxPool_.release(std::move(ctxs));
 
     // Replay the response stores with the configured layout/padding into
     // the final stage's traces.
@@ -1469,7 +1464,7 @@ RhythmServer::buildCommands(std::span<LaunchMember> members)
         stage_ptrs[si].reserve(total_sample);
         for (LaunchMember &m : members) {
             for (uint32_t lane = 0; lane < m.sample; ++lane)
-                stage_ptrs[si].push_back(&m.stageTraces[si][lane]);
+                stage_ptrs[si].push_back(&memberTraces_[m.slot][si][lane]);
         }
         launches[si].traces = &stage_ptrs[si];
         launches[si].model = &config_.warpModel;
@@ -1677,12 +1672,6 @@ RhythmServer::buildCommands(std::span<LaunchMember> members)
         }
         leader.sequence.push_back(
             Cmd{Cmd::Kind::CopyToHost, {}, ship_bytes, 0});
-    }
-
-    // The stage profiles are value copies; recycle the trace storage.
-    for (LaunchMember &m : members) {
-        for (auto &v : m.stageTraces)
-            tracePool_.release(std::move(v));
     }
 }
 

@@ -50,7 +50,6 @@
 #include "rhythm/session_array.hh"
 #include "simt/device.hh"
 #include "specweb/static_content.hh"
-#include "util/arena.hh"
 #include "util/stats.hh"
 
 namespace rhythm::core {
@@ -518,8 +517,9 @@ class RhythmServer
     // its run and the host-execution products (stage traces + backend
     // bookkeeping) handed from executeCohortHost to buildCommands.
     /** Begins one member cohort: launch bookkeeping (adaptive EWMA
-     *  feed, markBusy, stats, dispatch span), then host execution. */
-    LaunchMember beginCohort(CohortContext &ctx);
+     *  feed, markBusy, stats, dispatch span), then host execution
+     *  recording into trace slot @p slot (its place in the launch). */
+    LaunchMember beginCohort(CohortContext &ctx, uint32_t slot);
     /**
      * Launches k ≥ 1 begun members as one command sequence on the
      * first member's run (the leader): builds the sequence, hands the
@@ -529,7 +529,7 @@ class RhythmServer
     void launchMembers(std::span<LaunchMember> members);
     /** Runs the handler stages on the host, stage-major: fills the
      *  cohort buffer, responses and failure flags, records stage traces
-     *  into @p m. */
+     *  into @p m's trace slot. */
     void executeCohortHost(LaunchMember &m);
     /**
      * Profiles the members' concatenated lanes (each member's lanes
@@ -624,50 +624,28 @@ class RhythmServer
 
     bool timeoutScanScheduled_ = false;
 
-    /** Scrubs recycled per-stage trace vectors (keeps capacities). */
-    struct TraceVectorReset
-    {
-        void operator()(std::vector<simt::ThreadTrace> &traces) const
-        {
-            for (simt::ThreadTrace &t : traces)
-                t.clear();
-        }
-    };
-
-    /** Scrubs recycled per-lane handler contexts (keeps capacities). */
-    struct CtxVectorReset
-    {
-        void operator()(std::vector<specweb::HandlerContext> &ctxs) const
-        {
-            for (specweb::HandlerContext &c : ctxs) {
-                c.request = nullptr;
-                c.rec = nullptr;
-                c.out = nullptr;
-                c.sessions = nullptr;
-                c.backendRequest.clear();
-                c.backendResponse.clear();
-                c.userId = 0;
-                c.createdSessionId = 0;
-                c.failed = false;
-            }
-        }
-    };
+    /**
+     * Per-call host scratch. A parseBatch call, or one launch
+     * (launchCohort, or launchCohortGroup with fusion), runs inside one
+     * DES event and is done with its scratch when it returns, so each
+     * piece has one fixed slot: the parser's lane traces, one trace
+     * vector per [launch member][stage], and the handler contexts.
+     * Slots only grow, so their heap capacity carries over from cohort
+     * to cohort; each use overwrites or scrubs the lanes it uses. The
+     * busy flags assert that no call re-enters its scratch.
+     */
+    std::vector<simt::ThreadTrace> parseTraces_;
+    std::vector<std::vector<std::vector<simt::ThreadTrace>>> memberTraces_;
+    std::vector<specweb::HandlerContext> handlerCtxs_;
+    bool parseBusy_ = false;
+    bool launchBusy_ = false;
 
     /**
-     * Recycled per-stage ThreadTrace storage, per-lane handler-context
-     * vectors and per-shape cohort buffers. Host-side allocation reuse
-     * only: recycled objects are scrubbed before use, so simulated
-     * results are unaffected.
-     *
-     * Cohort buffers are owned by their in-flight CohortRun (responses
-     * are zero-copy views into the buffer) and returned to the
-     * per-shape free list after delivery; with multiple cohorts in
-     * flight each holds a distinct buffer.
+     * Per-shape cohort buffers. Each is owned by its in-flight
+     * CohortRun (responses are zero-copy views into the buffer) and
+     * returned to the per-shape free list after delivery; with multiple
+     * cohorts in flight each holds a distinct buffer.
      */
-    util::ObjectPool<std::vector<simt::ThreadTrace>, TraceVectorReset>
-        tracePool_;
-    util::ObjectPool<std::vector<specweb::HandlerContext>, CtxVectorReset>
-        ctxPool_;
     std::unique_ptr<CohortBuffer>
     acquireBuffer(const CohortBufferConfig &cfg);
     void releaseBuffer(std::unique_ptr<CohortBuffer> buffer);

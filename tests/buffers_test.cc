@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the cohort buffer layout transforms (paper Section 4.3.2):
- * the transpose/untranspose round-trip on lane traces and the analytic
- * coalescing win of the 4-byte interleaved layout.
+ * the transpose/untranspose round-trip on lane traces, the base-0
+ * rebase of request traces and the analytic coalescing win of the
+ * 4-byte interleaved layout.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "http/parser.hh"
 #include "rhythm/buffers.hh"
 #include "simt/warp.hh"
 #include "util/rng.hh"
@@ -203,50 +205,68 @@ TEST(RegionTranspose, ExactTileEdgeLanesAndOffsetsRoundTrip)
     }
 }
 
-TEST(TransposingRecorder, MatchesPostPassTransposeBitForBit)
+TEST(RegionRebase, MatchesRecordingAtTheSlotThenTransposing)
 {
-    // The one-pass recorder must produce exactly the trace that
-    // recording row-major and then running the post-pass rewrite
-    // produces — the parser path switched to the recorder, and the
-    // template-cache equivalence argument rests on this identity.
-    const uint32_t lane = 13;
-    const uint64_t lane_base =
-        kRegionBase + static_cast<uint64_t>(lane) * kSlotBytes;
-    auto record = [&](simt::RecordingTracer &rec) {
-        rec.block(7, 42);
-        rec.load(lane_base, 16, 4, 4);        // full-slot scan
-        rec.load(lane_base + 60, 3, 4, 4);    // interior
-        rec.load(lane_base + kSlotBytes - 4, 1, 4, 4); // last word
-        rec.store(lane_base + 16, 2, 4, 4);   // store: never remapped
-        rec.load(0x7000'0000, 4, 4, 4);       // other region
-        rec.load(kRegionBase +
-                     static_cast<uint64_t>(kCohort) * kSlotBytes,
-                 2, 4, 4);                    // just past the region
-        rec.block(8, 5);
-    };
+    // The request parser records each lane at base address 0 and moves
+    // it into its slot with one rebase pass; the template cache replays
+    // the same base-0 traces. Both rest on this identity with recording
+    // at the slot's address and then (transposed layout only) running
+    // the post-pass rewrite. 45 lanes is not a multiple of the warp
+    // width, and the last lane's request is longer than its slot, so
+    // its scans past the slot stay row-major.
+    constexpr uint32_t kLanes = 45;
+    constexpr uint32_t kRequestSlot = 256;
+    const std::string short_req =
+        "GET /bank/account_summary.php?userid=12 HTTP/1.1\r\n"
+        "Host: bank\r\nCookie: SESSIONID=0123456789abcdef\r\n\r\n";
+    const std::string long_req =
+        "GET /bank/account_summary.php?userid=12 HTTP/1.1\r\n"
+        "Host: bank\r\nX-Filler: " +
+        std::string(300, 'b') +
+        "\r\nCookie: SESSIONID=0123456789abcdef\r\n\r\n";
+    ASSERT_GT(long_req.size(), kRequestSlot);
+    for (const bool transpose : {false, true}) {
+        for (const uint32_t lane : {0u, 13u, 32u, kLanes - 1}) {
+            const std::string &raw =
+                lane == kLanes - 1 ? long_req : short_req;
+            const uint64_t slot_addr =
+                kRegionBase + static_cast<uint64_t>(lane) * kRequestSlot;
+            http::Request req;
+            ThreadTrace at_slot;
+            {
+                RecordingTracer rec(at_slot);
+                http::parseRequest(raw, slot_addr, rec, req);
+            }
+            if (transpose)
+                transposeRegionLoads(at_slot, kRegionBase, lane,
+                                     kRequestSlot, kLanes);
+            ThreadTrace rebased;
+            {
+                RecordingTracer rec(rebased);
+                http::parseRequest(raw, 0, rec, req);
+            }
+            const bool past_slot = std::any_of(
+                rebased.memOps.begin(), rebased.memOps.end(),
+                [](const MemOp &op) { return op.addr >= kRequestSlot; });
+            EXPECT_EQ(past_slot, raw.size() > kRequestSlot);
+            rebaseRegionTrace(rebased, kRegionBase, lane, kRequestSlot,
+                              kLanes, transpose);
 
-    ThreadTrace post;
-    {
-        RecordingTracer rec(post);
-        record(rec);
-    }
-    transposeRegionLoads(post, kRegionBase, lane, kSlotBytes, kCohort);
-
-    ThreadTrace direct;
-    {
-        TransposingRecorder rec(direct, kRegionBase, lane, kSlotBytes,
-                                kCohort);
-        record(rec);
-    }
-
-    expectSameOps(direct, post);
-    ASSERT_EQ(direct.blocks.size(), post.blocks.size());
-    for (size_t i = 0; i < direct.blocks.size(); ++i) {
-        EXPECT_EQ(direct.blocks[i].blockId, post.blocks[i].blockId);
-        EXPECT_EQ(direct.blocks[i].instructions,
-                  post.blocks[i].instructions);
-        EXPECT_EQ(direct.blocks[i].memBegin, post.blocks[i].memBegin);
-        EXPECT_EQ(direct.blocks[i].memCount, post.blocks[i].memCount);
+            SCOPED_TRACE(testing::Message() << "transpose " << transpose
+                                            << " lane " << lane);
+            expectSameOps(rebased, at_slot);
+            ASSERT_EQ(rebased.blocks.size(), at_slot.blocks.size());
+            for (size_t i = 0; i < rebased.blocks.size(); ++i) {
+                EXPECT_EQ(rebased.blocks[i].blockId,
+                          at_slot.blocks[i].blockId);
+                EXPECT_EQ(rebased.blocks[i].instructions,
+                          at_slot.blocks[i].instructions);
+                EXPECT_EQ(rebased.blocks[i].memBegin,
+                          at_slot.blocks[i].memBegin);
+                EXPECT_EQ(rebased.blocks[i].memCount,
+                          at_slot.blocks[i].memCount);
+            }
+        }
     }
 }
 
@@ -311,27 +331,27 @@ TEST(CohortBufferZeroCopy, PatchNarrowerThanReservationKeepsSpaces)
     EXPECT_EQ(buf.content(0), "Len: 1234567890\r\n");
 }
 
-TEST(CohortBufferZeroCopy, ResetRecyclesSlotsAndBumpsEpoch)
+TEST(CohortBufferZeroCopy, ResetRecyclesSlots)
 {
     CohortBufferConfig cfg;
     cfg.cohortSize = 2;
     cfg.laneBytes = 128;
     CohortBuffer buf(cfg);
-    const uint64_t epoch0 = buf.arenaEpoch();
 
     simt::ThreadTrace t;
     simt::RecordingTracer rec(t);
     buf.writer(0, rec).appendStatic(1, "first cohort content");
     EXPECT_EQ(buf.content(0), "first cohort content");
+    const char *slot0 = buf.content(0).data();
 
     buf.reset();
-    EXPECT_EQ(buf.arenaEpoch(), epoch0 + 1);
     EXPECT_EQ(buf.content(0), "");
 
     simt::ThreadTrace t2;
     simt::RecordingTracer rec2(t2);
     buf.writer(0, rec2).appendStatic(1, "second");
     EXPECT_EQ(buf.content(0), "second");
+    EXPECT_EQ(buf.content(0).data(), slot0); // the same slot, reused
     EXPECT_FALSE(buf.overflowed());
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for src/util: rng, stats, strings, table, flags, arena.
+ * Unit tests for src/util: rng, stats, strings, table, flags.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/arena.hh"
 #include "util/flags.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -457,71 +456,6 @@ TEST(Flags, UsageListsEveryFlagOnceWithItsDefault)
         const std::string flag = "--" + std::string(f.name);
         EXPECT_EQ(help.find(flag), help.rfind(flag)) << flag;
     }
-}
-
-TEST(Arena, BumpAllocatesDisjointAlignedRanges)
-{
-    util::Arena arena(1024);
-    char *a = arena.alloc(100);
-    char *b = arena.alloc(100);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    // Alignment is relative to the block base: the second allocation
-    // starts at the next 64-byte boundary past the first's end.
-    EXPECT_EQ(b - a, 128);
-    EXPECT_EQ(arena.usedBytes(), 228u); // 128 (padded) + 100
-    char *c = arena.alloc(10, 8);
-    EXPECT_EQ(c - a, 232); // 228 rounded up to the 8-byte boundary
-}
-
-TEST(Arena, ResetRecyclesBlocksInPlace)
-{
-    util::Arena arena(256);
-    char *first = arena.alloc(200);
-    const size_t cap = arena.capacityBytes();
-    EXPECT_EQ(arena.epoch(), 0u);
-
-    arena.reset();
-    EXPECT_EQ(arena.epoch(), 1u);
-    EXPECT_EQ(arena.usedBytes(), 0u);
-    // Steady state: same block handed out again, no new backing memory.
-    char *again = arena.alloc(200);
-    EXPECT_EQ(again, first);
-    EXPECT_EQ(arena.capacityBytes(), cap);
-}
-
-TEST(Arena, OversizedAllocationGetsDedicatedBlock)
-{
-    util::Arena arena(64);
-    char *big = arena.alloc(1000);
-    ASSERT_NE(big, nullptr);
-    EXPECT_GE(arena.capacityBytes(), 1000u);
-    // Writable end to end (asan would flag an undersized block).
-    big[0] = 'a';
-    big[999] = 'z';
-    EXPECT_EQ(big[0], 'a');
-    EXPECT_EQ(big[999], 'z');
-
-    arena.reset();
-    EXPECT_EQ(arena.alloc(1000), big); // recycled, not re-grown
-}
-
-TEST(Arena, UndersizedEmptyBlockIsGrownInPlace)
-{
-    util::Arena arena(64);
-    arena.alloc(16);
-    arena.reset(); // block 0: 64 bytes, empty again
-    // A request the empty block cannot hold replaces it with a larger
-    // block instead of leaking a chain of too-small blocks.
-    char *big = arena.alloc(512);
-    ASSERT_NE(big, nullptr);
-    EXPECT_EQ(arena.capacityBytes(), 512u);
-    big[0] = 'a';
-    big[511] = 'z';
-    EXPECT_EQ(big[511], 'z');
-
-    arena.reset();
-    EXPECT_EQ(arena.alloc(512), big); // the grown block is kept
 }
 
 } // namespace

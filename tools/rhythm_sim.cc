@@ -672,6 +672,37 @@ main(int argc, char **argv)
               << " SMs, " << variant.device.memBandwidthGBs << " GB/s, "
               << cohorts << " cohorts x " << cfg.cohortSize << ")\n";
 
+    // ---- The single-device run ------------------------------------------
+    // Every workload but the fleet runs one device and one server through
+    // this sequence. Its branch below builds the service and passes
+    // `wire`, which attaches the request source once the fault plan is
+    // armed, and an optional `epilogue` printed after the report.
+    const backend::RecoverableBackend *recovery = nullptr; // banking sets
+    using Wire = std::function<void(core::RhythmServer &, des::EventQueue &,
+                                    fault::FaultPlan *)>;
+    auto serve = [&](core::Service &service, const Wire &wire,
+                     const std::function<void()> &epilogue = {}) -> int {
+        des::EventQueue queue;
+        if (observe)
+            obs::global().enable(queue);
+        simt::Device device(queue, variant.device);
+        if (pc_on)
+            device.engine().setProfileCache(&profile_cache);
+        batching.apply(cfg, service);
+        core::RhythmServer server(queue, device, service, cfg);
+        digest.attach(server);
+        std::optional<fault::FaultPlan> plan;
+        faults.arm(server, device, queue, plan);
+        fault::FaultPlan *armed = plan ? &*plan : nullptr;
+        wire(server, queue, armed);
+        queue.run();
+        report(server, device, queue, variant.power, armed, robust,
+               &json_report, pc_on ? &profile_cache : nullptr, recovery);
+        if (epilogue)
+            epilogue();
+        return finish(json_report, trace_path, digest);
+    };
+
     // ---- Workloads -----------------------------------------------------
     if (arrival.open() && workload != "banking")
         return bench::usageError(
@@ -806,42 +837,10 @@ main(int argc, char **argv)
             return finish(json_report, trace_path, digest);
         }
 
-        des::EventQueue queue;
-        if (observe)
-            obs::global().enable(queue);
-        simt::Device device(queue, variant.device);
-        if (pc_on)
-            device.engine().setProfileCache(&profile_cache);
         core::BankingService service(db);
-        batching.apply(cfg, service);
-        core::RhythmServer server(queue, device, service, cfg);
         specweb::StaticContent content(32, seed);
-        server.setStaticContent(&content);
-        digest.attach(server);
-        std::optional<fault::FaultPlan> plan;
-        faults.arm(server, device, queue, plan);
-
-        // Logout consumes one session per request; other types reuse a
-        // pool.
-        auto sessions = server.sessions().populate(
-            only && *only == specweb::RequestType::Logout
-                ? total
-                : std::min<uint64_t>(total, 8192),
-            users);
-        // Recovery wraps the populated baseline: the constructor takes
-        // the first checkpoint, so it must run after populate().
+        std::vector<std::pair<uint64_t, uint64_t>> sessions;
         std::unique_ptr<backend::RecoverableBackend> recoverable;
-        if (faults.recovery) {
-            backend::RecoveryConfig rcfg;
-            rcfg.checkpointInterval = faults.checkpointInterval;
-            recoverable = std::make_unique<backend::RecoverableBackend>(
-                service.backendService(), db, rcfg);
-            if (plan)
-                recoverable->setFaultPlan(
-                    &*plan, [&queue]() { return queue.now(); });
-            core::attachSessionRecovery(*recoverable, server.sessions());
-            service.setRecovery(recoverable.get());
-        }
         uint64_t issued = 0;
         auto next_request = [&]() -> std::string {
             specweb::GeneratedRequest req;
@@ -869,16 +868,44 @@ main(int argc, char **argv)
         };
         // Closed loop (the historical pull source) or an open-loop
         // arrival process pushing on its own schedule; both must
-        // outlive queue.run().
+        // outlive the run.
         std::optional<net::ArrivalProcess> arrivals;
         std::function<void()> arrive;
-        if (!arrival.open()) {
-            server.start([&]() -> std::optional<std::string> {
-                if (issued >= total)
-                    return std::nullopt;
-                return next_request();
-            });
-        } else {
+        return serve(service, [&](core::RhythmServer &server,
+                                  des::EventQueue &queue,
+                                  fault::FaultPlan *plan) {
+            server.setStaticContent(&content);
+            // Logout consumes one session per request; other types
+            // reuse a pool.
+            sessions = server.sessions().populate(
+                only && *only == specweb::RequestType::Logout
+                    ? total
+                    : std::min<uint64_t>(total, 8192),
+                users);
+            // Recovery wraps the populated baseline: the constructor
+            // takes the first checkpoint, so it must run after
+            // populate().
+            if (faults.recovery) {
+                backend::RecoveryConfig rcfg;
+                rcfg.checkpointInterval = faults.checkpointInterval;
+                recoverable = std::make_unique<backend::RecoverableBackend>(
+                    service.backendService(), db, rcfg);
+                if (plan)
+                    recoverable->setFaultPlan(
+                        plan, [&queue]() { return queue.now(); });
+                core::attachSessionRecovery(*recoverable,
+                                            server.sessions());
+                service.setRecovery(recoverable.get());
+                recovery = recoverable.get();
+            }
+            if (!arrival.open()) {
+                server.start([&]() -> std::optional<std::string> {
+                    if (issued >= total)
+                        return std::nullopt;
+                    return next_request();
+                });
+                return;
+            }
             arrivals.emplace(arrival.config);
             arrive = [&]() {
                 if (issued >= total)
@@ -892,12 +919,7 @@ main(int argc, char **argv)
                     queue.scheduleAfter(arrivals->nextGap(), arrive);
             };
             queue.scheduleAfter(arrivals->nextGap(), arrive);
-        }
-        queue.run();
-        report(server, device, queue, variant.power,
-               plan ? &*plan : nullptr, robust, &json_report,
-               pc_on ? &profile_cache : nullptr, recoverable.get());
-        return finish(json_report, trace_path, digest);
+        });
     }
 
     if (faults.recovery)
@@ -907,36 +929,25 @@ main(int argc, char **argv)
     if (workload == "chat") {
         chat::RoomStore store(256, 40, seed);
         chat::ChatGenerator gen(store, seed * 13 + 5);
-
-        des::EventQueue queue;
-        if (observe)
-            obs::global().enable(queue);
-        simt::Device device(queue, variant.device);
-        if (pc_on)
-            device.engine().setProfileCache(&profile_cache);
         chat::ChatService service(store);
-        batching.apply(cfg, service);
-        core::RhythmServer server(queue, device, service, cfg);
-        digest.attach(server);
-        std::optional<fault::FaultPlan> plan;
-        faults.arm(server, device, queue, plan);
-
         uint64_t issued = 0;
-        server.start([&]() -> std::optional<std::string> {
-            if (issued >= total)
-                return std::nullopt;
-            ++issued;
-            chat::PageType type;
-            return gen.next(type);
-        });
-        queue.run();
-        report(server, device, queue, variant.power,
-               plan ? &*plan : nullptr, robust, &json_report,
-               pc_on ? &profile_cache : nullptr);
-        std::cout << "messages posted during run: "
-                  << withCommas(store.totalPosted() - 256ull * 40)
-                  << "\n";
-        return finish(json_report, trace_path, digest);
+        return serve(
+            service,
+            [&](core::RhythmServer &server, des::EventQueue &,
+                fault::FaultPlan *) {
+                server.start([&]() -> std::optional<std::string> {
+                    if (issued >= total)
+                        return std::nullopt;
+                    ++issued;
+                    chat::PageType type;
+                    return gen.next(type);
+                });
+            },
+            [&]() {
+                std::cout << "messages posted during run: "
+                          << withCommas(store.totalPosted() - 256ull * 40)
+                          << "\n";
+            });
     }
 
     // ---- Search (the remaining --workload choice) ----------------------
@@ -944,30 +955,15 @@ main(int argc, char **argv)
     search::Corpus corpus(docs, 4096, seed);
     search::InvertedIndex index(corpus);
     search::QueryGenerator gen(corpus, seed * 17 + 3);
-
-    des::EventQueue queue;
-    if (observe)
-        obs::global().enable(queue);
-    simt::Device device(queue, variant.device);
-    if (pc_on)
-        device.engine().setProfileCache(&profile_cache);
     search::SearchService service(index);
-    batching.apply(cfg, service);
-    core::RhythmServer server(queue, device, service, cfg);
-    digest.attach(server);
-    std::optional<fault::FaultPlan> plan;
-    faults.arm(server, device, queue, plan);
-
     uint64_t issued = 0;
-    server.start([&]() -> std::optional<std::string> {
-        if (issued >= total)
-            return std::nullopt;
-        ++issued;
-        return gen.next().raw;
+    return serve(service, [&](core::RhythmServer &server, des::EventQueue &,
+                              fault::FaultPlan *) {
+        server.start([&]() -> std::optional<std::string> {
+            if (issued >= total)
+                return std::nullopt;
+            ++issued;
+            return gen.next().raw;
+        });
     });
-    queue.run();
-    report(server, device, queue, variant.power,
-           plan ? &*plan : nullptr, robust, &json_report,
-           pc_on ? &profile_cache : nullptr);
-    return finish(json_report, trace_path, digest);
 }

@@ -33,6 +33,11 @@ LOGOUT = FIG9 + ["--type=logout"]
 PAYEE = FIG9 + ["--type=post payee"]
 # The serial, cache-off reference run (rhythm_sim's defaults).
 DEFAULT = ["--cohorts=3"]
+# Open-loop Poisson banking with contexts sized so dispatch never waits
+# on a completion: cohort composition is a pure function of arrivals.
+FUSION = ["--workload=banking", "--cohort-size=128", "--lane-sample=128",
+          "--cohorts=30", "--arrival=poisson", "--arrival-rate=50000",
+          "--contexts=1024", "--seed=7"]
 
 
 def fleet(devices):
@@ -54,6 +59,50 @@ def rows():
                   ["--devices=1"]):
         for what in ("json", "trace"):
             table.append((what, DEFAULT, DEFAULT + other))
+    # DESIGN.md 6f: the parser's base-0 recording, rebased per lane,
+    # serves cached templates in both buffer layouts and without padding.
+    for layout in (["--transpose=off"], ["--padding=off"]):
+        for what in ("json", "trace"):
+            table.append((what, DEFAULT + layout,
+                          DEFAULT + layout + ["--profile-cache=on"]))
+    # DESIGN.md 6f: host stages run stage-major; login and logout mix
+    # serial and lane-parallel stages, chat and search fan every stage
+    # out (chat posts mutate the room store in the merge).
+    for run in (["--type=login"], ["--type=logout"], ["--workload=chat"],
+                ["--workload=search"]):
+        for what in ("json", "trace"):
+            table.append((what, DEFAULT + run + ["--sim-threads=1"],
+                          DEFAULT + run + ["--sim-threads=8"]))
+    # DESIGN.md 6i: every adaptive path is gated on --batching=adaptive,
+    # so explicit fixed closed-loop flags are the flagless run; the
+    # adaptive flash run is itself thread-count invariant.
+    flash = DEFAULT + ["--batching=adaptive", "--arrival=flash",
+                       "--arrival-rate=60000"]
+    for threads in ("1", "8"):
+        flagless = DEFAULT + ["--sim-threads=" + threads]
+        for what in ("json", "digest"):
+            table.append((what, flagless,
+                          DEFAULT + ["--sim-threads=" + threads,
+                                     "--batching=fixed", "--arrival=closed"]))
+    table.append(("json", DEFAULT + ["--sim-threads=1"],
+                  DEFAULT + ["--sim-threads=8"]))
+    for what in ("json", "digest"):
+        table.append((what, flash + ["--sim-threads=1"],
+                      flash + ["--sim-threads=8"]))
+    # DESIGN.md 6j: fusion repacks tail warps but never changes a
+    # response byte: all eight fusion x cache x threads runs serve the
+    # same digest, and each arm is thread-count invariant.
+    reference = FUSION + ["--fusion=off", "--profile-cache=off",
+                          "--sim-threads=1"]
+    for fusion in ("off", "on"):
+        for cache in ("off", "on"):
+            arm = FUSION + ["--fusion=" + fusion, "--profile-cache=" + cache]
+            for threads in ("1", "8"):
+                run = arm + ["--sim-threads=" + threads]
+                if run != reference:
+                    table.append(("digest", reference, run))
+            table.append(("json", arm + ["--sim-threads=1"],
+                          arm + ["--sim-threads=8"]))
     # An N-device fleet merges its per-device streams canonically, so
     # it is thread-count and cache invariant like one device.
     for devices in (2, 4):
