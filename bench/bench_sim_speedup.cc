@@ -105,12 +105,10 @@ runOnce(bool cache_on, unsigned threads, uint32_t cohorts)
         std::min<uint64_t>(total, 8192), kUsers);
     std::vector<std::string> requests;
     requests.reserve(total);
-    for (uint64_t i = 0; i < total; ++i) {
-        const auto &[sid, user] = sessions[i % sessions.size()];
+    for (uint64_t i = 0; i < total; ++i)
         requests.push_back(
-            gen.generate(specweb::RequestType::AccountSummary, user, sid)
+            gen.fromPool(specweb::RequestType::AccountSummary, sessions, i)
                 .raw);
-    }
 
     const auto start = std::chrono::steady_clock::now();
     uint64_t issued = 0;

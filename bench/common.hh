@@ -17,6 +17,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -27,13 +28,14 @@
 #include <sys/resource.h>
 #endif
 
+#include "backend/recovery.hh"
 #include "des/time.hh"
-#include "fault/device_injector.hh"
 #include "fault/plan.hh"
 #include "net/arrival.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "platform/titan.hh"
+#include "rhythm/banking_service.hh"
 #include "rhythm/fleet.hh"
 #include "rhythm/server.hh"
 #include "simt/device.hh"
@@ -371,12 +373,14 @@ struct FaultFlags
          kNonNegative},
         {"disconnect", FlagKind::Number, "0",
          "client disconnect probability", kProbability},
+        // Crashes are drawn, and torn records written, by the recovery
+        // journal alone.
         {"crash", FlagKind::Number, "0",
          "backend crash-restart probability per journaled mutation",
-         kProbability},
+         kProbability, {}, "recovery"},
         {"torn", FlagKind::Number, "0",
          "probability a crash tears the final journal record",
-         kProbability},
+         kProbability, {}, "recovery"},
         {"hang", FlagKind::Number, "0",
          "kernel hang probability per cohort", kProbability},
         {"hang-ms", FlagKind::Number, "0",
@@ -495,20 +499,26 @@ struct FaultFlags
     }
 
     /**
-     * Arms a directly-driven server/device pair. @p plan is the
-     * caller's storage (declared next to the server so it outlives the
-     * run); it is engaged and installed only when the schedule is
-     * non-quiet.
+     * Engages @p storage with the schedule and returns it; nullptr when
+     * the schedule is quiet.
      */
-    void arm(core::RhythmServer &server, simt::Device &device,
-             des::EventQueue &queue,
-             std::optional<fault::FaultPlan> &plan) const
+    fault::FaultPlan *plan(std::optional<fault::FaultPlan> &storage) const
     {
-        if (config.allQuiet())
-            return;
-        plan.emplace(config);
-        server.setFaultPlan(&*plan);
-        fault::installDeviceFaults(device, *plan, queue);
+        return config.allQuiet() ? nullptr : &storage.emplace(config);
+    }
+
+    /**
+     * Arms a directly-driven run (core::armRun): the schedule and, with
+     * --recovery, the journaled backend. @p plan is the caller's
+     * storage and, like the returned journal, must outlive the run.
+     * Call after session population.
+     */
+    std::unique_ptr<backend::RecoverableBackend>
+    arm(core::RhythmServer &server, simt::Device &device,
+        des::EventQueue &queue, std::optional<fault::FaultPlan> &plan) const
+    {
+        return core::armRun(server, device, queue, this->plan(plan),
+                            recovery, checkpointInterval);
     }
 
     /**

@@ -105,38 +105,25 @@ runPoint(const net::ArrivalConfig &acfg, bool adaptive,
         cfg.adaptiveAdmission = batching.admission;
     }
     core::RhythmServer server(queue, device, service, cfg);
-    std::optional<fault::FaultPlan> plan;
-    faults.arm(server, device, queue, plan);
-
     specweb::WorkloadGenerator gen(db, 31);
-    auto sessions = server.sessions().populate(8192, 2000);
+    const auto sessions = server.sessions().populate(8192, 2000);
+    std::optional<fault::FaultPlan> plan;
+    const auto journal = faults.arm(server, device, queue, plan);
 
     // Open-loop mixed-type arrivals: both policy arms construct the
     // same generator and ArrivalProcess seeds, so they see
     // byte-identical request and arrival-time streams.
     net::ArrivalProcess arrivals(acfg);
-    uint64_t issued = 0;
     uint64_t dropped = 0;
-    std::function<void()> arrive = [&]() {
-        if (issued >= requests)
-            return;
-        specweb::RequestType type;
-        do {
-            type = gen.sampleType();
-        } while (type == specweb::RequestType::Login ||
-                 type == specweb::RequestType::Logout);
-        const auto &[sid, user] = sessions[issued % sessions.size()];
-        specweb::GeneratedRequest req = gen.generate(type, user, sid);
+    arrivals.drive(queue, requests, [&](uint64_t i) {
         // Open loop: a full reader drops the arrival — the client
         // never sees a response, so the drop counts against
         // attainment below.
-        if (!server.injectRequest(std::move(req.raw), issued + 1))
+        if (!server.injectRequest(
+                gen.fromPool(gen.sampleBrowsingType(), sessions, i).raw,
+                i + 1))
             ++dropped;
-        ++issued;
-        if (issued < requests)
-            queue.scheduleAfter(arrivals.nextGap(), arrive);
-    };
-    queue.scheduleAfter(arrivals.nextGap(), arrive);
+    });
     queue.run();
 
     const core::RhythmStats &stats = server.stats();

@@ -10,73 +10,10 @@
 
 #include "bench/common.hh"
 #include "chat/service.hh"
-#include "des/event_queue.hh"
 #include "rhythm/server.hh"
 #include "util/stats.hh"
 
-namespace {
-
 using namespace rhythm;
-
-struct RunResult
-{
-    double throughput;
-    double latencyMs;
-    double simdEff;
-    uint64_t posted;
-};
-
-RunResult
-runIsolated(chat::RoomStore &store, chat::PageType type, uint32_t cohorts,
-            const bench::FaultFlags &faults,
-            const bench::OverlapFlags &overlap)
-{
-    des::EventQueue queue;
-    simt::DeviceConfig dcfg;
-    faults.apply(dcfg);
-    overlap.apply(dcfg);
-    simt::Device device(queue, dcfg);
-    chat::ChatService service(store);
-
-    core::RhythmConfig cfg;
-    cfg.cohortSize = 4096;
-    cfg.cohortContexts = 8;
-    cfg.cohortTimeout = 2 * des::kMillisecond;
-    cfg.backendOnDevice = true; // Titan B
-    cfg.networkOverPcie = false;
-    cfg.laneSample = 128;
-    faults.apply(cfg);
-    overlap.apply(cfg);
-    core::RhythmServer server(queue, device, service, cfg);
-    std::optional<fault::FaultPlan> plan;
-    faults.arm(server, device, queue, plan);
-
-    chat::ChatGenerator gen(store, 29);
-    const uint64_t total = static_cast<uint64_t>(cohorts) * cfg.cohortSize;
-    const uint64_t posted_before = store.totalPosted();
-    uint64_t issued = 0;
-    server.start([&]() -> std::optional<std::string> {
-        if (issued >= total)
-            return std::nullopt;
-        ++issued;
-        return gen.generate(type);
-    });
-    queue.run();
-
-    const core::RhythmStats &stats = server.stats();
-    RunResult r;
-    r.throughput = static_cast<double>(stats.responsesCompleted) /
-                   des::toSeconds(queue.now());
-    r.latencyMs = stats.latencyMs.mean();
-    r.simdEff = stats.processIssueSlots > 0
-                    ? stats.processLaneInstructions /
-                          (stats.processIssueSlots * 32.0)
-                    : 0.0;
-    r.posted = store.totalPosted() - posted_before;
-    return r;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -84,13 +21,24 @@ main(int argc, char **argv)
     const Flags flags = bench::parseArgs(
         argc, argv, {bench::FaultFlags::kTable, bench::OverlapFlags::kTable});
     bench::Reporter report("ext_chat_workload", flags);
+    const bench::FaultFlags faults(flags);
+    const bench::OverlapFlags overlap(flags);
+    if (faults.recovery)
+        return bench::usageError(
+            "--recovery supports the banking workload only");
     bench::banner("Extension: the Chat workload on Rhythm (Titan B)",
                   "Section 8 future work (Search/Email/Chat on Rhythm)");
 
-    const bench::FaultFlags faults(flags);
-    const bench::OverlapFlags overlap(flags);
     faults.recordConfig(report);
     overlap.recordConfig(report);
+    // Titan B, every page type in isolation.
+    platform::TitanVariant variant = platform::titanB();
+    variant.server.laneSample = 128;
+    faults.apply(variant);
+    overlap.apply(variant);
+    platform::IsolatedRunOptions options;
+    options.cohorts = 8;
+    faults.apply(options);
 
     chat::RoomStore store(256, 40, 7);
 
@@ -99,17 +47,24 @@ main(int argc, char **argv)
     WeightedHarmonicMean whm;
     for (uint32_t t = 0; t < chat::kNumPageTypes; ++t) {
         const chat::PageTypeInfo &info = chat::pageTable()[t];
-        RunResult r = runIsolated(
-            store, static_cast<chat::PageType>(t), 8, faults, overlap);
+        const auto type = static_cast<chat::PageType>(t);
+        chat::ChatService service(store);
+        chat::ChatGenerator gen(store, 29);
+        const uint64_t posted_before = store.totalPosted();
+        const platform::TypeRunResult r = platform::runIsolated(
+            variant, service, options, [&](core::RhythmServer &) {
+                return [&](uint64_t) { return gen.generate(type); };
+            });
         whm.add(info.mixPercent, r.throughput);
         const std::string key = bench::slug(info.name);
         report.metric(key + ".throughput", r.throughput);
-        report.metric(key + ".simd_efficiency", r.simdEff);
+        report.metric(key + ".simd_efficiency", r.simdEfficiency);
         table.addRow({std::string(info.name),
                       bench::fmt(info.mixPercent, 0),
                       bench::fmt(r.throughput / 1e3, 0),
-                      bench::fmt(r.latencyMs, 2), bench::fmt(r.simdEff, 2),
-                      withCommas(r.posted)});
+                      bench::fmt(r.avgLatencyMs, 2),
+                      bench::fmt(r.simdEfficiency, 2),
+                      withCommas(store.totalPosted() - posted_before)});
     }
     table.printAscii(std::cout);
     std::cout

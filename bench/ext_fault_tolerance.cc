@@ -69,11 +69,10 @@ runOnce(double fail_prob, uint32_t retry_budget, uint64_t fault_seed)
     server.start([&]() -> std::optional<std::string> {
         if (issued >= total)
             return std::nullopt;
-        const auto &[sid, user] = sessions[issued % sessions.size()];
-        specweb::GeneratedRequest req = gen.generate(
-            specweb::RequestType::AccountSummary, user, sid);
-        ++issued;
-        return std::move(req.raw);
+        return gen
+            .fromPool(specweb::RequestType::AccountSummary, sessions,
+                      issued++)
+            .raw;
     });
 
     // Watchdog: a hung simulation either stops draining or spins on
@@ -107,8 +106,8 @@ main(int argc, char **argv)
 {
     const Flags flags = bench::parseArgs(argc, argv, {bench::kQuickFlags});
     bench::Reporter report("ext_fault_tolerance", flags);
-    // --quick: single-seed acceptance and no sweep table — the mode CI's
-    // build-and-test job runs on every push (the full 3x3 sweep plus
+    // --quick: single-seed acceptance and no sweep table — the mode the
+    // ext_fault_tolerance_quick ctest runs (the full 3x3 sweep plus
     // 3-seed acceptance stays the local/nightly default).
     const bool quick = flags.on("quick");
 

@@ -26,7 +26,6 @@
 #include "backend/journal.hh"
 #include "backend/recovery.hh"
 #include "bench/common.hh"
-#include "fault/device_injector.hh"
 #include "fault/plan.hh"
 #include "rhythm/banking_service.hh"
 #include "rhythm/server.hh"
@@ -101,25 +100,14 @@ runOnce(const fault::FaultConfig &fcfg, bool resilience,
             out.lastDelivery = queue.now();
         });
 
-    fault::FaultPlan plan(fcfg);
-    const bool armed = !fcfg.allQuiet();
-    if (armed) {
-        server.setFaultPlan(&plan);
-        fault::installDeviceFaults(device, plan, queue);
-    }
-
     specweb::WorkloadGenerator gen(db, 31);
     auto sessions = server.sessions().populate(8192, 2000);
-    std::unique_ptr<backend::RecoverableBackend> recovery;
-    if (resilience) {
-        recovery = std::make_unique<backend::RecoverableBackend>(
-            service.backendService(), db);
-        if (armed)
-            recovery->setFaultPlan(&plan,
-                                   [&queue]() { return queue.now(); });
-        core::attachSessionRecovery(*recovery, server.sessions());
-        service.setRecovery(recovery.get());
-    }
+    std::optional<fault::FaultPlan> plan;
+    if (!fcfg.allQuiet())
+        plan.emplace(fcfg);
+    const auto recovery = core::armRun(
+        server, device, queue, plan ? &*plan : nullptr, resilience,
+        backend::RecoveryConfig{}.checkpointInterval);
 
     // Alternate a read-heavy and a mutating type so the journal, the
     // memo and the hedge replay path all carry real traffic. Reads and
@@ -160,7 +148,7 @@ runOnce(const fault::FaultConfig &fcfg, bool resilience,
     out.errors = stats.errorResponses;
     out.kernelHangs = stats.kernelHangs;
     out.hedgeWins = stats.hedgeWins;
-    out.faults = stats.faultsInjected + plan.totalInjected();
+    out.faults = stats.faultsInjected + (plan ? plan->totalInjected() : 0);
     if (recovery) {
         out.crashes = recovery->stats().crashes;
         out.tornRecords = recovery->stats().tornRecords;

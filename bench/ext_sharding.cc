@@ -104,40 +104,19 @@ runPoint(uint32_t devices, const net::ArrivalConfig &acfg,
 
     const uint64_t per_shard =
         std::max<uint64_t>(8192 / devices, 1);
-    const auto &pools = fleet.populateSessions(per_shard, kUsers);
-    // Round-robin interleave so consecutive arrivals spread across the
-    // whole fleet regardless of the shard count.
-    std::vector<std::pair<uint64_t, uint64_t>> flat;
-    size_t longest = 0;
-    for (const auto &p : pools)
-        longest = std::max(longest, p.size());
-    for (size_t k = 0; k < longest; ++k)
-        for (const auto &p : pools)
-            if (k < p.size())
-                flat.push_back(p[k]);
+    const auto pool =
+        core::interleavePools(fleet.populateSessions(per_shard, kUsers));
 
     net::ArrivalProcess arrivals(acfg);
-    uint64_t issued = 0;
-    std::function<void()> arrive = [&]() {
-        if (issued >= requests)
-            return;
-        specweb::RequestType type;
-        do {
-            type = gen.sampleType();
-        } while (type == specweb::RequestType::Login ||
-                 type == specweb::RequestType::Logout);
-        const auto &[sid, user] = flat[issued % flat.size()];
-        specweb::GeneratedRequest req = gen.generate(type, user, sid);
-        ++issued;
-        fleet.injectRequest(std::move(req.raw), issued, user,
-                            static_cast<uint32_t>(type));
-        if (issued % kCrossEvery == 0)
+    arrivals.drive(queue, requests, [&](uint64_t i) {
+        specweb::GeneratedRequest req =
+            gen.fromPool(gen.sampleBrowsingType(), pool, i);
+        fleet.injectRequest(std::move(req.raw), i + 1, req.userId,
+                            static_cast<uint32_t>(req.type));
+        if ((i + 1) % kCrossEvery == 0)
             fleet.beginCrossShardTransfer(gen.sampleUser(),
                                           gen.sampleUser(), 500);
-        if (issued < requests)
-            queue.scheduleAfter(arrivals.nextGap(), arrive);
-    };
-    queue.scheduleAfter(arrivals.nextGap(), arrive);
+    });
     queue.run(w_end);
 
     RunResult r;

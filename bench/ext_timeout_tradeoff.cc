@@ -58,11 +58,10 @@ runAtRate(double arrival_rate, des::Time timeout, uint64_t requests,
     faults.apply(cfg);
     overlap.apply(cfg);
     core::RhythmServer server(queue, device, service, cfg);
-    std::optional<fault::FaultPlan> plan;
-    faults.arm(server, device, queue, plan);
-
     specweb::WorkloadGenerator gen(db, 31);
-    auto sessions = server.sessions().populate(8192, 2000);
+    const auto sessions = server.sessions().populate(8192, 2000);
+    std::optional<fault::FaultPlan> plan;
+    const auto journal = faults.arm(server, device, queue, plan);
 
     // Open-loop Poisson arrivals of a single request type (isolating
     // the formation trade-off from multi-type context contention).
@@ -72,9 +71,8 @@ runAtRate(double arrival_rate, des::Time timeout, uint64_t requests,
     std::function<void()> arrive = [&]() {
         if (issued >= requests)
             return;
-        const auto &[sid, user] = sessions[issued % sessions.size()];
-        specweb::GeneratedRequest req = gen.generate(
-            specweb::RequestType::AccountSummary, user, sid);
+        specweb::GeneratedRequest req = gen.fromPool(
+            specweb::RequestType::AccountSummary, sessions, issued);
         // Open loop: a full reader drops the arrival (the client sees
         // no response). Track drops instead of retrying so the arrival
         // process stays independent of server state.

@@ -80,10 +80,7 @@ main(int argc, char **argv)
             type = specweb::RequestType::Logout;
             break;
           case Client::Phase::Browsing:
-            do {
-                type = gen.sampleType();
-            } while (type == specweb::RequestType::Login ||
-                     type == specweb::RequestType::Logout);
+            type = gen.sampleBrowsingType();
             break;
           default:
             return;

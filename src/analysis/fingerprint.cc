@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "simt/warp.hh"
+#include "analysis/similarity.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 
@@ -82,18 +82,8 @@ FingerprintTracker::sampledSimilarity(
     }
 
     // The Figure 2 metric over the widened warp, scheduler fields only
-    // (bit-equal to the offline merge; see measureSimilarityFast).
-    simt::WarpModel model;
-    model.warpWidth = std::max<int>(32, static_cast<int>(sample.size()));
-    const simt::WarpStats ws = simt::mergeBlockSchedule(
-        std::span<const simt::ThreadTrace *const>(sample.data(),
-                                                  sample.size()),
-        model);
-    double normalized = 0.0;
-    if (ws.steps > 0)
-        normalized = static_cast<double>(ws.laneBlockExecs) /
-                     static_cast<double>(ws.steps) /
-                     static_cast<double>(sample.size());
+    // (bit-equal to the offline merge).
+    const double normalized = measureSimilarityFast(sample).normalizedSpeedup;
 
     if (memo_.size() >= config_.memoEntries)
         memo_.clear();

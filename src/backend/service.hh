@@ -56,6 +56,9 @@ class BackendService
     std::string execute(const BackendRequest &request,
                         simt::TraceRecorder &rec);
 
+    /** The database the service executes against. */
+    BankDb &db() const { return db_; }
+
     /** Number of requests executed (for harness accounting). */
     uint64_t requestsServed() const { return requestsServed_; }
 

@@ -26,8 +26,6 @@ EventQueue::scheduleAtOn(StreamId stream, Time when, Callback cb)
     EventId id{when, s.nextSequence++, stream};
     s.events.emplace(Key{id.when, id.sequence}, std::move(cb));
     ++pendingCount_;
-    if (pendingCount_ > maxPending_)
-        maxPending_ = pendingCount_;
     return id;
 }
 

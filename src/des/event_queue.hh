@@ -112,14 +112,6 @@ class EventQueue
     uint64_t dispatched() const { return dispatched_; }
 
     /**
-     * High-water mark of pending() over the queue's lifetime — a
-     * classic DES health metric (a queue whose depth keeps growing is
-     * a simulation leaking events). Exported by the observability
-     * layer.
-     */
-    size_t maxPending() const { return maxPending_; }
-
-    /**
      * Order-audit fingerprint: an FNV-1a hash folded over the
      * (when, sequence) key of every event dispatched so far — plus the
      * stream id for events on streams other than the default, so a
@@ -190,7 +182,6 @@ class EventQueue
     uint64_t dispatched_ = 0;
     uint64_t orderHash_ = 14695981039346656037ull; //!< FNV-1a offset basis.
     size_t pendingCount_ = 0;
-    size_t maxPending_ = 0;
     bool stopRequested_ = false;
     std::vector<Stream> streams_{1};
 };

@@ -17,23 +17,6 @@ mix(uint64_t z)
 
 } // namespace
 
-std::string_view
-siteName(Site site)
-{
-    switch (site) {
-      case Site::BackendFail:      return "backend-fail";
-      case Site::BackendSlow:      return "backend-slow";
-      case Site::PcieCorrupt:      return "pcie-corrupt";
-      case Site::PcieDegrade:      return "pcie-degrade";
-      case Site::StreamStall:      return "stream-stall";
-      case Site::ClientDisconnect: return "client-disconnect";
-      case Site::BackendCrash:     return "backend-crash";
-      case Site::JournalTorn:      return "journal-torn";
-      case Site::KernelHang:       return "kernel-hang";
-    }
-    return "unknown";
-}
-
 bool
 FaultConfig::allQuiet() const
 {

@@ -28,7 +28,6 @@
 #include <array>
 #include <cstdint>
 #include <set>
-#include <string_view>
 
 #include "des/time.hh"
 #include "util/rng.hh"
@@ -73,9 +72,6 @@ enum class Site : uint32_t {
 
 /** Number of distinct injection sites. */
 inline constexpr size_t kNumSites = 9;
-
-/** Printable site name. */
-std::string_view siteName(Site site);
 
 /** Per-site probability/duration schedule. */
 struct SiteSchedule

@@ -77,9 +77,6 @@ class ResponseBuilder
   public:
     explicit ResponseBuilder(Status status = Status::Ok);
 
-    /** Sets the response status. */
-    void setStatus(Status status) { status_ = status; }
-
     /** Adds a response header (Content-Length is added automatically). */
     void addHeader(std::string_view name, std::string_view value);
 

@@ -130,6 +130,27 @@ ArrivalProcess::nextGap()
     return gap;
 }
 
+void
+ArrivalProcess::drive(des::EventQueue &queue, uint64_t count,
+                      std::function<void(uint64_t)> inject)
+{
+    queue_ = &queue;
+    count_ = count;
+    next_ = 0;
+    inject_ = std::move(inject);
+    queue.scheduleAfter(nextGap(), [this] { arrive(); });
+}
+
+void
+ArrivalProcess::arrive()
+{
+    if (next_ >= count_)
+        return;
+    inject_(next_++);
+    if (next_ < count_)
+        queue_->scheduleAfter(nextGap(), [this] { arrive(); });
+}
+
 std::vector<ScheduleEntry>
 buildSchedule(const ArrivalConfig &config,
               std::span<const double> typeWeights, uint64_t count)

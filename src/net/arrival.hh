@@ -26,11 +26,13 @@
 #define RHYTHM_NET_ARRIVAL_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "des/event_queue.hh"
 #include "des/time.hh"
 #include "util/rng.hh"
 
@@ -80,6 +82,10 @@ class ArrivalProcess
   public:
     explicit ArrivalProcess(const ArrivalConfig &config);
 
+    // drive()'s pending events hold this process's address.
+    ArrivalProcess(const ArrivalProcess &) = delete;
+    ArrivalProcess &operator=(const ArrivalProcess &) = delete;
+
     /** The configuration. */
     const ArrivalConfig &config() const { return config_; }
 
@@ -103,11 +109,29 @@ class ArrivalProcess
      */
     des::Time nextGap();
 
+    /**
+     * Drives @p count open-loop injections on @p queue: the first
+     * arrival comes one gap after the call, and each arrival calls
+     * @p inject with its request index i = 0, 1, ... and then
+     * schedules the next while requests remain. The events are
+     * scheduled on the caller's stream; the process must outlive the
+     * run.
+     */
+    void drive(des::EventQueue &queue, uint64_t count,
+               std::function<void(uint64_t)> inject);
+
   private:
+    /** One arrival of drive(). */
+    void arrive();
+
     ArrivalConfig config_;
     Rng rng_;
     double lastSeconds_ = 0.0;
     des::Time lastTick_ = 0;
+    des::EventQueue *queue_ = nullptr;
+    uint64_t count_ = 0;
+    uint64_t next_ = 0;
+    std::function<void(uint64_t)> inject_;
 };
 
 /** One entry of a replayable mixed-type schedule. */

@@ -6,7 +6,6 @@
 
 #include "backend/protocol.hh"
 #include "backend/recovery.hh"
-#include "fault/device_injector.hh"
 #include "obs/obs.hh"
 #include "rhythm/banking_service.hh"
 #include "specweb/workload.hh"
@@ -97,27 +96,15 @@ titanC()
 }
 
 TypeRunResult
-runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
-                const IsolatedRunOptions &options)
+runIsolated(const TitanVariant &variant, core::Service &service,
+            const IsolatedRunOptions &options,
+            const std::function<RequestSource(core::RhythmServer &)> &prepare)
 {
     const uint64_t total_requests =
         static_cast<uint64_t>(options.cohorts) *
         variant.server.cohortSize;
 
     core::RhythmConfig cfg = variant.server;
-    // Login creates, and logout consumes, one session per request. Every
-    // user's sessions hash to a single bucket, so the bucket depth must
-    // cover sessions-per-user (with margin for hash skew), not just the
-    // average bucket load.
-    if (type == specweb::RequestType::Login ||
-        type == specweb::RequestType::Logout) {
-        const uint64_t reachable_buckets =
-            std::min<uint64_t>(options.users, cfg.cohortSize);
-        cfg.sessionNodesPerBucket = static_cast<uint32_t>(
-            3 * total_requests / std::max<uint64_t>(1, reachable_buckets) +
-            16);
-    }
-
     if (options.profileCacheEntries > 0)
         cfg.traceTemplateCacheEntries = options.profileCacheEntries;
 
@@ -127,63 +114,21 @@ runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
     simt::Device device(queue, variant.device);
     if (options.profileCacheEntries > 0)
         device.engine().setProfileCache(&profile_cache);
-    backend::BankDb db(options.users, options.seed);
-    core::BankingService service(db);
     core::RhythmServer server(queue, device, service, cfg);
-    specweb::WorkloadGenerator gen(db, options.seed * 977 + 13);
 
+    const RequestSource source = prepare(server);
     std::optional<fault::FaultPlan> plan;
-    if (!options.faults.allQuiet()) {
+    if (!options.faults.allQuiet())
         plan.emplace(options.faults);
-        server.setFaultPlan(&*plan);
-        fault::installDeviceFaults(device, *plan, queue);
-    }
-
-    // Pre-populate sessions (the paper's isolation methodology): logout
-    // consumes a fresh session per request, the rest reuse a pool.
-    std::vector<std::pair<uint64_t, uint64_t>> sessions;
-    if (type == specweb::RequestType::Logout) {
-        sessions =
-            server.sessions().populate(total_requests, options.users);
-        RHYTHM_ASSERT(sessions.size() == total_requests,
-                      "session array too small for logout run");
-    } else if (type != specweb::RequestType::Login) {
-        sessions = server.sessions().populate(
-            std::min<uint64_t>(total_requests, 8192), options.users);
-    }
-
-    // Crash-recovery layer: journals backend mutations and session
-    // create/destroy with exactly-once idempotency semantics. Attached
-    // after pre-population so the populated sessions live inside the
-    // baseline checkpoint.
-    std::unique_ptr<backend::RecoverableBackend> recoverable;
-    if (options.recovery) {
-        backend::RecoveryConfig rcfg;
-        rcfg.checkpointInterval = options.checkpointInterval;
-        recoverable = std::make_unique<backend::RecoverableBackend>(
-            service.backendService(), db, rcfg);
-        if (plan) {
-            recoverable->setFaultPlan(
-                &*plan, [&queue]() { return queue.now(); });
-        }
-        core::attachSessionRecovery(*recoverable, server.sessions());
-        service.setRecovery(recoverable.get());
-    }
+    const auto journal =
+        core::armRun(server, device, queue, plan ? &*plan : nullptr,
+                     options.recovery, options.checkpointInterval);
 
     uint64_t issued = 0;
     server.start([&]() -> std::optional<std::string> {
         if (issued >= total_requests)
             return std::nullopt;
-        specweb::GeneratedRequest req;
-        if (type == specweb::RequestType::Login) {
-            req = gen.generate(type, gen.sampleUser(), 0);
-        } else {
-            const auto &[sid, user] =
-                sessions[issued % sessions.size()];
-            req = gen.generate(type, user, sid);
-        }
-        ++issued;
-        return std::move(req.raw);
+        return source(issued++);
     });
     queue.run();
     RHYTHM_ASSERT(server.drained(), "pipeline failed to drain");
@@ -193,7 +138,6 @@ runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
     const double elapsed = des::toSeconds(queue.now());
 
     TypeRunResult result;
-    result.type = type;
     result.requests = stats.responsesCompleted;
     result.elapsedSeconds = elapsed;
     result.throughput =
@@ -244,6 +188,55 @@ runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
         result.reqsPerJouleWall =
             result.throughput / (pm.idleWatts + result.dynamicWatts);
     }
+    return result;
+}
+
+TypeRunResult
+runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
+                const IsolatedRunOptions &options)
+{
+    const uint64_t total_requests =
+        static_cast<uint64_t>(options.cohorts) *
+        variant.server.cohortSize;
+
+    TitanVariant sized = variant;
+    // Login creates, and logout consumes, one session per request. Every
+    // user's sessions hash to a single bucket, so the bucket depth must
+    // cover sessions-per-user (with margin for hash skew), not just the
+    // average bucket load.
+    if (type == specweb::RequestType::Login ||
+        type == specweb::RequestType::Logout) {
+        const uint64_t reachable_buckets =
+            std::min<uint64_t>(options.users, sized.server.cohortSize);
+        sized.server.sessionNodesPerBucket = static_cast<uint32_t>(
+            3 * total_requests / std::max<uint64_t>(1, reachable_buckets) +
+            16);
+    }
+
+    backend::BankDb db(options.users, options.seed);
+    core::BankingService service(db);
+    specweb::WorkloadGenerator gen(db, options.seed * 977 + 13);
+    std::vector<std::pair<uint64_t, uint64_t>> sessions;
+    TypeRunResult result = runIsolated(
+        sized, service, options, [&](core::RhythmServer &server) {
+            // Pre-populate sessions (the paper's isolation methodology):
+            // logout consumes a fresh session per request, the rest
+            // reuse a pool.
+            if (type == specweb::RequestType::Logout) {
+                sessions = server.sessions().populate(total_requests,
+                                                      options.users);
+                RHYTHM_ASSERT(sessions.size() == total_requests,
+                              "session array too small for logout run");
+            } else if (type != specweb::RequestType::Login) {
+                sessions = server.sessions().populate(
+                    std::min<uint64_t>(total_requests, 8192),
+                    options.users);
+            }
+            return [&](uint64_t i) {
+                return gen.fromPool(type, sessions, i).raw;
+            };
+        });
+    result.type = type;
     return result;
 }
 

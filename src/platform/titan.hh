@@ -15,6 +15,7 @@
 #define RHYTHM_PLATFORM_TITAN_HH
 
 #include <array>
+#include <functional>
 #include <string>
 
 #include "fault/plan.hh"
@@ -167,9 +168,26 @@ struct IsolatedRunOptions
     uint64_t checkpointInterval = 4096;
 };
 
+/** Request i (i = 0, 1, ...) of an isolated run's closed-loop stream. */
+using RequestSource = std::function<std::string(uint64_t i)>;
+
 /**
- * Runs one request type in isolation on a variant and reports its
- * metrics (the per-type points behind Table 3, Figure 9 and Figure 10).
+ * The service-independent body of an isolated run: builds the device
+ * and a server for @p service from @p variant, lets @p prepare populate
+ * the server's state and return the request source, arms the run's
+ * faults and crash recovery (core::armRun), pulls cohorts × cohortSize
+ * requests, runs to drain and measures the run (TypeRunResult::type is
+ * left to the caller).
+ */
+TypeRunResult
+runIsolated(const TitanVariant &variant, core::Service &service,
+            const IsolatedRunOptions &options,
+            const std::function<RequestSource(core::RhythmServer &)> &prepare);
+
+/**
+ * Runs one banking request type in isolation on a variant over a
+ * pre-populated session pool and reports its metrics (the per-type
+ * points behind Table 3, Figure 9 and Figure 10).
  */
 TypeRunResult runIsolatedType(const TitanVariant &variant,
                               specweb::RequestType type,

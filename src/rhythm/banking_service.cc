@@ -4,8 +4,11 @@
 
 #include "backend/protocol.hh"
 #include "backend/recovery.hh"
+#include "fault/device_injector.hh"
+#include "rhythm/server.hh"
 #include "rhythm/session_array.hh"
 #include "specweb/quickpay.hh"
+#include "util/logging.hh"
 
 namespace rhythm::core {
 
@@ -76,9 +79,9 @@ attachSessionRecovery(backend::RecoverableBackend &recovery,
 
     backend::SessionHooks hooks;
     // The captured snapshot lives in the closures; checkpoint()
-    // overwrites it, restore() reinstates it.
-    auto snap =
-        std::make_shared<SessionArray::Snapshot>(sessions.snapshot());
+    // overwrites it (setSessionHooks takes the first), restore()
+    // reinstates it.
+    auto snap = std::make_shared<SessionArray::Snapshot>();
     hooks.checkpoint = [&sessions, snap]() { *snap = sessions.snapshot(); };
     hooks.restore = [&sessions, snap]() { sessions.restore(*snap); };
     // Replay re-executes create() against the restored array + RNG
@@ -94,6 +97,29 @@ attachSessionRecovery(backend::RecoverableBackend &recovery,
         return sessions.destroy(sid, null);
     };
     recovery.setSessionHooks(std::move(hooks));
+}
+
+std::unique_ptr<backend::RecoverableBackend>
+armRun(RhythmServer &server, simt::Device &device, des::EventQueue &queue,
+       fault::FaultPlan *plan, bool recovery, uint64_t checkpoint_interval)
+{
+    if (plan) {
+        server.setFaultPlan(plan);
+        fault::installDeviceFaults(device, *plan, queue);
+    }
+    if (!recovery)
+        return nullptr;
+    auto *banking = dynamic_cast<BankingService *>(&server.service());
+    RHYTHM_ASSERT(banking, "crash recovery journals the banking backend");
+    backend::RecoveryConfig rcfg;
+    rcfg.checkpointInterval = checkpoint_interval;
+    auto journal = std::make_unique<backend::RecoverableBackend>(
+        banking->backendService(), banking->backendService().db(), rcfg);
+    if (plan)
+        journal->setFaultPlan(plan, [&queue]() { return queue.now(); });
+    attachSessionRecovery(*journal, server.sessions());
+    banking->setRecovery(journal.get());
+    return journal;
 }
 
 uint32_t

@@ -9,6 +9,8 @@
 #ifndef RHYTHM_RHYTHM_BANKING_SERVICE_HH
 #define RHYTHM_RHYTHM_BANKING_SERVICE_HH
 
+#include <memory>
+
 #include "backend/service.hh"
 #include "rhythm/service.hh"
 #include "specweb/banking.hh"
@@ -16,9 +18,19 @@
 namespace rhythm::backend {
 class RecoverableBackend;
 }
+namespace rhythm::des {
+class EventQueue;
+}
+namespace rhythm::fault {
+class FaultPlan;
+}
+namespace rhythm::simt {
+class Device;
+}
 
 namespace rhythm::core {
 
+class RhythmServer;
 class SessionArray;
 
 /** Banking on Rhythm. */
@@ -106,6 +118,21 @@ class BankingService : public Service
  */
 void attachSessionRecovery(backend::RecoverableBackend &recovery,
                            SessionArray &sessions);
+
+/**
+ * Arms one server's run for faults and crash recovery (DESIGN.md 6b,
+ * 6g): @p plan (not owned; nullptr = fault-free) goes to the server's
+ * fault sites and the device's injector. With @p recovery, a journaled
+ * backend with @p checkpoint_interval wraps the server's banking
+ * service, takes its session array into the crash domain and draws its
+ * crashes and torn records from the same plan. Call after session
+ * population: the journal's baseline must hold the populated array.
+ * @return The journaled backend (nullptr without @p recovery); it must
+ *         outlive the run.
+ */
+std::unique_ptr<backend::RecoverableBackend>
+armRun(RhythmServer &server, simt::Device &device, des::EventQueue &queue,
+       fault::FaultPlan *plan, bool recovery, uint64_t checkpoint_interval);
 
 } // namespace rhythm::core
 

@@ -82,9 +82,6 @@ class CohortContext
     /** Requests currently aboard. */
     const std::vector<CohortEntry> &entries() const { return entries_; }
 
-    /** Mutable access for the pipeline (Busy state only). */
-    std::vector<CohortEntry> &mutableEntries() { return entries_; }
-
     /** Arrival time of the oldest aboard request (0 when empty). */
     des::Time firstArrival() const { return firstArrival_; }
 

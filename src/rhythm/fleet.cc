@@ -68,17 +68,8 @@ Fleet::Fleet(des::EventQueue &queue,
         shard->device =
             std::make_unique<simt::Device>(queue_, device_config);
         shard->service = std::make_unique<BankingService>(*shard->db);
-        if (config_.recovery) {
-            backend::RecoveryConfig rc;
-            rc.checkpointInterval = config_.checkpointInterval;
-            shard->recovery = std::make_unique<backend::RecoverableBackend>(
-                shard->service->backendService(), *shard->db, rc);
-            shard->service->setRecovery(shard->recovery.get());
-        }
         shard->server = std::make_unique<RhythmServer>(
             queue_, *shard->device, *shard->service, server_config);
-        if (shard->recovery)
-            attachSessionRecovery(*shard->recovery, shard->server->sessions());
         const uint32_t index = i;
         shard->server->setResponseCallback(
             [this, index](uint64_t client_id, std::string_view response,
@@ -166,6 +157,26 @@ Fleet::routeShard(uint64_t user_id, uint32_t type_id) const
 }
 
 void
+Fleet::setFaultPlan(fault::FaultPlan *plan)
+{
+    RHYTHM_ASSERT(!armed_, "fault plan set after the fleet was armed");
+    plan_ = plan;
+}
+
+void
+Fleet::arm()
+{
+    if (armed_)
+        return;
+    armed_ = true;
+    for (auto &s : shards_) {
+        des::EventQueue::StreamScope scope(queue_, s->stream);
+        s->recovery = armRun(*s->server, *s->device, queue_, plan_,
+                             config_.recovery, config_.checkpointInterval);
+    }
+}
+
+void
 Fleet::setStaticContent(const specweb::StaticContent *content)
 {
     for (auto &s : shards_)
@@ -181,6 +192,7 @@ Fleet::setResponseCallback(RhythmServer::ResponseCallback cb)
 const std::vector<std::vector<std::pair<uint64_t, uint64_t>>> &
 Fleet::populateSessions(uint64_t per_shard, uint64_t max_user_id)
 {
+    RHYTHM_ASSERT(!armed_, "sessions populated after the fleet was armed");
     for (uint32_t i = 0; i < shards_.size(); ++i) {
         if (config_.balance == BalanceMode::SessionHash) {
             pools_[i] = shards_[i]->server->sessions().populate(
@@ -196,6 +208,7 @@ Fleet::populateSessions(uint64_t per_shard, uint64_t max_user_id)
                                                         max_user_id);
         }
     }
+    arm();
     return pools_;
 }
 
@@ -203,6 +216,7 @@ bool
 Fleet::injectRequest(std::string raw, uint64_t client_id, uint64_t user_id,
                      uint32_t type_id)
 {
+    arm();
     uint32_t target = routeShard(user_id, type_id);
     if (!sessionRemap_.empty()) {
         // Re-sharded session? Follow the remap and rewrite the cookie
@@ -244,6 +258,7 @@ uint64_t
 Fleet::beginCrossShardTransfer(uint64_t payer, uint64_t payee,
                                int64_t cents)
 {
+    arm();
     const uint64_t xfer_id = ++crossSeq_;
     ++stats_.crossStarted;
     const uint64_t token_out = kCrossTokenBase | (xfer_id << 1);
@@ -285,6 +300,7 @@ Fleet::killDevice(uint32_t index)
     Shard &dead = *shards_[index];
     RHYTHM_ASSERT(dead.alive, "device already dead");
     RHYTHM_ASSERT(aliveCount() > 1, "cannot kill the last device");
+    arm();
     ++stats_.devicesKilled;
     dead.alive = false;
     if (dead.recovery) {
@@ -314,15 +330,6 @@ Fleet::killDevice(uint32_t index)
         }
     }
     pools_[index].clear();
-}
-
-void
-Fleet::flushAll()
-{
-    for (auto &s : shards_) {
-        des::EventQueue::StreamScope scope(queue_, s->stream);
-        s->server->flush();
-    }
 }
 
 bool
@@ -387,6 +394,21 @@ Fleet::totalCohorts() const
     for (const auto &s : shards_)
         n += s->server->stats().cohortsLaunched;
     return n;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>>
+interleavePools(
+    const std::vector<std::vector<std::pair<uint64_t, uint64_t>>> &pools)
+{
+    std::vector<std::pair<uint64_t, uint64_t>> flat;
+    size_t longest = 0;
+    for (const auto &p : pools)
+        longest = std::max(longest, p.size());
+    for (size_t k = 0; k < longest; ++k)
+        for (const auto &p : pools)
+            if (k < p.size())
+                flat.push_back(p[k]);
+    return flat;
 }
 
 } // namespace rhythm::core

@@ -52,6 +52,7 @@
 #include "backend/bankdb.hh"
 #include "backend/recovery.hh"
 #include "des/event_queue.hh"
+#include "fault/plan.hh"
 #include "rhythm/banking_service.hh"
 #include "rhythm/server.hh"
 #include "simt/device.hh"
@@ -98,10 +99,11 @@ class Fleet
      * Builds the fleet: per shard a DES stream, a BankDb(users,
      * db_seed) (identical per-user state on every shard — routing
      * decides which copy is authoritative for a user), a Device, a
-     * BankingService, a RhythmServer, and optionally a
-     * RecoverableBackend. Also binds each stream to its device in the
-     * observability layer, so fleet metrics/traces namespace as
-     * "dev<i>." / per-device trace processes.
+     * BankingService and a RhythmServer. Also binds each stream to its
+     * device in the observability layer, so fleet metrics/traces
+     * namespace as "dev<i>." / per-device trace processes. The shards
+     * are armed (fault plan, journaled backend) later: by
+     * populateSessions, or else by the first request, transfer or kill.
      */
     Fleet(des::EventQueue &queue, const simt::DeviceConfig &device_config,
           const RhythmConfig &server_config, const FleetConfig &config,
@@ -115,6 +117,8 @@ class Fleet
     RhythmServer &server(uint32_t i) { return *shards_[i]->server; }
     simt::Device &device(uint32_t i) { return *shards_[i]->device; }
     backend::BankDb &db(uint32_t i) { return *shards_[i]->db; }
+    /** Shard @p i's journal; nullptr without recovery or before the
+     *  fleet is armed. */
     backend::RecoverableBackend *recovery(uint32_t i)
     {
         return shards_[i]->recovery.get();
@@ -134,6 +138,14 @@ class Fleet
      */
     uint32_t routeShard(uint64_t user_id, uint32_t type_id) const;
 
+    /**
+     * Sets the fault plan (not owned; nullptr = fault-free) every shard
+     * is armed with: its server's sites, its device's injector and,
+     * with recovery, its journal (core::armRun). Call before the fleet
+     * is armed.
+     */
+    void setFaultPlan(fault::FaultPlan *plan);
+
     /** Registers the static-content store on every shard. */
     void setStaticContent(const specweb::StaticContent *content);
 
@@ -148,7 +160,11 @@ class Fleet
      * Populates every shard's session array: @p per_shard sessions
      * drawn from users <= @p max_user_id, filtered to each shard's
      * homed users under SessionHash (so the pools partition the user
-     * space), identical on every shard under LeastOutstanding.
+     * space), identical on every shard under LeastOutstanding. Then
+     * arms the shards, so each journal's baseline holds its populated
+     * array: population and create() share the array's RNG, so
+     * replaying journaled population creates could not reproduce their
+     * session ids. Call once, before serving.
      * @return Per-shard (session id, user id) pools; also retained
      *         internally for the re-shard path.
      */
@@ -187,9 +203,6 @@ class Fleet
      */
     void killDevice(uint32_t index);
 
-    /** Flushes partially formed batches on every alive shard. */
-    void flushAll();
-
     /** True when every shard's pipeline is empty. */
     bool drainedAll() const;
 
@@ -227,6 +240,8 @@ class Fleet
         uint64_t outstanding = 0; //!< Accepted minus responded.
     };
 
+    /** Arms every shard once (see setFaultPlan). */
+    void arm();
     /** Deterministic survivor for a user whose home shard died. */
     uint32_t remapShard(uint64_t user_id) const;
     /** Alive shard with the fewest outstanding requests. */
@@ -242,9 +257,19 @@ class Fleet
     /** Old session id → (survivor shard, new session id). */
     std::map<uint64_t, std::pair<uint32_t, uint64_t>> sessionRemap_;
     RhythmServer::ResponseCallback userCb_;
+    fault::FaultPlan *plan_ = nullptr;
+    bool armed_ = false;
     uint64_t crossSeq_ = 0;
     Stats stats_;
 };
+
+/**
+ * Round-robin interleave of per-shard session pools (entry k of every
+ * pool, then entry k + 1), so consecutive arrivals drawing from the
+ * result spread over the whole fleet.
+ */
+std::vector<std::pair<uint64_t, uint64_t>> interleavePools(
+    const std::vector<std::vector<std::pair<uint64_t, uint64_t>>> &pools);
 
 } // namespace rhythm::core
 

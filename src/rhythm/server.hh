@@ -419,6 +419,9 @@ class RhythmServer
     /** The configuration. */
     const RhythmConfig &config() const { return config_; }
 
+    /** The service this server runs. */
+    Service &service() const { return service_; }
+
     /**
      * Device memory footprint of the preallocated pools (Section 6.3):
      * session array + per-context request/response/backend buffers.

@@ -205,12 +205,4 @@ Engine::profileMany(const std::vector<Launch> &launches)
     return profiles;
 }
 
-void
-Engine::resetCounters()
-{
-    std::fill(sms_.begin(), sms_.end(), SmCounters{});
-    launches_ = 0;
-    warps_ = 0;
-}
-
 } // namespace rhythm::simt

@@ -111,14 +111,11 @@ class Engine
     /** Per-SM counters, indexed by SM; stable across thread counts. */
     const std::vector<SmCounters> &smCounters() const { return sms_; }
 
-    /** Total launches profiled since construction / resetCounters(). */
+    /** Total launches profiled since construction. */
     uint64_t launches() const { return launches_; }
 
-    /** Total warps simulated since construction / resetCounters(). */
+    /** Total warps simulated since construction. */
     uint64_t warps() const { return warps_; }
-
-    /** Clears the per-SM counters and launch/warp totals. */
-    void resetCounters();
 
     /**
      * Attaches a warp profile cache (not owned; nullptr detaches, the
@@ -126,9 +123,6 @@ class Engine
      * outlives every profile call that uses it.
      */
     void setProfileCache(ProfileCache *cache) { cache_ = cache; }
-
-    /** The attached profile cache, or null. */
-    ProfileCache *profileCache() const { return cache_; }
 
   private:
     util::ThreadPool &pool() const;

@@ -73,6 +73,16 @@ WorkloadGenerator::sampleType()
     return RequestType::Logout;
 }
 
+RequestType
+WorkloadGenerator::sampleBrowsingType()
+{
+    RequestType type;
+    do {
+        type = sampleType();
+    } while (type == RequestType::Login || type == RequestType::Logout);
+    return type;
+}
+
 uint64_t
 WorkloadGenerator::sampleUser()
 {
@@ -164,6 +174,17 @@ WorkloadGenerator::generate(RequestType type, uint64_t user_id,
 
     out.raw = http::buildRequest(method, info.path, params, cookie);
     return out;
+}
+
+GeneratedRequest
+WorkloadGenerator::fromPool(
+    RequestType type, std::span<const std::pair<uint64_t, uint64_t>> pool,
+    uint64_t i)
+{
+    if (type == RequestType::Login)
+        return generate(type, sampleUser(), 0);
+    const auto &[sid, user] = pool[i % pool.size()];
+    return generate(type, user, sid);
 }
 
 GeneratedRequest

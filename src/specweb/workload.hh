@@ -12,7 +12,9 @@
 #ifndef RHYTHM_SPECWEB_WORKLOAD_HH
 #define RHYTHM_SPECWEB_WORKLOAD_HH
 
+#include <span>
 #include <string>
+#include <utility>
 
 #include "backend/bankdb.hh"
 #include "specweb/types.hh"
@@ -54,6 +56,13 @@ class WorkloadGenerator
     /** Samples a request type according to the Table 2 mix. */
     RequestType sampleType();
 
+    /**
+     * Samples the browsing steady state (Section 6): the Table 2 mix
+     * without login and logout, which churn the session pool. Rejected
+     * draws consume the RNG like any other.
+     */
+    RequestType sampleBrowsingType();
+
     /** Samples a uniform user id. */
     uint64_t sampleUser();
 
@@ -65,6 +74,17 @@ class WorkloadGenerator
      */
     GeneratedRequest generate(RequestType type, uint64_t user_id,
                               uint64_t session_id);
+
+    /**
+     * Builds request @p i of a run over a pre-populated session pool
+     * (the isolation methodology, Section 5.3.1): a login acts as a
+     * freshly sampled user without a session; any other type uses pool
+     * entry i % pool.size(), a (session id, user id) pair.
+     */
+    GeneratedRequest
+    fromPool(RequestType type,
+             std::span<const std::pair<uint64_t, uint64_t>> pool,
+             uint64_t i);
 
     /** Convenience: sampleType + sampleUser + generate. */
     GeneratedRequest next(uint64_t session_id);

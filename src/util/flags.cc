@@ -162,6 +162,10 @@ Flags::check(std::span<const FlagTable> tables)
             error_ = "--" + name + " must be " + expected + ", got: " + value;
             return false;
         }
+        if (!f->needs.empty() && number(name) > 0 && !on(f->needs)) {
+            error_ = "--" + name + " needs --" + std::string(f->needs);
+            return false;
+        }
     }
     return true;
 }
@@ -244,6 +248,8 @@ Flags::usage(std::ostream &out, std::string_view program,
         for (const FlagSpec &f : table.flags) {
             std::string line = "  --" + std::string(f.name) + placeholder(f);
             std::string help(f.help);
+            if (!f.needs.empty())
+                help += ", with --" + std::string(f.needs);
             if (!f.def.empty())
                 help += " (" + std::string(f.def) + ")";
             bool first = true;

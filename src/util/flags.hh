@@ -69,6 +69,9 @@ struct FlagSpec
     std::string_view help;
     FlagRange range = {};
     std::string_view values = {}; //!< Choice: "a|b"; Text: "PATH".
+    /** A switch that must be on when this Count or Number is above 0
+     *  ("" = none). */
+    std::string_view needs = {};
 };
 
 /** A titled group of flags: one section of the help text. */
@@ -92,7 +95,8 @@ class Flags
     /**
      * Declares the program's flags and checks every given one.
      * @return false (with error()) on an unknown flag, a value that
-     *         does not parse as its kind or a number out of range.
+     *         does not parse as its kind, a number out of range or a
+     *         number above 0 whose FlagSpec::needs switch is off.
      */
     bool check(std::span<const FlagTable> tables);
 

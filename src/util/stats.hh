@@ -115,9 +115,6 @@ class WindowedPercentile
     /** Samples ever recorded (not capped by the window). */
     uint64_t totalCount() const { return total_; }
 
-    /** Samples currently in the window. */
-    size_t windowCount() const { return ring_.size(); }
-
     /**
      * Returns the given percentile over the current window via
      * nearest-rank selection. @param p Percentile in [0, 100].

@@ -34,9 +34,6 @@ class TableWriter
     /** Renders RFC-4180-ish CSV (cells containing commas are quoted). */
     void printCsv(std::ostream &os) const;
 
-    /** Number of data rows added so far. */
-    size_t rowCount() const { return rows_.size(); }
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

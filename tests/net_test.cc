@@ -22,6 +22,7 @@
 #include <cmath>
 #include <vector>
 
+#include "des/event_queue.hh"
 #include "net/arrival.hh"
 
 namespace {
@@ -270,6 +271,40 @@ TEST(NetArrival, ArrivalSecondsStrictlyIncrease)
             prev = t;
         }
     }
+}
+
+// ---- driving injections on an event queue -------------------------------
+
+TEST(NetArrival, DriveInjectsEachRequestOnceAtTheProcessTimes)
+{
+    des::EventQueue queue;
+    net::ArrivalProcess driven(poissonConfig(1e5, 9));
+    net::ArrivalProcess reference(poissonConfig(1e5, 9));
+    std::vector<std::pair<uint64_t, des::Time>> injected;
+    driven.drive(queue, 5, [&](uint64_t i) {
+        injected.emplace_back(i, queue.now());
+    });
+    queue.run();
+    ASSERT_EQ(injected.size(), 5u);
+    des::Time at = 0;
+    for (uint64_t i = 0; i < 5; ++i) {
+        at += reference.nextGap(); // the first arrival is one gap out
+        EXPECT_EQ(injected[i].first, i);
+        EXPECT_EQ(injected[i].second, at);
+    }
+    // One event per arrival: the last schedules no successor.
+    EXPECT_EQ(queue.dispatched(), 5u);
+}
+
+TEST(NetArrival, DriveWithNothingToSendFiresOneEmptyArrival)
+{
+    des::EventQueue queue;
+    net::ArrivalProcess driven(poissonConfig(1e5, 9));
+    uint64_t calls = 0;
+    driven.drive(queue, 0, [&](uint64_t) { ++calls; });
+    queue.run();
+    EXPECT_EQ(calls, 0u);
+    EXPECT_EQ(queue.dispatched(), 1u);
 }
 
 // ---- name round-trips --------------------------------------------------

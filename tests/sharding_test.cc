@@ -9,7 +9,9 @@
  * replay dedups, a crash between the phases never double-spends) and
  * the 4-device chaos path (kill one device mid-flight: committed
  * transactions survive the journal replay and re-sharded sessions are
- * served by the survivors through the cookie rewrite).
+ * served by the survivors through the cookie rewrite), and a fleet
+ * whose shard journals draw a crash schedule (every crash recovers
+ * transparently: no error, no replay mismatch, money conserved).
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +27,8 @@
 #include "backend/protocol.hh"
 #include "backend/recovery.hh"
 #include "des/event_queue.hh"
+#include "fault/plan.hh"
+#include "net/arrival.hh"
 #include "rhythm/fleet.hh"
 #include "simt/trace.hh"
 #include "specweb/workload.hh"
@@ -175,6 +179,15 @@ smallServerConfig()
     cfg.backendOnDevice = true;
     cfg.networkOverPcie = false;
     return cfg;
+}
+
+TEST(FleetRouting, InterleavedPoolsRoundRobinUnevenShards)
+{
+    const std::vector<std::vector<std::pair<uint64_t, uint64_t>>> pools = {
+        {{1, 10}, {2, 20}, {3, 30}}, {}, {{4, 40}}};
+    EXPECT_EQ(core::interleavePools(pools),
+              (std::vector<std::pair<uint64_t, uint64_t>>{
+                  {1, 10}, {4, 40}, {2, 20}, {3, 30}}));
 }
 
 TEST(FleetRouting, HomeShardIsStableAndCoversEveryShard)
@@ -509,6 +522,83 @@ TEST(FleetChaos, KillOneOfFourMidFlightLosesNothing)
                                          fleet.totalErrors() +
                                          fleet.totalShed());
     EXPECT_GT(fleet.totalResponses(), 0u);
+}
+
+// ---- Crash schedule on every shard journal ----------------------------
+
+/** Money held by the authoritative shard copies, plus bills paid out. */
+int64_t
+fleetMoney(core::Fleet &fleet, uint64_t users)
+{
+    int64_t total = 0;
+    for (uint64_t u = 1; u <= users; ++u) {
+        backend::BankDb &db = fleet.db(fleet.homeShard(u));
+        for (const backend::Account *a : db.accounts(u))
+            total += a->balanceCents;
+        for (const backend::BillPayment *p :
+             db.billPayments(u, 0, UINT32_MAX))
+            total += p->amountCents;
+    }
+    return total;
+}
+
+TEST(FleetChaos, CrashScheduleRecoversEveryShardTransparently)
+{
+    des::EventQueue queue;
+    simt::DeviceConfig dcfg;
+    core::FleetConfig fc;
+    fc.devices = 4;
+    fc.recovery = true;
+    constexpr uint64_t kUsers = 200;
+    core::Fleet fleet(queue, dcfg, smallServerConfig(), fc, kUsers, 11);
+    fault::FaultConfig faults;
+    faults.seed = 5;
+    faults.at(fault::Site::BackendCrash).probability = 0.05;
+    faults.at(fault::Site::JournalTorn).probability = 0.5;
+    fault::FaultPlan plan(faults);
+    fleet.setFaultPlan(&plan);
+    // Each journal's baseline holds its populated pool: replaying
+    // population's creates could not reproduce their session ids.
+    const auto pool =
+        core::interleavePools(fleet.populateSessions(128, kUsers));
+    ASSERT_FALSE(pool.empty());
+    const int64_t money_before = fleetMoney(fleet, kUsers);
+
+    // Browsing traffic plus cross-shard transfers, so crashes land on
+    // session lookups, journaled mutations and both transfer legs.
+    backend::BankDb front_db(kUsers, 11);
+    specweb::WorkloadGenerator gen(front_db, 29);
+    net::ArrivalConfig acfg;
+    acfg.kind = net::ArrivalKind::Poisson;
+    acfg.rate = 2e6;
+    acfg.seed = 3;
+    net::ArrivalProcess arrivals(acfg);
+    arrivals.drive(queue, 3000, [&](uint64_t i) {
+        specweb::GeneratedRequest req =
+            gen.fromPool(gen.sampleBrowsingType(), pool, i);
+        fleet.injectRequest(std::move(req.raw), i + 1, req.userId,
+                            static_cast<uint32_t>(req.type));
+        if ((i + 1) % 50 == 0)
+            fleet.beginCrossShardTransfer(gen.sampleUser(),
+                                          gen.sampleUser(), 300);
+    });
+    queue.run();
+
+    uint64_t crashes = 0;
+    uint64_t mismatches = 0;
+    for (uint32_t i = 0; i < fleet.devices(); ++i) {
+        const backend::RecoverableBackend *journal = fleet.recovery(i);
+        ASSERT_NE(journal, nullptr);
+        crashes += journal->stats().crashes;
+        mismatches += journal->stats().replayMismatches;
+    }
+    EXPECT_GT(crashes, 0u);
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(fleet.totalErrors(), 0u);
+    EXPECT_TRUE(fleet.drainedAll());
+    EXPECT_EQ(fleet.totalAccepted(),
+              fleet.totalResponses() + fleet.totalShed());
+    EXPECT_EQ(fleetMoney(fleet, kUsers), money_before);
 }
 
 } // namespace

@@ -268,6 +268,45 @@ TEST_F(BankingFixture, GeneratorIsDeterministic)
     }
 }
 
+TEST_F(BankingFixture, BrowsingTypesDrawTheMixWithoutLoginOrLogout)
+{
+    // The rejection loop consumes the same draws as sampleType(): a
+    // browsing sample is the first non-login, non-logout type of the
+    // plain stream.
+    WorkloadGenerator browsing(db_, 41), plain(db_, 41);
+    for (int i = 0; i < 2000; ++i) {
+        RequestType expected;
+        do {
+            expected = plain.sampleType();
+        } while (expected == RequestType::Login ||
+                 expected == RequestType::Logout);
+        EXPECT_EQ(browsing.sampleBrowsingType(), expected);
+    }
+}
+
+TEST_F(BankingFixture, PoolRequestsCycleThePoolAndLoginsSampleAUser)
+{
+    const std::vector<std::pair<uint64_t, uint64_t>> pool = {
+        {501, 7}, {502, 8}, {503, 9}};
+    WorkloadGenerator gen(db_, 3), ref(db_, 3);
+    for (uint64_t i = 0; i < 7; ++i) {
+        const GeneratedRequest r =
+            gen.fromPool(RequestType::Profile, pool, i);
+        EXPECT_EQ(r.sessionId, pool[i % 3].first);
+        EXPECT_EQ(r.userId, pool[i % 3].second);
+        EXPECT_EQ(r.raw, ref.generate(RequestType::Profile,
+                                      pool[i % 3].second,
+                                      pool[i % 3].first)
+                             .raw);
+    }
+    // A login ignores the pool (an empty one included): a fresh user,
+    // no session.
+    const GeneratedRequest login = gen.fromPool(RequestType::Login, {}, 4);
+    EXPECT_EQ(login.sessionId, 0u);
+    EXPECT_EQ(login.raw,
+              ref.generate(RequestType::Login, ref.sampleUser(), 0).raw);
+}
+
 TEST_F(BankingFixture, ClosedLoopSessionLifecycle)
 {
     // login → several pages → logout, all validated.

@@ -386,6 +386,8 @@ TEST(Flags, RangesAndChoicesAreChecked)
         {"rate", FlagKind::Number, "1", "rate", kPositive},
         {"n", FlagKind::Count, "1", "n", kAtLeastOne},
         {"mode", FlagKind::Choice, "a", "mode", {}, "a|b"},
+        {"crash", FlagKind::Number, "0", "crash", kProbability, {}, "journal"},
+        {"journal", FlagKind::Switch, "off", "journal"},
     };
     const std::pair<const char *, const char *> cases[] = {
         {"--p=1.5", "--p must be in [0, 1], got: 1.5"},
@@ -393,6 +395,7 @@ TEST(Flags, RangesAndChoicesAreChecked)
         {"--rate=0", "--rate must be > 0, got: 0"},
         {"--n=0", "--n must be >= 1, got: 0"},
         {"--mode=c", "--mode must be one of a|b, got: c"},
+        {"--crash=0.5", "--crash needs --journal"},
     };
     for (const auto &[arg, error] : cases) {
         Flags flags;
@@ -402,7 +405,7 @@ TEST(Flags, RangesAndChoicesAreChecked)
     }
     Flags edges;
     ASSERT_TRUE(parseArgs(edges, {"--p=1", "--rate=0.001", "--n=1",
-                                  "--mode=b"}));
+                                  "--mode=b", "--crash=0.5", "--journal"}));
     EXPECT_TRUE(checkAgainst(edges, specs)) << edges.error();
     EXPECT_EQ(edges.text("mode"), "b");
 }

@@ -22,7 +22,6 @@
 #include "bench/common.hh"
 #include "chat/store.hh"
 #include "chat/service.hh"
-#include "fault/device_injector.hh"
 #include "fault/plan.hh"
 #include "obs/obs.hh"
 #include "platform/titan.hh"
@@ -395,6 +394,16 @@ fleetReport(core::Fleet &fleet, const des::EventQueue &queue,
               withCommas(fs.crossStarted) + " / " +
                   withCommas(fs.crossCompleted) + " / " +
                   withCommas(fs.crossRejected)});
+    if (fleet.recovery(0)) {
+        uint64_t crashes = 0;
+        uint64_t torn = 0;
+        for (uint32_t i = 0; i < fleet.devices(); ++i) {
+            crashes += fleet.recovery(i)->stats().crashes;
+            torn += fleet.recovery(i)->stats().tornRecords;
+        }
+        t.addRow({"backend crashes / torn records",
+                  withCommas(crashes) + " / " + withCommas(torn)});
+    }
     if (fs.devicesKilled) {
         t.addRow({"devices killed", withCommas(fs.devicesKilled)});
         t.addRow({"sessions re-sharded",
@@ -675,12 +684,14 @@ main(int argc, char **argv)
     // ---- The single-device run ------------------------------------------
     // Every workload but the fleet runs one device and one server through
     // this sequence. Its branch below builds the service and passes
-    // `wire`, which attaches the request source once the fault plan is
-    // armed, and an optional `epilogue` printed after the report.
-    const backend::RecoverableBackend *recovery = nullptr; // banking sets
-    using Wire = std::function<void(core::RhythmServer &, des::EventQueue &,
-                                    fault::FaultPlan *)>;
-    auto serve = [&](core::Service &service, const Wire &wire,
+    // `prepare`, which readies the server and returns the request source
+    // (DESIGN.md 6b: arming follows, so a journal's baseline holds what
+    // prepare populated), and an optional `epilogue` printed after the
+    // report. Requests flow closed-loop or from the open-loop arrival
+    // process.
+    using Prepare =
+        std::function<platform::RequestSource(core::RhythmServer &)>;
+    auto serve = [&](core::Service &service, const Prepare &prepare,
                      const std::function<void()> &epilogue = {}) -> int {
         des::EventQueue queue;
         if (observe)
@@ -691,13 +702,29 @@ main(int argc, char **argv)
         batching.apply(cfg, service);
         core::RhythmServer server(queue, device, service, cfg);
         digest.attach(server);
+        const platform::RequestSource source = prepare(server);
         std::optional<fault::FaultPlan> plan;
-        faults.arm(server, device, queue, plan);
-        fault::FaultPlan *armed = plan ? &*plan : nullptr;
-        wire(server, queue, armed);
+        const auto journal = faults.arm(server, device, queue, plan);
+        std::optional<net::ArrivalProcess> arrivals;
+        uint64_t issued = 0;
+        if (arrival.open()) {
+            // injectRequest == false is a reader drop: an open-loop
+            // client does not retry (counted in RhythmStats::readerDrops).
+            arrivals.emplace(arrival.config).drive(
+                queue, total, [&](uint64_t i) {
+                    server.injectRequest(source(i), i + 1);
+                });
+        } else {
+            server.start([&]() -> std::optional<std::string> {
+                if (issued >= total)
+                    return std::nullopt;
+                return source(issued++);
+            });
+        }
         queue.run();
-        report(server, device, queue, variant.power, armed, robust,
-               &json_report, pc_on ? &profile_cache : nullptr, recovery);
+        report(server, device, queue, variant.power,
+               plan ? &*plan : nullptr, robust, &json_report,
+               pc_on ? &profile_cache : nullptr, journal.get());
         if (epilogue)
             epilogue();
         return finish(json_report, trace_path, digest);
@@ -766,37 +793,20 @@ main(int argc, char **argv)
             // Per-device profile caches: one shared cache would leak
             // warp profiles across shards.
             std::vector<std::unique_ptr<simt::ProfileCache>> caches;
-            fault::FaultPlan plan(faults.config);
-            for (uint32_t i = 0; i < fleet.devices(); ++i) {
-                if (pc_on) {
-                    caches.push_back(
-                        std::make_unique<simt::ProfileCache>(
-                            pc_entries));
-                    fleet.device(i).engine().setProfileCache(
-                        caches.back().get());
-                }
-                if (faults_on) {
-                    fleet.server(i).setFaultPlan(&plan);
-                    fault::installDeviceFaults(fleet.device(i), plan,
-                                               queue);
-                }
+            for (uint32_t i = 0; pc_on && i < fleet.devices(); ++i) {
+                caches.push_back(
+                    std::make_unique<simt::ProfileCache>(pc_entries));
+                fleet.device(i).engine().setProfileCache(
+                    caches.back().get());
             }
+            std::optional<fault::FaultPlan> plan;
+            fleet.setFaultPlan(faults.plan(plan));
 
             const uint64_t per_shard = std::max<uint64_t>(
                 std::min<uint64_t>(total, 8192) / fc.devices, 1);
-            const auto &pools =
-                fleet.populateSessions(per_shard, users);
-            // Round-robin interleave of the per-shard pools so
-            // consecutive arrivals spread across the whole fleet.
-            std::vector<std::pair<uint64_t, uint64_t>> flat;
-            size_t longest = 0;
-            for (const auto &p : pools)
-                longest = std::max(longest, p.size());
-            for (size_t k = 0; k < longest; ++k)
-                for (const auto &p : pools)
-                    if (k < p.size())
-                        flat.push_back(p[k]);
-            if (flat.empty())
+            const auto pool = core::interleavePools(
+                fleet.populateSessions(per_shard, users));
+            if (pool.empty())
                 return bench::usageError("no sessions could be populated");
 
             const uint64_t cross_every =
@@ -805,33 +815,17 @@ main(int argc, char **argv)
                           1, static_cast<uint64_t>(
                                  1.0 / sharding.crossShard + 0.5))
                     : 0;
-
-            uint64_t issued = 0;
-            std::optional<net::ArrivalProcess> arrivals;
-            std::function<void()> arrive;
-            arrivals.emplace(arrival.config);
-            arrive = [&]() {
-                if (issued >= total)
-                    return;
-                specweb::RequestType type;
-                do {
-                    type = gen.sampleType();
-                } while (type == specweb::RequestType::Login ||
-                         type == specweb::RequestType::Logout);
-                const auto &[sid, user] = flat[issued % flat.size()];
+            net::ArrivalProcess arrivals(arrival.config);
+            arrivals.drive(queue, total, [&](uint64_t i) {
                 specweb::GeneratedRequest req =
-                    gen.generate(type, user, sid);
-                ++issued;
-                fleet.injectRequest(std::move(req.raw), issued, user,
-                                    static_cast<uint32_t>(type));
-                if (cross_every && issued % cross_every == 0)
+                    gen.fromPool(gen.sampleBrowsingType(), pool, i);
+                fleet.injectRequest(std::move(req.raw), i + 1, req.userId,
+                                    static_cast<uint32_t>(req.type));
+                if (cross_every && (i + 1) % cross_every == 0)
                     fleet.beginCrossShardTransfer(
                         gen.sampleUser(), gen.sampleUser(),
-                        100 + static_cast<int64_t>(issued % 32) * 25);
-                if (issued < total)
-                    queue.scheduleAfter(arrivals->nextGap(), arrive);
-            };
-            queue.scheduleAfter(arrivals->nextGap(), arrive);
+                        100 + static_cast<int64_t>((i + 1) % 32) * 25);
+            });
             queue.run();
             fleetReport(fleet, queue, &json_report);
             return finish(json_report, trace_path, digest);
@@ -840,40 +834,7 @@ main(int argc, char **argv)
         core::BankingService service(db);
         specweb::StaticContent content(32, seed);
         std::vector<std::pair<uint64_t, uint64_t>> sessions;
-        std::unique_ptr<backend::RecoverableBackend> recoverable;
-        uint64_t issued = 0;
-        auto next_request = [&]() -> std::string {
-            specweb::GeneratedRequest req;
-            specweb::RequestType type;
-            if (only) {
-                type = *only;
-            } else {
-                // Mixed mode models the browsing steady state: logins
-                // and logouts churn the reusable session pool, so run
-                // them isolated via --type instead.
-                do {
-                    type = gen.sampleType();
-                } while (type == specweb::RequestType::Login ||
-                         type == specweb::RequestType::Logout);
-            }
-            if (type == specweb::RequestType::Login) {
-                req = gen.generate(type, gen.sampleUser(), 0);
-            } else {
-                const auto &[sid, user] =
-                    sessions[issued % sessions.size()];
-                req = gen.generate(type, user, sid);
-            }
-            ++issued;
-            return std::move(req.raw);
-        };
-        // Closed loop (the historical pull source) or an open-loop
-        // arrival process pushing on its own schedule; both must
-        // outlive the run.
-        std::optional<net::ArrivalProcess> arrivals;
-        std::function<void()> arrive;
-        return serve(service, [&](core::RhythmServer &server,
-                                  des::EventQueue &queue,
-                                  fault::FaultPlan *plan) {
+        return serve(service, [&](core::RhythmServer &server) {
             server.setStaticContent(&content);
             // Logout consumes one session per request; other types
             // reuse a pool.
@@ -882,43 +843,15 @@ main(int argc, char **argv)
                     ? total
                     : std::min<uint64_t>(total, 8192),
                 users);
-            // Recovery wraps the populated baseline: the constructor
-            // takes the first checkpoint, so it must run after
-            // populate().
-            if (faults.recovery) {
-                backend::RecoveryConfig rcfg;
-                rcfg.checkpointInterval = faults.checkpointInterval;
-                recoverable = std::make_unique<backend::RecoverableBackend>(
-                    service.backendService(), db, rcfg);
-                if (plan)
-                    recoverable->setFaultPlan(
-                        plan, [&queue]() { return queue.now(); });
-                core::attachSessionRecovery(*recoverable,
-                                            server.sessions());
-                service.setRecovery(recoverable.get());
-                recovery = recoverable.get();
-            }
-            if (!arrival.open()) {
-                server.start([&]() -> std::optional<std::string> {
-                    if (issued >= total)
-                        return std::nullopt;
-                    return next_request();
-                });
-                return;
-            }
-            arrivals.emplace(arrival.config);
-            arrive = [&]() {
-                if (issued >= total)
-                    return;
-                const uint64_t client_id = issued + 1;
-                // injectRequest == false is a reader drop: an
-                // open-loop client does not retry (counted in
-                // RhythmStats::readerDrops).
-                server.injectRequest(next_request(), client_id);
-                if (issued < total)
-                    queue.scheduleAfter(arrivals->nextGap(), arrive);
+            // Mixed mode models the browsing steady state: logins and
+            // logouts churn the reusable session pool, so run them
+            // isolated via --type instead.
+            return [&](uint64_t i) {
+                return gen
+                    .fromPool(only ? *only : gen.sampleBrowsingType(),
+                              sessions, i)
+                    .raw;
             };
-            queue.scheduleAfter(arrivals->nextGap(), arrive);
         });
     }
 
@@ -930,18 +863,13 @@ main(int argc, char **argv)
         chat::RoomStore store(256, 40, seed);
         chat::ChatGenerator gen(store, seed * 13 + 5);
         chat::ChatService service(store);
-        uint64_t issued = 0;
         return serve(
             service,
-            [&](core::RhythmServer &server, des::EventQueue &,
-                fault::FaultPlan *) {
-                server.start([&]() -> std::optional<std::string> {
-                    if (issued >= total)
-                        return std::nullopt;
-                    ++issued;
+            [&](core::RhythmServer &) {
+                return [&](uint64_t) {
                     chat::PageType type;
                     return gen.next(type);
-                });
+                };
             },
             [&]() {
                 std::cout << "messages posted during run: "
@@ -956,14 +884,7 @@ main(int argc, char **argv)
     search::InvertedIndex index(corpus);
     search::QueryGenerator gen(corpus, seed * 17 + 3);
     search::SearchService service(index);
-    uint64_t issued = 0;
-    return serve(service, [&](core::RhythmServer &server, des::EventQueue &,
-                              fault::FaultPlan *) {
-        server.start([&]() -> std::optional<std::string> {
-            if (issued >= total)
-                return std::nullopt;
-            ++issued;
-            return gen.next().raw;
-        });
+    return serve(service, [&](core::RhythmServer &) {
+        return [&](uint64_t) { return gen.next().raw; };
     });
 }

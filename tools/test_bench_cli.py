@@ -40,6 +40,12 @@ BAD_INPUTS = [
     ["ext_warp_fusion", "--fusion-max-cohorts=4294967296"],
     ["ext_sharding", "--devices=4294967296"],
     ["ext_recovery", "--sim-threads=257"],
+    # Crashes and torn records come from the recovery journal alone.
+    ["ext_warp_fusion", "--quick", "--crash=0.05", "--torn=0.5"],
+    ["ablation_sampling", "--torn=0.5"],
+    # The journal wraps the banking backend only.
+    ["ext_chat_workload", "--recovery"],
+    ["ext_search_workload", "--recovery"],
 ]
 
 # The flag tables ext_warp_fusion reads, in --help order.

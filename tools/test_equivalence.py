@@ -111,6 +111,16 @@ def rows():
                       ["--sim-threads=8", "--profile-cache=on"]):
             for what in ("json", "digest"):
                 table.append((what, serial, fleet(devices) + other))
+    # DESIGN.md 6g, 6k: every shard's journal draws the fleet's crash
+    # schedule and recovers transparently, at any thread count.
+    for devices in (2, 4):
+        recovering = fleet(devices) + ["--recovery"]
+        crashing = recovering + ["--crash=0.02", "--torn=0.5"]
+        for what in ("json", "digest"):
+            table.append((what, recovering + ["--sim-threads=1"],
+                          crashing + ["--sim-threads=1"]))
+            table.append((what, crashing + ["--sim-threads=1"],
+                          crashing + ["--sim-threads=8"]))
     for base in (LOGOUT, PAYEE):
         # DESIGN.md 6h: the overlapped pipeline never changes a response
         # byte, and each mode is thread-count invariant.

@@ -68,6 +68,10 @@ BAD_INPUTS = [
     ["--lane-sample=65537"],
     # Refused before any worker thread starts.
     ["--sim-threads=257"],
+    # Crashes and torn records come from the recovery journal alone.
+    ["--crash=0.05", "--torn=0.5"],
+    ["--torn=0.5"],
+    ["--workload=chat", "--crash=0.05"],
 ]
 
 # The flag tables rhythm_sim reads, in --help order.
