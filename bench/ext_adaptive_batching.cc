@@ -34,40 +34,21 @@
  * committed baseline.
  */
 
-#include <iostream>
-
-#include "backend/bankdb.hh"
-#include "bench/common.hh"
-#include "net/arrival.hh"
-#include "rhythm/banking_service.hh"
-#include "rhythm/server.hh"
-#include "specweb/workload.hh"
+#include "bench/flash_rig.hh"
 
 namespace {
 
 using namespace rhythm;
 
-constexpr double kDefaultDeadlineMs = 8.0;
-constexpr double kInteractiveDeadlineMs = 3.0;
 constexpr double kFixedTimeoutMs = 4.0;
-
-/** Interactive money-movement types carrying the tight deadline. */
-constexpr specweb::RequestType kInteractive[] = {
-    specweb::RequestType::Transfer,
-    specweb::RequestType::PostTransfer,
-    specweb::RequestType::PostPayee,
-};
 
 struct RunResult
 {
-    double attainment = 0.0;  //!< on-time fraction of completed reqs
-    double goodput = 0.0;     //!< on-time responses per second
-    double throughput = 0.0;  //!< completed responses per second
-    double p99Ms = 0.0;
+    bench::FlashArm arm;
+    double attainment = 0.0; //!< on-time fraction of completed reqs
     uint64_t earlyDispatches = 0;
     uint64_t preemptions = 0;
     uint64_t admissionSheds = 0;
-    uint64_t drops = 0;
 };
 
 RunResult
@@ -75,88 +56,46 @@ runPoint(const net::ArrivalConfig &acfg, bool adaptive,
          uint64_t requests, const bench::FaultFlags &faults,
          const bench::BatchingFlags &batching)
 {
-    des::EventQueue queue;
-    simt::DeviceConfig dcfg;
-    faults.apply(dcfg);
-    simt::Device device(queue, dcfg);
-    backend::BankDb db(2000, 5);
-    core::BankingService service(db);
-
-    core::RhythmConfig cfg;
-    cfg.cohortSize = 1024;
-    cfg.cohortContexts = 8;
-    cfg.cohortTimeout = des::fromSeconds(kFixedTimeoutMs / 1e3);
-    cfg.backendOnDevice = true; // Titan B
-    cfg.networkOverPcie = false;
-    cfg.laneSample = 64;
-    faults.apply(cfg);
-    // Identical deadlines in both modes (fixed tracks attainment
-    // without scheduling changes); only the policy bit differs.
-    cfg.typeDeadlines.assign(service.numTypes(), 0);
-    for (specweb::RequestType t : kInteractive)
-        cfg.typeDeadlines[specweb::typeIndex(t)] =
-            des::fromSeconds(kInteractiveDeadlineMs / 1e3);
-    cfg.defaultDeadline = des::fromSeconds(kDefaultDeadlineMs / 1e3);
-    cfg.adaptiveBatching = adaptive;
-    if (adaptive) {
-        // Command-line tuning applies to the adaptive arm only.
-        cfg.slackSafety = batching.slackSafety;
-        cfg.adaptiveScanInterval = des::fromSeconds(batching.scanUs / 1e6);
-        cfg.adaptiveAdmission = batching.admission;
-    }
-    core::RhythmServer server(queue, device, service, cfg);
-    specweb::WorkloadGenerator gen(db, 31);
-    const auto sessions = server.sessions().populate(8192, 2000);
-    std::optional<fault::FaultPlan> plan;
-    const auto journal = faults.arm(server, device, queue, plan);
-
-    // Open-loop mixed-type arrivals: both policy arms construct the
-    // same generator and ArrivalProcess seeds, so they see
-    // byte-identical request and arrival-time streams.
-    net::ArrivalProcess arrivals(acfg);
-    uint64_t dropped = 0;
-    arrivals.drive(queue, requests, [&](uint64_t i) {
-        // Open loop: a full reader drops the arrival — the client
-        // never sees a response, so the drop counts against
-        // attainment below.
-        if (!server.injectRequest(
-                gen.fromPool(gen.sampleBrowsingType(), sessions, i).raw,
-                i + 1))
-            ++dropped;
-    });
-    queue.run();
-
-    const core::RhythmStats &stats = server.stats();
-    const double elapsed = des::toSeconds(queue.now());
-    // Attainment is measured over requests that received a real
-    // response: server-side misses minus admission sheds (shedRequest
-    // books every 503 as a deadline miss) plus open-loop reader drops.
-    // Shed/dropped requests are excluded from attainment but NOT from
-    // goodput — the gate's goodput floor is what makes "shed your way
-    // to 100% attainment" impossible: every shed is a response that
-    // can never count as on-time work.
-    const uint64_t completed_misses =
-        stats.typedDeadlineMisses - stats.requestsShed;
-    const uint64_t answered =
-        stats.typedDeadlineHits + completed_misses;
     RunResult r;
-    r.attainment =
-        answered ? static_cast<double>(stats.typedDeadlineHits) /
-                       static_cast<double>(answered)
-                 : 0.0;
-    r.goodput = elapsed > 0
-                    ? static_cast<double>(stats.typedDeadlineHits) /
-                          elapsed
-                    : 0.0;
-    r.throughput =
-        elapsed > 0 ? static_cast<double>(stats.responsesCompleted) /
-                          elapsed
-                    : 0.0;
-    r.p99Ms = stats.latencyMs.percentile(99.0);
-    r.earlyDispatches = stats.adaptiveEarlyDispatches;
-    r.preemptions = stats.adaptivePreemptions;
-    r.admissionSheds = stats.adaptiveAdmissionSheds;
-    r.drops = dropped;
+    auto configure = [&](core::RhythmConfig &cfg) {
+        cfg.cohortSize = 1024;
+        cfg.cohortContexts = 8;
+        cfg.cohortTimeout = des::fromSeconds(kFixedTimeoutMs / 1e3);
+        cfg.laneSample = 64;
+        // Identical deadlines in both modes (fixed tracks attainment
+        // without scheduling changes); only the policy bit differs.
+        cfg.adaptiveBatching = adaptive;
+        if (adaptive) {
+            // Command-line tuning applies to the adaptive arm only.
+            cfg.slackSafety = batching.slackSafety;
+            cfg.adaptiveScanInterval =
+                des::fromSeconds(batching.scanUs / 1e6);
+            cfg.adaptiveAdmission = batching.admission;
+        }
+    };
+    auto inspect = [&](const core::RhythmStats &stats,
+                       const core::RhythmConfig &) {
+        // Attainment is measured over requests that received a real
+        // response: server-side misses minus admission sheds
+        // (shedRequest books every 503 as a deadline miss) plus
+        // open-loop reader drops. Shed/dropped requests are excluded
+        // from attainment but NOT from goodput — the gate's goodput
+        // floor is what makes "shed your way to 100% attainment"
+        // impossible: every shed is a response that can never count
+        // as on-time work.
+        const uint64_t completed_misses =
+            stats.typedDeadlineMisses - stats.requestsShed;
+        const uint64_t answered =
+            stats.typedDeadlineHits + completed_misses;
+        r.attainment =
+            answered ? static_cast<double>(stats.typedDeadlineHits) /
+                           static_cast<double>(answered)
+                     : 0.0;
+        r.earlyDispatches = stats.adaptiveEarlyDispatches;
+        r.preemptions = stats.adaptivePreemptions;
+        r.admissionSheds = stats.adaptiveAdmissionSheds;
+    };
+    r.arm = bench::runFlashArm(acfg, requests, faults, configure, inspect);
     return r;
 }
 
@@ -178,57 +117,30 @@ main(int argc, char **argv)
     const bench::FaultFlags faults(flags);
     faults.recordConfig(report);
     const bench::BatchingFlags batching(flags);
-    const bench::ArrivalFlags arrival(flags);
 
     // Operating points. The base rate/seed may be overridden by the
-    // shared arrival flags; the flash burst rides on the low rate.
-    const double base_rate =
-        flags.has("arrival-rate") ? arrival.config.rate : 60e3;
-    const uint64_t seed = arrival.config.seed;
-    const double flash_mult = arrival.config.flashMultiplier;
+    // shared arrival flags; the flash burst rides on the low rate, and
+    // the high point runs at 2.5x it.
+    const bench::FlashArrivals arrivals(flags, 60e3);
     const uint64_t n_low = quick ? 8000 : 30000;
     const uint64_t n_high = quick ? 12000 : 40000;
     const uint64_t n_flash = quick ? 12000 : 40000;
+    net::ArrivalConfig high = arrivals.low;
+    high.rate = arrivals.low.rate * 2.5;
 
-    net::ArrivalConfig low;
-    low.kind = net::ArrivalKind::Poisson;
-    low.rate = base_rate;
-    low.seed = seed;
-    net::ArrivalConfig high = low;
-    high.rate = base_rate * 2.5;
-    net::ArrivalConfig flash = low;
-    flash.kind = net::ArrivalKind::Flash;
-    flash.flashStartSec = 0.05;
-    flash.flashDurationSec = 0.1;
-    flash.flashMultiplier = flash_mult;
-
-    // check_bench.py requires these keys: the sweep under test must be
-    // reproducible from the document alone.
-    report.config("arrival_rate", base_rate);
-    report.config("arrival_seed", static_cast<double>(seed));
-    report.config("flash_mult", flash_mult);
-    report.config("deadline_default_ms", kDefaultDeadlineMs);
-    report.config("deadline_ms",
-                  std::string("transfer=") +
-                      bench::fmt(kInteractiveDeadlineMs, 0) +
-                      ";post_transfer=" +
-                      bench::fmt(kInteractiveDeadlineMs, 0) +
-                      ";post_payee=" +
-                      bench::fmt(kInteractiveDeadlineMs, 0));
+    arrivals.recordConfig(report);
+    report.config("deadline_default_ms", bench::kFlashDefaultDeadlineMs);
+    const std::string tight =
+        bench::fmt(bench::kFlashInteractiveDeadlineMs, 0);
+    report.config("deadline_ms", "transfer=" + tight + ";post_transfer=" +
+                                     tight + ";post_payee=" + tight);
     report.config("timeout_ms", kFixedTimeoutMs);
     report.config("quick", quick ? 1.0 : 0.0);
 
-    struct Point
-    {
-        const char *key;
-        const char *label;
-        const net::ArrivalConfig *cfg;
-        uint64_t requests;
-    };
-    const Point points[] = {
-        {"low", "LOW (steady Poisson)", &low, n_low},
-        {"high", "HIGH (steady Poisson)", &high, n_high},
-        {"flash", "FLASH (burst on low)", &flash, n_flash},
+    const bench::FlashPoint sweep[] = {
+        {"low", &arrivals.low, n_low},
+        {"high", &high, n_high},
+        {"flash", &arrivals.flash, n_flash},
     };
 
     TableWriter table({"point", "policy", "attainment", "on-time K/s",
@@ -236,16 +148,17 @@ main(int argc, char **argv)
                        "adm shed", "drops"});
     double flash_att_ratio = 0.0;
     double flash_goodput_ratio = 0.0;
-    for (const Point &p : points) {
+    for (const bench::FlashPoint &p : sweep) {
         const RunResult fixed =
-            runPoint(*p.cfg, false, p.requests, faults, batching);
+            runPoint(*p.arrivals, false, p.requests, faults, batching);
         const RunResult adaptive =
-            runPoint(*p.cfg, true, p.requests, faults, batching);
+            runPoint(*p.arrivals, true, p.requests, faults, batching);
         const double att_ratio =
             fixed.attainment > 0 ? adaptive.attainment / fixed.attainment
                                  : 0.0;
         const double goodput_ratio =
-            fixed.goodput > 0 ? adaptive.goodput / fixed.goodput : 0.0;
+            fixed.arm.goodput > 0 ? adaptive.arm.goodput / fixed.arm.goodput
+                                  : 0.0;
         if (std::string_view(p.key) == "flash") {
             flash_att_ratio = att_ratio;
             flash_goodput_ratio = goodput_ratio;
@@ -254,19 +167,19 @@ main(int argc, char **argv)
              {std::pair<const char *, const RunResult &>{"fixed", fixed},
               {"adaptive", adaptive}}) {
             table.addRow({p.key, mode, bench::fmt(r.attainment, 3),
-                          bench::fmt(r.goodput / 1e3, 1),
-                          bench::fmt(r.throughput / 1e3, 1),
-                          bench::fmt(r.p99Ms, 2),
+                          bench::fmt(r.arm.goodput / 1e3, 1),
+                          bench::fmt(r.arm.throughput / 1e3, 1),
+                          bench::fmt(r.arm.p99Ms, 2),
                           withCommas(r.earlyDispatches),
                           withCommas(r.preemptions),
                           withCommas(r.admissionSheds),
-                          withCommas(r.drops)});
+                          withCommas(r.arm.drops)});
             const std::string key =
                 std::string(p.key) + "." + mode + ".";
             report.metric(key + "attainment", r.attainment);
-            report.metric(key + "goodput", r.goodput);
-            report.metric(key + "throughput", r.throughput);
-            report.metric(key + "p99_ms", r.p99Ms);
+            report.metric(key + "goodput", r.arm.goodput);
+            report.metric(key + "throughput", r.arm.throughput);
+            report.metric(key + "p99_ms", r.arm.p99Ms);
         }
         report.metric(std::string(p.key) + ".attainment_ratio",
                       att_ratio);

@@ -148,7 +148,9 @@ runOnce(const fault::FaultConfig &fcfg, bool resilience,
     out.errors = stats.errorResponses;
     out.kernelHangs = stats.kernelHangs;
     out.hedgeWins = stats.hedgeWins;
-    out.faults = stats.faultsInjected + (plan ? plan->totalInjected() : 0);
+    // The plan counts every fire once; the server's faultsInjected
+    // re-counts the fires of its own sites (kernel hangs here).
+    out.faults = plan ? plan->totalInjected() : 0;
     if (recovery) {
         out.crashes = recovery->stats().crashes;
         out.tornRecords = recovery->stats().tornRecords;

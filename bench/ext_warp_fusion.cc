@@ -29,39 +29,21 @@
  * an absolute SIMD-efficiency floor) against the committed baseline.
  */
 
-#include <iostream>
-
-#include "backend/bankdb.hh"
-#include "bench/common.hh"
-#include "net/arrival.hh"
-#include "rhythm/banking_service.hh"
-#include "rhythm/server.hh"
-#include "specweb/workload.hh"
+#include "bench/flash_rig.hh"
 
 namespace {
 
 using namespace rhythm;
 
-constexpr double kDefaultDeadlineMs = 8.0;
-constexpr double kInteractiveDeadlineMs = 3.0;
 constexpr double kFormationTimeoutMs = 1.0;
 constexpr uint32_t kCohortSize = 128;
 constexpr uint32_t kLaneSample = 128;
 constexpr uint32_t kContexts = 32;
 
-/** Interactive money-movement types carrying the tight deadline. */
-constexpr specweb::RequestType kInteractive[] = {
-    specweb::RequestType::Transfer,
-    specweb::RequestType::PostTransfer,
-    specweb::RequestType::PostPayee,
-};
-
 struct RunResult
 {
+    bench::FlashArm arm;
     double simdEfficiency = 0.0; //!< process-stage SIMD efficiency
-    double goodput = 0.0;        //!< on-time responses per second
-    double throughput = 0.0;     //!< completed responses per second
-    double p99Ms = 0.0;
     uint64_t cohortsLaunched = 0;
     uint64_t fusedLaunches = 0;
     uint64_t fusedCohorts = 0;
@@ -74,73 +56,36 @@ runPoint(const net::ArrivalConfig &acfg, bool fusion, uint64_t requests,
          const bench::FaultFlags &faults,
          const bench::FusionFlags &fusion_flags)
 {
-    des::EventQueue queue;
-    simt::DeviceConfig dcfg;
-    faults.apply(dcfg);
-    simt::Device device(queue, dcfg);
-    backend::BankDb db(2000, 5);
-    core::BankingService service(db);
-
-    core::RhythmConfig cfg;
-    cfg.cohortSize = kCohortSize;
-    cfg.cohortContexts = kContexts;
-    cfg.cohortTimeout = des::fromSeconds(kFormationTimeoutMs / 1e3);
-    cfg.backendOnDevice = true; // Titan B
-    cfg.networkOverPcie = false;
-    cfg.laneSample = kLaneSample;
-    faults.apply(cfg);
-    // Identical deadlines and formation policy in both arms; only the
-    // fusion bit (and its knobs) differs.
-    cfg.typeDeadlines.assign(service.numTypes(), 0);
-    for (specweb::RequestType t : kInteractive)
-        cfg.typeDeadlines[specweb::typeIndex(t)] =
-            des::fromSeconds(kInteractiveDeadlineMs / 1e3);
-    cfg.defaultDeadline = des::fromSeconds(kDefaultDeadlineMs / 1e3);
-    cfg.adaptiveBatching = true;
-    if (fusion) {
-        // The fusion arm takes the command-line fusion knobs.
-        bench::FusionFlags on = fusion_flags;
-        on.fusion = true;
-        on.apply(cfg);
-    }
-    core::RhythmServer server(queue, device, service, cfg);
-    specweb::WorkloadGenerator gen(db, 31);
-    const auto sessions = server.sessions().populate(8192, 2000);
-    std::optional<fault::FaultPlan> plan;
-    const auto journal = faults.arm(server, device, queue, plan);
-
-    // Open-loop mixed-type arrivals: both arms construct the same
-    // generator and ArrivalProcess seeds, so they see byte-identical
-    // request and arrival-time streams.
-    net::ArrivalProcess arrivals(acfg);
-    arrivals.drive(queue, requests, [&](uint64_t i) {
-        server.injectRequest(
-            gen.fromPool(gen.sampleBrowsingType(), sessions, i).raw, i + 1);
-    });
-    queue.run();
-
-    const core::RhythmStats &stats = server.stats();
-    const double elapsed = des::toSeconds(queue.now());
     RunResult r;
-    r.simdEfficiency =
-        stats.processIssueSlots > 0
-            ? stats.processLaneInstructions /
-                  (stats.processIssueSlots * cfg.warpModel.warpWidth)
-            : 0.0;
-    r.goodput = elapsed > 0
-                    ? static_cast<double>(stats.typedDeadlineHits) /
-                          elapsed
-                    : 0.0;
-    r.throughput =
-        elapsed > 0 ? static_cast<double>(stats.responsesCompleted) /
-                          elapsed
-                    : 0.0;
-    r.p99Ms = stats.latencyMs.percentile(99.0);
-    r.cohortsLaunched = stats.cohortsLaunched;
-    r.fusedLaunches = stats.fusedLaunches;
-    r.fusedCohorts = stats.fusedCohorts;
-    r.savedWarps = stats.fusionSavedWarps;
-    r.paddedLanes = stats.paddedLanes;
+    auto configure = [&](core::RhythmConfig &cfg) {
+        cfg.cohortSize = kCohortSize;
+        cfg.cohortContexts = kContexts;
+        cfg.cohortTimeout = des::fromSeconds(kFormationTimeoutMs / 1e3);
+        cfg.laneSample = kLaneSample;
+        // Identical deadlines and formation policy in both arms; only
+        // the fusion bit (and its knobs) differs.
+        cfg.adaptiveBatching = true;
+        if (fusion) {
+            // The fusion arm takes the command-line fusion knobs.
+            bench::FusionFlags on = fusion_flags;
+            on.fusion = true;
+            on.apply(cfg);
+        }
+    };
+    auto inspect = [&](const core::RhythmStats &stats,
+                       const core::RhythmConfig &cfg) {
+        r.simdEfficiency =
+            stats.processIssueSlots > 0
+                ? stats.processLaneInstructions /
+                      (stats.processIssueSlots * cfg.warpModel.warpWidth)
+                : 0.0;
+        r.cohortsLaunched = stats.cohortsLaunched;
+        r.fusedLaunches = stats.fusedLaunches;
+        r.fusedCohorts = stats.fusedCohorts;
+        r.savedWarps = stats.fusionSavedWarps;
+        r.paddedLanes = stats.paddedLanes;
+    };
+    r.arm = bench::runFlashArm(acfg, requests, faults, configure, inspect);
     return r;
 }
 
@@ -162,48 +107,23 @@ main(int argc, char **argv)
     const bool quick = flags.on("quick");
     const bench::FaultFlags faults(flags);
     faults.recordConfig(report);
-    const bench::ArrivalFlags arrival(flags);
     const bench::FusionFlags fusion(flags);
 
     // Operating points: the §6i flash shape at a rate where cohorts of
     // most types are partial when the 1 ms formation timeout fires.
-    const double base_rate =
-        flags.has("arrival-rate") ? arrival.config.rate : 150e3;
-    const uint64_t seed = arrival.config.seed;
-    const double flash_mult = arrival.config.flashMultiplier;
+    const bench::FlashArrivals arrivals(flags, 150e3);
     const uint64_t n_low = quick ? 3000 : 10000;
     const uint64_t n_flash = quick ? 5000 : 20000;
 
-    net::ArrivalConfig low;
-    low.kind = net::ArrivalKind::Poisson;
-    low.rate = base_rate;
-    low.seed = seed;
-    net::ArrivalConfig flash = low;
-    flash.kind = net::ArrivalKind::Flash;
-    flash.flashStartSec = 0.05;
-    flash.flashDurationSec = 0.1;
-    flash.flashMultiplier = flash_mult;
-
-    // check_bench.py requires these keys: the sweep under test must be
-    // reproducible from the document alone.
-    report.config("arrival_rate", base_rate);
-    report.config("arrival_seed", static_cast<double>(seed));
-    report.config("flash_mult", flash_mult);
+    arrivals.recordConfig(report);
     report.config("cohort_size", static_cast<double>(kCohortSize));
     report.config("timeout_ms", kFormationTimeoutMs);
     report.config("fusion_threshold", fusion.threshold);
     report.config("quick", quick ? 1.0 : 0.0);
 
-    struct Point
-    {
-        const char *key;
-        const char *label;
-        const net::ArrivalConfig *cfg;
-        uint64_t requests;
-    };
-    const Point points[] = {
-        {"low", "LOW (steady Poisson)", &low, n_low},
-        {"flash", "FLASH (burst on low)", &flash, n_flash},
+    const bench::FlashPoint sweep[] = {
+        {"low", &arrivals.low, n_low},
+        {"flash", &arrivals.flash, n_flash},
     };
 
     TableWriter table({"point", "fusion", "SIMD eff", "on-time K/s",
@@ -211,16 +131,16 @@ main(int argc, char **argv)
                        "warps saved", "padded lanes"});
     double flash_simd_ratio = 0.0;
     double flash_goodput_ratio = 0.0;
-    for (const Point &p : points) {
+    for (const bench::FlashPoint &p : sweep) {
         const RunResult off =
-            runPoint(*p.cfg, false, p.requests, faults, fusion);
+            runPoint(*p.arrivals, false, p.requests, faults, fusion);
         const RunResult on =
-            runPoint(*p.cfg, true, p.requests, faults, fusion);
+            runPoint(*p.arrivals, true, p.requests, faults, fusion);
         const double simd_ratio =
             off.simdEfficiency > 0 ? on.simdEfficiency / off.simdEfficiency
                                    : 0.0;
         const double goodput_ratio =
-            off.goodput > 0 ? on.goodput / off.goodput : 0.0;
+            off.arm.goodput > 0 ? on.arm.goodput / off.arm.goodput : 0.0;
         if (std::string_view(p.key) == "flash") {
             flash_simd_ratio = simd_ratio;
             flash_goodput_ratio = goodput_ratio;
@@ -229,9 +149,9 @@ main(int argc, char **argv)
              {std::pair<const char *, const RunResult &>{"off", off},
               {"on", on}}) {
             table.addRow({p.key, mode, bench::fmt(r.simdEfficiency, 3),
-                          bench::fmt(r.goodput / 1e3, 1),
-                          bench::fmt(r.throughput / 1e3, 1),
-                          bench::fmt(r.p99Ms, 2),
+                          bench::fmt(r.arm.goodput / 1e3, 1),
+                          bench::fmt(r.arm.throughput / 1e3, 1),
+                          bench::fmt(r.arm.p99Ms, 2),
                           withCommas(r.cohortsLaunched),
                           withCommas(r.fusedCohorts),
                           withCommas(r.savedWarps),
@@ -239,9 +159,9 @@ main(int argc, char **argv)
             const std::string key =
                 std::string(p.key) + "." + mode + ".";
             report.metric(key + "simd_efficiency", r.simdEfficiency);
-            report.metric(key + "goodput", r.goodput);
-            report.metric(key + "throughput", r.throughput);
-            report.metric(key + "p99_ms", r.p99Ms);
+            report.metric(key + "goodput", r.arm.goodput);
+            report.metric(key + "throughput", r.arm.throughput);
+            report.metric(key + "p99_ms", r.arm.p99Ms);
             report.metric(key + "padded_lanes",
                           static_cast<double>(r.paddedLanes));
         }

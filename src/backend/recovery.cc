@@ -84,6 +84,9 @@ RecoverableBackend::journalSessionCreate(uint64_t session_id,
     if (replaying_)
         return;
     appendRecord('C', session_id, std::to_string(user_id));
+    // The array calls its hook once the mutation is complete, so the
+    // checkpoint's session snapshot already holds this record's effect.
+    maybeCheckpoint();
 }
 
 void
@@ -92,6 +95,7 @@ RecoverableBackend::journalSessionDestroy(uint64_t session_id)
     if (replaying_)
         return;
     appendRecord('D', session_id, std::string());
+    maybeCheckpoint();
 }
 
 std::string
@@ -196,13 +200,10 @@ RecoverableBackend::crashAndRecover(bool torn)
     if (sessionHooks_.restore)
         sessionHooks_.restore();
 
-    // Replay with injection disarmed: replayed operations already
-    // passed injection once and must reproduce their recorded outcome.
+    // Replay re-executes on the bare service, which draws no faults
+    // (the server's call_backend is the one backend-failure site), so
+    // replayed operations reproduce their recorded outcome.
     replaying_ = true;
-    fault::FaultPlan *saved_plan = service_.faultPlan();
-    std::function<des::Time()> saved_clock = service_.faultClock();
-    if (saved_plan)
-        service_.setFaultPlan(nullptr);
     simt::NullTracer null;
     for (const JournalRecord &rec : scanned.records) {
         ++stats_.replayedRecords;
@@ -231,8 +232,6 @@ RecoverableBackend::crashAndRecover(bool torn)
                 ++stats_.replayMismatches;
         }
     }
-    if (saved_plan)
-        service_.setFaultPlan(saved_plan, saved_clock);
     replaying_ = false;
 
     // The torn tail never made it to disk: drop it from the image so

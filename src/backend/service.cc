@@ -54,25 +54,10 @@ BackendService::execute(std::string_view request, simt::TraceRecorder &rec)
     return execute(req, rec);
 }
 
-void
-BackendService::setFaultPlan(fault::FaultPlan *plan,
-                             std::function<des::Time()> clock)
-{
-    faultPlan_ = plan;
-    clock_ = std::move(clock);
-}
-
 std::string
 BackendService::execute(const BackendRequest &req, simt::TraceRecorder &rec)
 {
     ++requestsServed_;
-    if (faultPlan_ &&
-        faultPlan_->at(fault::Site::BackendFail, clock_ ? clock_() : 0)
-            .fire) {
-        ++faultsInjected_;
-        rec.block(kBlockError, 16);
-        return response::error(response::kUnavailableReason);
-    }
     rec.block(kBlockLookup, kLookupInsts);
 
     auto arg = [&](size_t i) -> std::string_view {

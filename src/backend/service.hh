@@ -17,14 +17,11 @@
 #ifndef RHYTHM_BACKEND_SERVICE_HH
 #define RHYTHM_BACKEND_SERVICE_HH
 
-#include <functional>
 #include <string>
 #include <string_view>
 
 #include "backend/bankdb.hh"
 #include "backend/protocol.hh"
-#include "des/time.hh"
-#include "fault/plan.hh"
 #include "simt/trace.hh"
 
 namespace rhythm::backend {
@@ -62,37 +59,9 @@ class BackendService
     /** Number of requests executed (for harness accounting). */
     uint64_t requestsServed() const { return requestsServed_; }
 
-    /**
-     * Installs a fault plan (not owned; nullptr disarms). When armed,
-     * each execution first consults Site::BackendFail and answers
-     * "ERR|unavailable" on a hit — the host-path injection point for
-     * harnesses that call the backend directly (the CPU baseline). Do
-     * NOT also install a plan on the RhythmServer feeding this service,
-     * or each backend call is consulted twice.
-     * @param clock Supplies the current simulated time for schedule
-     *        windows (nullptr = always time 0).
-     */
-    void setFaultPlan(fault::FaultPlan *plan,
-                      std::function<des::Time()> clock = nullptr);
-
-    /** Requests answered "ERR|unavailable" by the installed plan. */
-    uint64_t faultsInjected() const { return faultsInjected_; }
-
-    /** The installed fault plan (nullptr when disarmed). The recovery
-     *  layer disarms it around journal replay — replayed operations
-     *  already passed injection once and must reproduce their recorded
-     *  outcome, not roll new faults. */
-    fault::FaultPlan *faultPlan() const { return faultPlan_; }
-
-    /** The clock installed alongside the fault plan. */
-    const std::function<des::Time()> &faultClock() const { return clock_; }
-
   private:
     BankDb &db_;
     uint64_t requestsServed_ = 0;
-    fault::FaultPlan *faultPlan_ = nullptr;
-    std::function<des::Time()> clock_;
-    uint64_t faultsInjected_ = 0;
 };
 
 } // namespace rhythm::backend

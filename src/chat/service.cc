@@ -1,7 +1,6 @@
 #include "chat/service.hh"
 
-#include <cstdio>
-
+#include "specweb/html.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -17,7 +16,6 @@ enum LocalBlock : uint32_t {
     kLbConsume = 2,
     kLbRender = 3,
     kLbRow = 4,
-    kLbError = 31,
 };
 
 constexpr uint32_t
@@ -27,31 +25,20 @@ blockBase(PageType type)
 }
 
 constexpr PageTypeInfo kPages[] = {
-    {PageType::RoomList, "room list", "/chat", 1, 8 * 1024, 5.0},
-    {PageType::History, "history", "/chat/history", 1, 16 * 1024, 25.0},
-    {PageType::Post, "post", "/chat/post", 1, 4 * 1024, 15.0},
-    {PageType::Poll, "poll", "/chat/poll", 1, 4 * 1024, 55.0},
+    {"room list", "/chat", 1, 8 * 1024, 5.0},
+    {"history", "/chat/history", 1, 16 * 1024, 25.0},
+    {"post", "/chat/post", 1, 4 * 1024, 15.0},
+    {"poll", "/chat/poll", 1, 4 * 1024, 55.0},
 };
 static_assert(sizeof(kPages) / sizeof(kPages[0]) == kNumPageTypes);
 
-struct Frame
-{
-    size_t clOffset;
-    size_t headerEnd;
-};
-
-Frame
+specweb::html::PageFrame
 beginPage(specweb::HandlerContext &ctx, PageType type,
           std::string_view title)
 {
     const uint32_t rb = blockBase(type) + kLbRender;
-    ctx.out->appendStatic(rb,
-                          "HTTP/1.1 200 OK\r\nServer: RhythmChat/1.0\r\n"
-                          "Content-Type: text/html\r\nContent-Length: ");
-    Frame frame;
-    frame.clOffset = ctx.out->reserve(rb, 10);
-    ctx.out->appendStatic(rb, "\r\n\r\n");
-    frame.headerEnd = ctx.out->size();
+    const specweb::html::PageFrame frame =
+        specweb::html::openPage(*ctx.out, rb, "RhythmChat/1.0");
     ctx.out->appendStatic(
         rb,
         "<!DOCTYPE html><html><head><style>body{font-family:Helvetica,"
@@ -69,32 +56,21 @@ beginPage(specweb::HandlerContext &ctx, PageType type,
 }
 
 void
-endPage(specweb::HandlerContext &ctx, PageType type, const Frame &frame)
+endPage(specweb::HandlerContext &ctx, PageType type,
+        const specweb::html::PageFrame &frame)
 {
-    const uint32_t rb = blockBase(type) + kLbRender;
-    ctx.out->appendStatic(rb,
+    ctx.out->appendStatic(blockBase(type) + kLbRender,
                           "<!-- chat:ok -->\n</div></body></html>\n");
-    const size_t body = ctx.out->size() - frame.headerEnd;
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "%zu", body);
-    ctx.out->patch(frame.clOffset, buf);
+    specweb::html::finishResponse(*ctx.out, frame);
 }
 
 void
 emitChatError(specweb::HandlerContext &ctx, std::string_view reason)
 {
-    ctx.failed = true;
-    const uint32_t rb = kChatBlockBase + 500;
-    ctx.rec->block(rb, 160);
-    std::string body = "<html><body><p>chat error: ";
-    body += reason;
-    body += "</p><!-- chat:error --></body></html>\n";
-    ctx.out->appendStatic(rb, "HTTP/1.1 400 Bad Request\r\n"
-                              "Content-Type: text/html\r\n"
-                              "Content-Length: ");
-    ctx.out->appendDynamic(rb, std::to_string(body.size()));
-    ctx.out->appendStatic(rb, "\r\n\r\n");
-    ctx.out->appendDynamic(rb, body);
+    specweb::html::errorPage(ctx, kChatBlockBase + 500, 160,
+                             "<html><body><p>chat error: " +
+                                 std::string(reason) +
+                                 "</p><!-- chat:error --></body></html>\n");
 }
 
 /** Renders "seq,user,text" records as message rows. */
@@ -125,40 +101,6 @@ const PageTypeInfo *
 pageTable()
 {
     return kPages;
-}
-
-bool
-ChatService::resolveType(const http::Request &request,
-                         uint32_t &type_id) const
-{
-    for (const PageTypeInfo &info : kPages) {
-        if (request.path == info.path) {
-            type_id = static_cast<uint32_t>(info.type);
-            return true;
-        }
-    }
-    return false;
-}
-
-std::string_view
-ChatService::typeName(uint32_t type_id) const
-{
-    RHYTHM_ASSERT(type_id < kNumPageTypes);
-    return kPages[type_id].name;
-}
-
-int
-ChatService::numStages(uint32_t type_id) const
-{
-    RHYTHM_ASSERT(type_id < kNumPageTypes);
-    return kPages[type_id].backendRequests + 1;
-}
-
-uint32_t
-ChatService::responseBufferBytes(uint32_t type_id) const
-{
-    RHYTHM_ASSERT(type_id < kNumPageTypes);
-    return kPages[type_id].bufferBytes;
 }
 
 void
@@ -286,7 +228,7 @@ ChatService::roomList(int stage, specweb::HandlerContext &ctx) const
         emitChatError(ctx, "room list failed");
         return;
     }
-    Frame frame = beginPage(ctx, type, "Rooms");
+    const auto frame = beginPage(ctx, type, "Rooms");
     const uint32_t rb = blockBase(type) + kLbRender;
     const uint32_t row = blockBase(type) + kLbRow;
     ctx.out->appendStatic(rb, "<h3>Rooms</h3>\n<ul>\n");
@@ -331,7 +273,7 @@ ChatService::history(int stage, specweb::HandlerContext &ctx) const
         emitChatError(ctx, "no such room");
         return;
     }
-    Frame frame = beginPage(ctx, type, "History");
+    const auto frame = beginPage(ctx, type, "History");
     ctx.out->appendStatic(blockBase(type) + kLbRender,
                           "<h3>Recent messages</h3>\n");
     renderMessages(ctx, type,
@@ -365,7 +307,7 @@ ChatService::post(int stage, specweb::HandlerContext &ctx) const
         emitChatError(ctx, "post rejected");
         return;
     }
-    Frame frame = beginPage(ctx, type, "Posted");
+    const auto frame = beginPage(ctx, type, "Posted");
     const uint32_t rb = blockBase(type) + kLbRender;
     ctx.out->appendStatic(rb, "<p>Message posted as #");
     ctx.out->appendDynamic(
@@ -395,7 +337,7 @@ ChatService::poll(int stage, specweb::HandlerContext &ctx) const
         emitChatError(ctx, "poll failed");
         return;
     }
-    Frame frame = beginPage(ctx, type, "Updates");
+    const auto frame = beginPage(ctx, type, "Updates");
     const std::string_view payload =
         std::string_view(ctx.backendResponse).substr(3);
     if (payload.empty()) {
@@ -412,28 +354,15 @@ ChatService::poll(int stage, specweb::HandlerContext &ctx) const
 // ---------------------------------------------------------------------
 
 ChatGenerator::ChatGenerator(const RoomStore &store, uint64_t seed)
-    : store_(store), rng_(seed)
+    : store_(store), rng_(seed),
+      mix_(std::span(kPages), &PageTypeInfo::mixPercent)
 {
-    double total = 0.0;
-    for (const PageTypeInfo &info : kPages)
-        total += info.mixPercent;
-    double acc = 0.0;
-    for (uint32_t i = 0; i < kNumPageTypes; ++i) {
-        acc += kPages[i].mixPercent / total;
-        cumulative_[i] = acc;
-    }
-    cumulative_[kNumPageTypes - 1] = 1.0;
 }
 
 PageType
 ChatGenerator::sampleType()
 {
-    const double u = rng_.nextDouble();
-    for (uint32_t i = 0; i < kNumPageTypes; ++i) {
-        if (u <= cumulative_[i])
-            return static_cast<PageType>(i);
-    }
-    return PageType::Poll;
+    return static_cast<PageType>(mix_.draw(rng_));
 }
 
 std::string
@@ -487,33 +416,11 @@ bool
 validateChatResponse(PageType type, std::string_view raw,
                      std::string *reason)
 {
-    auto fail = [&](const char *why) {
-        if (reason)
-            *reason = why;
-        return false;
-    };
-    if (!startsWith(raw, "HTTP/1.1 200 OK\r\n"))
-        return fail("bad status");
-    const size_t header_end = raw.find("\r\n\r\n");
-    if (header_end == std::string_view::npos)
-        return fail("no header end");
-    const size_t cl_pos = raw.find("Content-Length: ");
-    if (cl_pos == std::string_view::npos)
-        return fail("no content length");
-    uint64_t declared = 0;
-    size_t p = cl_pos + 16;
-    while (p < raw.size() && raw[p] >= '0' && raw[p] <= '9')
-        declared = declared * 10 + static_cast<uint64_t>(raw[p++] - '0');
-    if (declared != raw.size() - header_end - 4)
-        return fail("content length mismatch");
-    if (raw.find("<!-- chat:ok -->") == std::string_view::npos)
-        return fail("missing marker");
-    const char *markers[] = {"Rooms", "Recent messages",
-                             "Message posted", "Rhythm Chat"};
-    if (raw.find(markers[static_cast<uint32_t>(type)]) ==
-        std::string_view::npos)
-        return fail("missing type marker");
-    return true;
+    constexpr std::string_view kMarkers[] = {
+        "Rooms", "Recent messages", "Message posted", "Rhythm Chat"};
+    return specweb::html::checkPage(raw, "<!-- chat:ok -->",
+                                    kMarkers[static_cast<uint32_t>(type)],
+                                    reason);
 }
 
 } // namespace rhythm::chat

@@ -36,32 +36,21 @@ enum class PageType : uint32_t {
 inline constexpr uint32_t kNumPageTypes = 4;
 
 /** Static metadata of one page type. */
-struct PageTypeInfo
-{
-    PageType type;
-    std::string_view name;
-    std::string_view path;
-    int backendRequests;
-    uint32_t bufferBytes;
-    double mixPercent;
-};
+using PageTypeInfo = core::TypeRow;
 
 /** Metadata table (enum order). */
 const PageTypeInfo *pageTable();
 
 /** Chat on Rhythm. */
-class ChatService : public core::Service
+class ChatService : public core::TableService
 {
   public:
     /** Binds to a room store (not owned). */
-    explicit ChatService(RoomStore &store) : store_(store) {}
+    explicit ChatService(RoomStore &store)
+        : TableService({pageTable(), kNumPageTypes}), store_(store)
+    {
+    }
 
-    uint32_t numTypes() const override { return kNumPageTypes; }
-    bool resolveType(const http::Request &request,
-                     uint32_t &type_id) const override;
-    std::string_view typeName(uint32_t type_id) const override;
-    int numStages(uint32_t type_id) const override;
-    uint32_t responseBufferBytes(uint32_t type_id) const override;
     void runStage(uint32_t type_id, int stage,
                   specweb::HandlerContext &ctx) const override;
     bool stageIsLaneParallel(uint32_t type_id, int stage) const override;
@@ -95,10 +84,10 @@ class ChatGenerator
   private:
     const RoomStore &store_;
     Rng rng_;
-    double cumulative_[kNumPageTypes];
+    MixSampler mix_;
 };
 
-/** Validates a Chat response (status, Content-Length, page marker). */
+/** Validates a Chat response (http::checkFraming, page markers). */
 bool validateChatResponse(PageType type, std::string_view raw,
                           std::string *reason = nullptr);
 

@@ -85,9 +85,6 @@ class EventQueue
      */
     StreamId createStream();
 
-    /** Number of streams (>= 1; stream 0 always exists). */
-    uint32_t numStreams() const { return static_cast<uint32_t>(streams_.size()); }
-
     /**
      * Stream of the event currently being dispatched (stream 0 between
      * events). scheduleAt()/scheduleAfter() inherit this, so everything a

@@ -22,7 +22,6 @@ HostServer::Result
 HostServer::serveDetailed(std::string_view raw_request,
                           simt::TraceRecorder &rec)
 {
-    ++served_;
     Result result;
 
     http::Request request;

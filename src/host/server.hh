@@ -66,9 +66,6 @@ class HostServer
     Result serveDetailed(std::string_view raw_request,
                          simt::TraceRecorder &rec);
 
-    /** Total requests served. */
-    uint64_t requestsServed() const { return served_; }
-
     /** The backend service (exposed for harness accounting). */
     backend::BackendService &backendService() { return backend_; }
 
@@ -77,7 +74,6 @@ class HostServer
     specweb::SessionProvider &sessions_;
     const specweb::StaticContent *staticContent_;
     specweb::BankingApp app_;
-    uint64_t served_ = 0;
 };
 
 } // namespace rhythm::host

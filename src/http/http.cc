@@ -1,8 +1,6 @@
 #include "http/http.hh"
 
-#include <cstdio>
-
-#include "util/logging.hh"
+#include "util/strings.hh"
 
 namespace rhythm::http {
 
@@ -38,54 +36,52 @@ Request::hasParam(std::string_view key) const
     return false;
 }
 
-std::string_view
-statusReason(Status status)
+Framing
+checkFraming(std::string_view raw)
 {
-    switch (status) {
-      case Status::Ok:
-        return "OK";
-      case Status::Found:
-        return "Found";
-      case Status::BadRequest:
-        return "Bad Request";
-      case Status::NotFound:
-        return "Not Found";
-      case Status::InternalError:
-        return "Internal Server Error";
+    Framing framing;
+    if (!startsWith(raw, "HTTP/1.1 200 OK\r\n")) {
+        framing.error = "bad status line";
+        return framing;
     }
-    return "Unknown";
-}
-
-ResponseBuilder::ResponseBuilder(Status status) : status_(status) {}
-
-void
-ResponseBuilder::addHeader(std::string_view name, std::string_view value)
-{
-    headers_.emplace_back(std::string(name), std::string(value));
-}
-
-std::string
-ResponseBuilder::serialize() const
-{
-    std::string out;
-    out.reserve(body_.size() + 256);
-    char line[128];
-    std::snprintf(line, sizeof(line), "HTTP/1.1 %u ",
-                  static_cast<unsigned>(status_));
-    out.append(line);
-    out.append(statusReason(status_));
-    out.append("\r\n");
-    for (const auto &[name, value] : headers_) {
-        out.append(name);
-        out.append(": ");
-        out.append(value);
-        out.append("\r\n");
+    const size_t header_end = raw.find("\r\n\r\n");
+    if (header_end == std::string_view::npos) {
+        framing.error = "no header terminator";
+        return framing;
     }
-    out.append("Content-Length: ");
-    out.append(std::to_string(body_.size()));
-    out.append("\r\n\r\n");
-    out.append(body_);
-    return out;
+    const size_t body_size = raw.size() - header_end - 4;
+    const size_t cl_pos = raw.find("Content-Length: ");
+    if (cl_pos == std::string_view::npos || cl_pos > header_end) {
+        framing.error = "missing Content-Length";
+        return framing;
+    }
+    size_t p = cl_pos + 16;
+    uint64_t declared = 0;
+    bool digits = false;
+    while (p < raw.size() && raw[p] >= '0' && raw[p] <= '9') {
+        declared = declared * 10 + static_cast<uint64_t>(raw[p] - '0');
+        digits = true;
+        ++p;
+    }
+    if (!digits) {
+        framing.error = "unparsable Content-Length";
+        return framing;
+    }
+    while (p < raw.size() && raw[p] == ' ')
+        ++p;
+    if (p + 1 >= raw.size() || raw[p] != '\r' || raw[p + 1] != '\n') {
+        framing.error = "Content-Length not whitespace-terminated";
+        return framing;
+    }
+    if (declared != body_size) {
+        framing.error = "Content-Length mismatch: declared " +
+                        std::to_string(declared) + " actual " +
+                        std::to_string(body_size);
+        return framing;
+    }
+    framing.header = raw.substr(0, header_end);
+    framing.body = raw.substr(header_end + 4);
+    return framing;
 }
 
 std::string

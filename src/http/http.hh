@@ -52,51 +52,26 @@ struct Request
     bool hasParam(std::string_view key) const;
 };
 
-/** HTTP status codes used by the Banking service. */
-enum class Status : uint16_t {
-    Ok = 200,
-    Found = 302,
-    BadRequest = 400,
-    NotFound = 404,
-    InternalError = 500,
+/** The framing of a response as checkFraming() found it. */
+struct Framing
+{
+    /** Why the framing does not hold ("" when it does). */
+    std::string error;
+    /** Status line and headers, without the blank line (set when the
+     *  framing holds). */
+    std::string_view header;
+    /** Everything after the blank line (set when the framing holds). */
+    std::string_view body;
 };
-
-/** Returns the reason phrase for a status code. */
-std::string_view statusReason(Status status);
 
 /**
- * Host-side HTTP response builder.
- *
- * Buffers the body, then serializes the status line, headers (including a
- * correct Content-Length) and body. The device-side pipeline uses the
- * cohort buffer writer instead (src/rhythm/buffers.hh) which reserves
- * whitespace for Content-Length and back-patches it (Section 4.3.2).
+ * Checks the framing of a complete `200 OK` response as the servers
+ * write it: the status line, the header terminator, a Content-Length
+ * header inside the header, its digits, the trailing whitespace the
+ * device writer pads the value with (Section 4.3.2; HTTP permits it)
+ * and its equality with the body size.
  */
-class ResponseBuilder
-{
-  public:
-    explicit ResponseBuilder(Status status = Status::Ok);
-
-    /** Adds a response header (Content-Length is added automatically). */
-    void addHeader(std::string_view name, std::string_view value);
-
-    /** Appends to the response body. */
-    void append(std::string_view text) { body_.append(text); }
-
-    /** Current body size in bytes. */
-    size_t bodySize() const { return body_.size(); }
-
-    /** Read-only view of the body so far. */
-    std::string_view body() const { return body_; }
-
-    /** Serializes the complete response message. */
-    std::string serialize() const;
-
-  private:
-    Status status_;
-    std::vector<std::pair<std::string, std::string>> headers_;
-    std::string body_;
-};
+Framing checkFraming(std::string_view raw);
 
 /**
  * Builds a raw HTTP request message (client side; used by the workload

@@ -1439,21 +1439,17 @@ RhythmServer::buildCommands(std::span<LaunchMember> members)
     // majority-block selection then amortizes fetches over whole
     // same-type runs and only pays divergence where the types genuinely
     // split — which is what the similarity admission test predicted was
-    // cheap. A group of one keeps its plain kernel names and untagged
-    // profile-cache keys; a fused group is named after its members, and
-    // the per-lane tag layout keys the memoization fingerprint so a
-    // fused warp can never alias a single-type one.
+    // cheap. A group of one keeps its plain kernel names; a fused group
+    // is named after its members. The lanes' request types stay out of
+    // the profile-cache key, which covers every simulation input (the
+    // lane traces and the warp model): equal keys mean bit-equal stats.
     std::string name;
-    std::vector<uint32_t> lane_tags;
     if (!fused) {
         name = service_.typeName(members.front().type);
     } else {
         name = "fused";
-        lane_tags.reserve(total_sample);
-        for (const LaunchMember &m : members) {
+        for (const LaunchMember &m : members)
             name += "+" + std::string(service_.typeName(m.type));
-            lane_tags.insert(lane_tags.end(), m.sample, m.type);
-        }
     }
     std::vector<std::vector<const simt::ThreadTrace *>> stage_ptrs(
         static_cast<size_t>(stages));
@@ -1469,8 +1465,6 @@ RhythmServer::buildCommands(std::span<LaunchMember> members)
         launches[si].traces = &stage_ptrs[si];
         launches[si].model = &config_.warpModel;
         launches[si].name = name + "-stage" + std::to_string(s);
-        if (fused)
-            launches[si].laneTags = &lane_tags;
     }
     // Profile every pipeline stage in one engine region (warps of all
     // stages share one index space, so small stages cannot strand pool

@@ -385,8 +385,7 @@ class RhythmServer
      * Installs a fault plan (not owned; nullptr disarms). The server
      * consults it for backend failure/slowdown and client disconnects;
      * device-level sites (PCIe, stream stalls) are installed separately
-     * with fault::installDeviceFaults. Do not also arm the backing
-     * BackendService, or each backend call is consulted twice.
+     * with fault::installDeviceFaults.
      */
     void setFaultPlan(fault::FaultPlan *plan);
 

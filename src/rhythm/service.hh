@@ -8,7 +8,9 @@
  * Service maps parsed requests to cohort types, decomposes each type
  * into backend-separated process stages, and executes its own backend.
  * The pipeline handles everything else: cohort formation, kernels,
- * buffers, transposes, copies and responses.
+ * buffers, transposes, copies and responses. A service whose types are
+ * one table of pages (Chat, Search) derives from TableService and
+ * supplies only its rows, its stage handlers and its backend.
  */
 
 #ifndef RHYTHM_RHYTHM_SERVICE_HH
@@ -16,12 +18,14 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
 #include "http/http.hh"
 #include "simt/trace.hh"
 #include "specweb/context.hh"
+#include "util/logging.hh"
 
 namespace rhythm::core {
 
@@ -132,6 +136,75 @@ class Service
         (void)rec;
         return std::nullopt;
     }
+};
+
+/** One cohort type of a table-driven service (type id = row index). */
+struct TypeRow
+{
+    std::string_view name;
+    /** URL path served by this type (matched exactly). */
+    std::string_view path;
+    /** Backend round trips (process stages = this + 1). */
+    int backendRequests;
+    /** Response buffer bytes per request (power of two). */
+    uint32_t bufferBytes;
+    /** Share of the request mix, in percent. */
+    double mixPercent;
+};
+
+/** A service whose type lookups are answered from its table of rows. */
+class TableService : public Service
+{
+  public:
+    /** @param rows The type table (not owned; must outlive the service). */
+    explicit TableService(std::span<const TypeRow> rows) : rows_(rows) {}
+
+    uint32_t
+    numTypes() const override
+    {
+        return static_cast<uint32_t>(rows_.size());
+    }
+
+    bool
+    resolveType(const http::Request &request,
+                uint32_t &type_id) const override
+    {
+        for (uint32_t t = 0; t < rows_.size(); ++t) {
+            if (request.path == rows_[t].path) {
+                type_id = t;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    std::string_view
+    typeName(uint32_t type_id) const override
+    {
+        return row(type_id).name;
+    }
+
+    int
+    numStages(uint32_t type_id) const override
+    {
+        return row(type_id).backendRequests + 1;
+    }
+
+    uint32_t
+    responseBufferBytes(uint32_t type_id) const override
+    {
+        return row(type_id).bufferBytes;
+    }
+
+  private:
+    const TypeRow &
+    row(uint32_t type_id) const
+    {
+        RHYTHM_ASSERT(type_id < rows_.size());
+        return rows_[type_id];
+    }
+
+    std::span<const TypeRow> rows_;
 };
 
 } // namespace rhythm::core

@@ -1,7 +1,6 @@
 #include "search/service.hh"
 
-#include <cmath>
-
+#include "specweb/html.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -17,7 +16,6 @@ enum LocalBlock : uint32_t {
     kLbConsume = 2,
     kLbRender = 3,
     kLbRow = 4,
-    kLbError = 31,
 };
 
 constexpr uint32_t
@@ -27,10 +25,10 @@ blockBase(PageType type)
 }
 
 constexpr PageTypeInfo kPages[] = {
-    {PageType::Home, "home", "/", 0, 8 * 1024, 12.0},
-    {PageType::Results, "results", "/search", 1, 16 * 1024, 62.0},
-    {PageType::Document, "document", "/doc", 1, 32 * 1024, 16.0},
-    {PageType::Suggest, "suggest", "/suggest", 1, 4 * 1024, 10.0},
+    {"home", "/", 0, 8 * 1024, 12.0},
+    {"results", "/search", 1, 16 * 1024, 62.0},
+    {"document", "/doc", 1, 32 * 1024, 16.0},
+    {"suggest", "/suggest", 1, 4 * 1024, 10.0},
 };
 
 static_assert(sizeof(kPages) / sizeof(kPages[0]) == kNumPageTypes);
@@ -77,25 +75,13 @@ constexpr std::string_view kBlurbs[] = {
 };
 constexpr size_t kNumBlurbs = sizeof(kBlurbs) / sizeof(kBlurbs[0]);
 
-/** Emits the response header with a reserved Content-Length. */
-struct Frame
-{
-    size_t clOffset;
-    size_t headerEnd;
-};
-
-Frame
+specweb::html::PageFrame
 beginPage(specweb::HandlerContext &ctx, PageType type,
           std::string_view title)
 {
     const uint32_t rb = blockBase(type) + kLbRender;
-    ctx.out->appendStatic(rb,
-                          "HTTP/1.1 200 OK\r\nServer: RhythmSearch/1.0\r\n"
-                          "Content-Type: text/html\r\nContent-Length: ");
-    Frame frame;
-    frame.clOffset = ctx.out->reserve(rb, 10);
-    ctx.out->appendStatic(rb, "\r\n\r\n");
-    frame.headerEnd = ctx.out->size();
+    const specweb::html::PageFrame frame =
+        specweb::html::openPage(*ctx.out, rb, "RhythmSearch/1.0");
     ctx.out->appendStatic(rb, "<!DOCTYPE html><html><head><title>");
     ctx.out->appendDynamic(rb, title);
     ctx.out->appendStatic(rb, " - Rhythm Search</title>");
@@ -110,8 +96,8 @@ beginPage(specweb::HandlerContext &ctx, PageType type,
 }
 
 void
-endPage(specweb::HandlerContext &ctx, PageType type, const Frame &frame,
-        int blurbs)
+endPage(specweb::HandlerContext &ctx, PageType type,
+        const specweb::html::PageFrame &frame, int blurbs)
 {
     const uint32_t rb = blockBase(type) + kLbRender;
     for (int i = 0; i < blurbs; ++i)
@@ -122,27 +108,16 @@ endPage(specweb::HandlerContext &ctx, PageType type, const Frame &frame,
                           "<div id=\"foot\">Rhythm Search &mdash; cohort "
                           "scheduled, data parallel. &copy; 2014</div>"
                           "</body></html>\n");
-    const size_t body = ctx.out->size() - frame.headerEnd;
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "%zu", body);
-    ctx.out->patch(frame.clOffset, buf);
+    specweb::html::finishResponse(*ctx.out, frame);
 }
 
 void
 emitSearchError(specweb::HandlerContext &ctx, std::string_view reason)
 {
-    ctx.failed = true;
-    const uint32_t rb = kSearchBlockBase + 500;
-    ctx.rec->block(rb, 180);
-    std::string body = "<html><body><h2>Search error</h2><p>";
-    body += reason;
-    body += "</p><!-- search:error --></body></html>\n";
-    ctx.out->appendStatic(rb, "HTTP/1.1 400 Bad Request\r\n"
-                              "Content-Type: text/html\r\n"
-                              "Content-Length: ");
-    ctx.out->appendDynamic(rb, std::to_string(body.size()));
-    ctx.out->appendStatic(rb, "\r\n\r\n");
-    ctx.out->appendDynamic(rb, body);
+    specweb::html::errorPage(
+        ctx, kSearchBlockBase + 500, 180,
+        "<html><body><h2>Search error</h2><p>" + std::string(reason) +
+            "</p><!-- search:error --></body></html>\n");
 }
 
 } // namespace
@@ -157,40 +132,6 @@ const PageTypeInfo &
 pageInfo(PageType type)
 {
     return kPages[static_cast<uint32_t>(type)];
-}
-
-bool
-SearchService::resolveType(const http::Request &request,
-                           uint32_t &type_id) const
-{
-    for (const PageTypeInfo &info : kPages) {
-        if (request.path == info.path) {
-            type_id = static_cast<uint32_t>(info.type);
-            return true;
-        }
-    }
-    return false;
-}
-
-std::string_view
-SearchService::typeName(uint32_t type_id) const
-{
-    RHYTHM_ASSERT(type_id < kNumPageTypes);
-    return kPages[type_id].name;
-}
-
-int
-SearchService::numStages(uint32_t type_id) const
-{
-    RHYTHM_ASSERT(type_id < kNumPageTypes);
-    return kPages[type_id].backendRequests + 1;
-}
-
-uint32_t
-SearchService::responseBufferBytes(uint32_t type_id) const
-{
-    RHYTHM_ASSERT(type_id < kNumPageTypes);
-    return kPages[type_id].bufferBytes;
 }
 
 void
@@ -303,7 +244,7 @@ SearchService::homePage(specweb::HandlerContext &ctx) const
 {
     const PageType type = PageType::Home;
     ctx.rec->block(blockBase(type) + kLbValidate, 900);
-    Frame frame = beginPage(ctx, type, "Search");
+    const auto frame = beginPage(ctx, type, "Search");
     ctx.out->appendStatic(
         blockBase(type) + kLbRender,
         "<p class=\"blurb\"><b>Search the corpus.</b> Type one or more "
@@ -337,7 +278,7 @@ SearchService::resultsPage(int stage, specweb::HandlerContext &ctx) const
         emitSearchError(ctx, "query failed");
         return;
     }
-    Frame frame = beginPage(ctx, type, "Results");
+    const auto frame = beginPage(ctx, type, "Results");
     const uint32_t rb = blockBase(type) + kLbRender;
     const uint32_t row = blockBase(type) + kLbRow;
     ctx.out->appendStatic(rb, "<div id=\"res\"><h3>Results for \"");
@@ -401,7 +342,7 @@ SearchService::documentPage(int stage, specweb::HandlerContext &ctx) const
     }
     auto parts = split(std::string_view(ctx.backendResponse).substr(3),
                        '|');
-    Frame frame = beginPage(ctx, type, "Cached document");
+    const auto frame = beginPage(ctx, type, "Cached document");
     const uint32_t rb = blockBase(type) + kLbRender;
     ctx.out->appendStatic(rb, "<div id=\"res\"><h3>");
     ctx.out->appendDynamic(rb, parts.empty() ? "" : parts[0]);
@@ -435,7 +376,7 @@ SearchService::suggestPage(int stage, specweb::HandlerContext &ctx) const
         emitSearchError(ctx, "suggest failed");
         return;
     }
-    Frame frame = beginPage(ctx, type, "Suggestions");
+    const auto frame = beginPage(ctx, type, "Suggestions");
     const uint32_t rb = blockBase(type) + kLbRender;
     const uint32_t row = blockBase(type) + kLbRow;
     ctx.out->appendStatic(rb, "<div id=\"res\"><h3>Completions for \"");
@@ -460,28 +401,15 @@ SearchService::suggestPage(int stage, specweb::HandlerContext &ctx) const
 // ---------------------------------------------------------------------
 
 QueryGenerator::QueryGenerator(const Corpus &corpus, uint64_t seed)
-    : corpus_(corpus), rng_(seed)
+    : corpus_(corpus), rng_(seed),
+      mix_(std::span(kPages), &PageTypeInfo::mixPercent)
 {
-    double total = 0.0;
-    for (const PageTypeInfo &info : kPages)
-        total += info.mixPercent;
-    double acc = 0.0;
-    for (uint32_t i = 0; i < kNumPageTypes; ++i) {
-        acc += kPages[i].mixPercent / total;
-        cumulative_[i] = acc;
-    }
-    cumulative_[kNumPageTypes - 1] = 1.0;
 }
 
 PageType
 QueryGenerator::sampleType()
 {
-    const double u = rng_.nextDouble();
-    for (uint32_t i = 0; i < kNumPageTypes; ++i) {
-        if (u <= cumulative_[i])
-            return static_cast<PageType>(i);
-    }
-    return PageType::Home;
+    return static_cast<PageType>(mix_.draw(rng_));
 }
 
 GeneratedQuery
@@ -526,33 +454,12 @@ bool
 validateSearchResponse(PageType type, std::string_view raw,
                        std::string *reason)
 {
-    auto fail = [&](const char *why) {
-        if (reason)
-            *reason = why;
-        return false;
-    };
-    if (!startsWith(raw, "HTTP/1.1 200 OK\r\n"))
-        return fail("bad status");
-    const size_t header_end = raw.find("\r\n\r\n");
-    if (header_end == std::string_view::npos)
-        return fail("no header end");
-    const size_t cl_pos = raw.find("Content-Length: ");
-    if (cl_pos == std::string_view::npos)
-        return fail("no content length");
-    uint64_t declared = 0;
-    size_t p = cl_pos + 16;
-    while (p < raw.size() && raw[p] >= '0' && raw[p] <= '9')
-        declared = declared * 10 + static_cast<uint64_t>(raw[p++] - '0');
-    if (declared != raw.size() - header_end - 4)
-        return fail("content length mismatch");
-    if (raw.find("<!-- search:ok -->") == std::string_view::npos)
-        return fail("missing marker");
-    const char *markers[] = {"Search the corpus", "Results for",
-                             "cached copy", "Completions for"};
-    if (raw.find(markers[static_cast<uint32_t>(type)]) ==
-        std::string_view::npos)
-        return fail("missing type marker");
-    return true;
+    constexpr std::string_view kMarkers[] = {
+        "Search the corpus", "Results for", "cached copy",
+        "Completions for"};
+    return specweb::html::checkPage(raw, "<!-- search:ok -->",
+                                    kMarkers[static_cast<uint32_t>(type)],
+                                    reason);
 }
 
 } // namespace rhythm::search

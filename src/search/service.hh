@@ -41,17 +41,9 @@ enum class PageType : uint32_t {
 /** Number of Search page types. */
 inline constexpr uint32_t kNumPageTypes = 4;
 
-/** Static metadata of one page type. */
-struct PageTypeInfo
-{
-    PageType type;
-    std::string_view name;
-    std::string_view path;
-    int backendRequests;
-    uint32_t bufferBytes;
-    /** Mix fraction in percent (typical search-frontend traffic). */
-    double mixPercent;
-};
+/** Static metadata of one page type (mix shares: typical
+ *  search-frontend traffic). */
+using PageTypeInfo = core::TypeRow;
 
 /** Metadata table (enum order). */
 const PageTypeInfo *pageTable();
@@ -60,18 +52,15 @@ const PageTypeInfo *pageTable();
 const PageTypeInfo &pageInfo(PageType type);
 
 /** Search on Rhythm. */
-class SearchService : public core::Service
+class SearchService : public core::TableService
 {
   public:
     /** Binds to an index (not owned). */
-    explicit SearchService(InvertedIndex &index) : index_(index) {}
+    explicit SearchService(InvertedIndex &index)
+        : TableService({pageTable(), kNumPageTypes}), index_(index)
+    {
+    }
 
-    uint32_t numTypes() const override { return kNumPageTypes; }
-    bool resolveType(const http::Request &request,
-                     uint32_t &type_id) const override;
-    std::string_view typeName(uint32_t type_id) const override;
-    int numStages(uint32_t type_id) const override;
-    uint32_t responseBufferBytes(uint32_t type_id) const override;
     void runStage(uint32_t type_id, int stage,
                   specweb::HandlerContext &ctx) const override;
     bool stageIsLaneParallel(uint32_t type_id, int stage) const override;
@@ -112,10 +101,10 @@ class QueryGenerator
   private:
     const Corpus &corpus_;
     Rng rng_;
-    double cumulative_[kNumPageTypes];
+    MixSampler mix_;
 };
 
-/** Validates a Search response (status, Content-Length, page marker). */
+/** Validates a Search response (http::checkFraming, page markers). */
 bool validateSearchResponse(PageType type, std::string_view raw,
                             std::string *reason = nullptr);
 

@@ -18,17 +18,10 @@ struct WarpWork
     const ThreadTrace *const *lanes = nullptr;
     size_t laneCount = 0;
     const WarpModel *model = nullptr;
-    /** Per-lane type tags of a fused launch's warp, or null (untagged). */
-    const uint32_t *tags = nullptr;
 
     std::span<const ThreadTrace *const> span() const
     {
         return std::span<const ThreadTrace *const>(lanes, laneCount);
-    }
-
-    std::span<const uint32_t> tagSpan() const
-    {
-        return std::span<const uint32_t>(tags, tags ? laneCount : 0);
     }
 };
 
@@ -49,8 +42,7 @@ profileMemoized(util::ThreadPool &pool, ProfileCache &cache,
 {
     std::vector<WarpKey> keys(work.size());
     pool.parallelFor(work.size(), [&work, &keys](size_t i) {
-        keys[i] =
-            warpFingerprint(work[i].span(), *work[i].model, work[i].tagSpan());
+        keys[i] = warpFingerprint(work[i].span(), *work[i].model);
     });
 
     // Classification: cross-launch hits fill their slots immediately;
@@ -152,14 +144,10 @@ Engine::profileMany(const std::vector<Launch> &launches)
         const auto &traces = *l.traces;
         const size_t width = static_cast<size_t>(l.model->warpWidth);
         RHYTHM_ASSERT(width >= 1);
-        RHYTHM_ASSERT(!l.laneTags || l.laneTags->size() == traces.size(),
-                      "lane tags must align with traces");
         for (size_t base = 0; base < traces.size(); base += width) {
             work.push_back(WarpWork{traces.data() + base,
                                     std::min(width, traces.size() - base),
-                                    l.model,
-                                    l.laneTags ? l.laneTags->data() + base
-                                               : nullptr});
+                                    l.model});
         }
         warpBase[li + 1] = work.size();
     }

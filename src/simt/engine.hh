@@ -73,15 +73,6 @@ class Engine
         const std::vector<const ThreadTrace *> *traces = nullptr;
         const WarpModel *model = nullptr;
         std::string name;
-        /**
-         * Optional per-lane type tags, aligned index-for-index with
-         * @p traces (fused mixed-type launches set this). When present
-         * the memoization fingerprint keys on the per-warp tag slice as
-         * well, so mixed-type warps never alias single-type ones (see
-         * profile_cache.hh). Null means untagged — keys are
-         * byte-identical to pre-fusion builds.
-         */
-        const std::vector<uint32_t> *laneTags = nullptr;
     };
 
     /**

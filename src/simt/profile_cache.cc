@@ -26,22 +26,11 @@ struct KeyHasher
 /** Sentinel folded in for inactive (null) lanes. */
 constexpr uint64_t kNullLaneMarker = 0xdeadbeef'00000001ull;
 
-/** Sentinel separating trace content from a fused warp's tag layout. */
-constexpr uint64_t kLaneTagMarker = 0xdeadbeef'00000002ull;
-
 } // namespace
 
 WarpKey
 warpFingerprint(std::span<const ThreadTrace *const> lanes,
                 const WarpModel &model)
-{
-    return warpFingerprint(lanes, model, std::span<const uint32_t>{});
-}
-
-WarpKey
-warpFingerprint(std::span<const ThreadTrace *const> lanes,
-                const WarpModel &model,
-                std::span<const uint32_t> lane_tags)
 {
     RHYTHM_ASSERT(model.segmentBytes > 0);
 
@@ -89,15 +78,6 @@ warpFingerprint(std::span<const ThreadTrace *const> lanes,
                      (static_cast<uint64_t>(op.space) << 8) |
                      (op.isStore ? 1 : 0));
         }
-    }
-    // Fused warps additionally key on the per-lane tag layout. Skipped
-    // entirely for empty spans so untagged keys stay byte-identical.
-    if (!lane_tags.empty()) {
-        RHYTHM_ASSERT(lane_tags.size() == lanes.size(),
-                      "lane tags must align with lanes");
-        h.update(kLaneTagMarker);
-        for (uint32_t tag : lane_tags)
-            h.update(tag);
     }
     return h.digest();
 }

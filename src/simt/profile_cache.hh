@@ -77,20 +77,6 @@ WarpKey warpFingerprint(std::span<const ThreadTrace *const> lanes,
                         const WarpModel &model);
 
 /**
- * Tag-aware fingerprint overload for fused (mixed-type) warps: folds
- * the per-lane tag layout (request-type ids, aligned index-for-index
- * with @p lanes; null lanes carry their tag too) into the key on top
- * of the trace content. An empty @p lane_tags span produces a key
- * byte-identical to the untagged overload, so untagged launches keep
- * their cross-launch cache entries; a non-empty span is folded behind
- * a distinct marker, so a fused warp can never alias an untagged one
- * even when the lane traces coincide.
- */
-WarpKey warpFingerprint(std::span<const ThreadTrace *const> lanes,
-                        const WarpModel &model,
-                        std::span<const uint32_t> lane_tags);
-
-/**
  * Bytes of trace input a simulation of this warp would consume —
  * the bytes-saved accounting unit for cache hits.
  */

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "http/http.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -110,9 +111,20 @@ constexpr std::string_view kFillers[] = {
 
 constexpr size_t kNumFillers = sizeof(kFillers) / sizeof(kFillers[0]);
 
+/** The reserved Content-Length value and the blank line after it. */
+PageFrame
+endHeader(ResponseWriter &out, uint32_t block)
+{
+    PageFrame frame;
+    frame.contentLengthOffset = out.reserve(block, kContentLengthReserve);
+    out.appendStatic(block, "\r\n\r\n");
+    frame.headerEnd = out.size();
+    return frame;
+}
+
 } // namespace
 
-size_t
+PageFrame
 beginResponse(ResponseWriter &out, std::string_view set_cookie)
 {
     out.appendStatic(kBlockHttpHeader,
@@ -126,25 +138,62 @@ beginResponse(ResponseWriter &out, std::string_view set_cookie)
         out.appendStatic(kBlockHttpHeader, "\r\n");
     }
     out.appendStatic(kBlockHttpHeader, "Content-Length: ");
-    const size_t offset = out.reserve(kBlockHttpHeader,
-                                      kContentLengthReserve);
-    out.appendStatic(kBlockHttpHeader, "\r\n\r\n");
-    return offset;
+    return endHeader(out, kBlockHttpHeader);
+}
+
+PageFrame
+openPage(ResponseWriter &out, uint32_t block, std::string_view server,
+         std::string_view status)
+{
+    std::string header = "HTTP/1.1 ";
+    header += status;
+    header += "\r\nServer: ";
+    header += server;
+    header += "\r\nContent-Type: text/html\r\nContent-Length: ";
+    out.appendStatic(block, header);
+    return endHeader(out, block);
 }
 
 size_t
-finishResponse(ResponseWriter &out, size_t content_length_offset,
-               size_t header_end)
+finishResponse(ResponseWriter &out, const PageFrame &frame)
 {
-    RHYTHM_ASSERT(out.size() >= header_end);
-    const size_t body = out.size() - header_end;
+    RHYTHM_ASSERT(out.size() >= frame.headerEnd);
+    const size_t body = out.size() - frame.headerEnd;
     char buf[kContentLengthReserve + 1];
     const int n = std::snprintf(buf, sizeof(buf), "%zu", body);
     RHYTHM_ASSERT(n > 0 &&
                   static_cast<size_t>(n) <= kContentLengthReserve);
-    out.patch(content_length_offset, std::string_view(buf,
-                                                      static_cast<size_t>(n)));
+    out.patch(frame.contentLengthOffset,
+              std::string_view(buf, static_cast<size_t>(n)));
     return body;
+}
+
+void
+errorPage(HandlerContext &ctx, uint32_t block, uint32_t instructions,
+          std::string_view body)
+{
+    ctx.failed = true;
+    ctx.rec->block(block, instructions);
+    ctx.out->appendStatic(block, "HTTP/1.1 400 Bad Request\r\n"
+                                 "Content-Type: text/html\r\n"
+                                 "Content-Length: ");
+    ctx.out->appendDynamic(block, std::to_string(body.size()));
+    ctx.out->appendStatic(block, "\r\n\r\n");
+    ctx.out->appendDynamic(block, body);
+}
+
+bool
+checkPage(std::string_view raw, std::string_view ok_marker,
+          std::string_view type_marker, std::string *reason)
+{
+    std::string why = http::checkFraming(raw).error;
+    if (why.empty() && raw.find(ok_marker) == std::string_view::npos)
+        why = "missing marker";
+    if (why.empty() && raw.find(type_marker) == std::string_view::npos)
+        why = "missing type marker";
+    if (reason && !why.empty())
+        *reason = why;
+    return why.empty();
 }
 
 void

@@ -1,11 +1,14 @@
 /**
  * @file
- * Shared site chrome and HTML helpers for the Banking pages.
+ * HTTP page framing for every service, and the shared site chrome and
+ * HTML helpers of the Banking pages.
  *
- * All pages share a masthead, navigation bar, inline stylesheet and
- * footer (static template content, served from constant memory on the
- * device) plus per-page disclosure/marketing sections that give each page
- * its SPECWeb-calibrated size.
+ * All Banking pages share a masthead, navigation bar, inline stylesheet
+ * and footer (static template content, served from constant memory on
+ * the device) plus per-page disclosure/marketing sections that give each
+ * page its SPECWeb-calibrated size. The Chat and Search pages frame
+ * their own head and footer with openPage()/finishResponse() and answer
+ * bad input with errorPage().
  */
 
 #ifndef RHYTHM_SPECWEB_HTML_HH
@@ -33,25 +36,53 @@ enum ChromeBlock : uint32_t {
 inline constexpr size_t kContentLengthReserve = 10;
 
 /**
- * Emits the HTTP response header with a whitespace-reserved
- * Content-Length field (Section 4.3.2 "Whitespace Padding in HTML
- * Headers").
- *
- * @param set_cookie Optional Set-Cookie header value ("" omits it).
- * @return Offset of the Content-Length reservation, to be passed to
- *         finishResponse().
+ * An open page: its whitespace-reserved Content-Length value (Section
+ * 4.3.2 "Whitespace Padding in HTML Headers") and the end of its
+ * header, for finishResponse().
  */
-size_t beginResponse(ResponseWriter &out, std::string_view set_cookie = "");
+struct PageFrame
+{
+    size_t contentLengthOffset = 0;
+    size_t headerEnd = 0;
+};
 
 /**
- * Back-patches the Content-Length reservation with the actual body size
- * and returns the body size.
- *
- * @param header_end Total header size (bytes before the body), as
- *        captured right after beginResponse() returned.
+ * Opens a Banking page: the `200 OK` header with a reserved
+ * Content-Length.
+ * @param set_cookie Optional Set-Cookie header value ("" omits it).
  */
-size_t finishResponse(ResponseWriter &out, size_t content_length_offset,
-                      size_t header_end);
+PageFrame beginResponse(ResponseWriter &out,
+                        std::string_view set_cookie = "");
+
+/**
+ * Opens a text/html page from @p server: the @p status line, Server,
+ * Content-Type and "Content-Length: " as one static append, the
+ * reserved length and the blank line, all in @p block.
+ */
+PageFrame openPage(ResponseWriter &out, uint32_t block,
+                   std::string_view server,
+                   std::string_view status = "200 OK");
+
+/**
+ * Back-patches the frame's Content-Length with the body size written
+ * since the header and returns the body size.
+ */
+size_t finishResponse(ResponseWriter &out, const PageFrame &frame);
+
+/**
+ * Writes a complete `400 Bad Request` page carrying @p body and marks
+ * the lane failed; the error path costs @p instructions in @p block.
+ */
+void errorPage(HandlerContext &ctx, uint32_t block, uint32_t instructions,
+               std::string_view body);
+
+/**
+ * Checks a page framed by openPage(): http::checkFraming, then
+ * @p ok_marker and @p type_marker anywhere in the response.
+ * @param reason Set to why the check failed (may be null).
+ */
+bool checkPage(std::string_view raw, std::string_view ok_marker,
+               std::string_view type_marker, std::string *reason);
 
 /** Emits DOCTYPE, head (inline CSS) and opens the body. */
 void pageHead(ResponseWriter &out, std::string_view title);

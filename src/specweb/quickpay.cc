@@ -82,8 +82,7 @@ serveQuickPay(const http::Request &request,
         outcomes.push_back(std::move(outcome));
     }
 
-    const size_t cl = html::beginResponse(writer);
-    const size_t header_end = writer.size();
+    const html::PageFrame frame = html::beginResponse(writer);
     html::pageHead(writer, "Quick Pay Results");
     html::pageNav(writer, "customer");
     writer.appendStatic(kQpRender,
@@ -109,7 +108,7 @@ serveQuickPay(const http::Request &request,
     html::fillerParagraphs(writer, 4);
     writer.appendStatic(kQpRender, "<!-- page:ok -->\n");
     html::pageFooter(writer);
-    html::finishResponse(writer, cl, header_end);
+    html::finishResponse(writer, frame);
     return writer.str();
 }
 

@@ -1,10 +1,7 @@
 #include "specweb/workload.hh"
 
-#include <algorithm>
-
 #include "http/http.hh"
 #include "util/logging.hh"
-#include "util/strings.hh"
 
 namespace rhythm::specweb {
 namespace {
@@ -49,28 +46,17 @@ expectedMarker(RequestType type)
 } // namespace
 
 WorkloadGenerator::WorkloadGenerator(const backend::BankDb &db, uint64_t seed)
-    : db_(db), rng_(seed), checkTxIds_(db.checkTransactionIds())
+    : db_(db), rng_(seed),
+      mix_(std::span(typeTable(), kNumRequestTypes),
+           &RequestTypeInfo::mixPercent),
+      checkTxIds_(db.checkTransactionIds())
 {
-    double total = 0.0;
-    for (size_t i = 0; i < kNumRequestTypes; ++i)
-        total += typeTable()[i].mixPercent;
-    double acc = 0.0;
-    for (size_t i = 0; i < kNumRequestTypes; ++i) {
-        acc += typeTable()[i].mixPercent / total;
-        cumulative_[i] = acc;
-    }
-    cumulative_[kNumRequestTypes - 1] = 1.0;
 }
 
 RequestType
 WorkloadGenerator::sampleType()
 {
-    const double u = rng_.nextDouble();
-    for (size_t i = 0; i < kNumRequestTypes; ++i) {
-        if (u <= cumulative_[i])
-            return static_cast<RequestType>(i);
-    }
-    return RequestType::Logout;
+    return static_cast<RequestType>(mix_.draw(rng_));
 }
 
 RequestType
@@ -197,66 +183,21 @@ ValidationResult
 validateResponse(RequestType type, std::string_view raw)
 {
     ValidationResult res;
-    if (!startsWith(raw, "HTTP/1.1 200 OK\r\n")) {
-        res.reason = "bad status line";
-        return res;
-    }
-    const size_t header_end = raw.find("\r\n\r\n");
-    if (header_end == std::string_view::npos) {
-        res.reason = "no header terminator";
-        return res;
-    }
-    const size_t body_size = raw.size() - header_end - 4;
-
-    // Locate and check Content-Length; the device writer pads the value
-    // with trailing whitespace, which HTTP permits.
-    const size_t cl_pos = raw.find("Content-Length: ");
-    if (cl_pos == std::string_view::npos || cl_pos > header_end) {
-        res.reason = "missing Content-Length";
-        return res;
-    }
-    size_t p = cl_pos + 16;
-    uint64_t declared = 0;
-    bool digits = false;
-    while (p < raw.size() && raw[p] >= '0' && raw[p] <= '9') {
-        declared = declared * 10 + static_cast<uint64_t>(raw[p] - '0');
-        digits = true;
-        ++p;
-    }
-    if (!digits) {
-        res.reason = "unparsable Content-Length";
-        return res;
-    }
-    while (p < raw.size() && raw[p] == ' ')
-        ++p;
-    if (p + 1 >= raw.size() || raw[p] != '\r' || raw[p + 1] != '\n') {
-        res.reason = "Content-Length not whitespace-terminated";
-        return res;
-    }
-    if (declared != body_size) {
-        res.reason = "Content-Length mismatch: declared " +
-                     std::to_string(declared) + " actual " +
-                     std::to_string(body_size);
-        return res;
-    }
-
-    const std::string_view body = raw.substr(header_end + 4);
-    if (body.find("<!-- page:ok -->") == std::string_view::npos) {
+    http::Framing framing = http::checkFraming(raw);
+    if (!framing.error.empty())
+        res.reason = std::move(framing.error);
+    else if (framing.body.find("<!-- page:ok -->") == std::string_view::npos)
         res.reason = "missing completion marker";
-        return res;
-    }
-    if (body.find(expectedMarker(type)) == std::string_view::npos) {
-        res.reason = "missing type marker: " +
-                     std::string(expectedMarker(type));
-        return res;
-    }
-    if (type == RequestType::Login &&
-        raw.substr(0, header_end).find("Set-Cookie: session=") ==
-            std::string_view::npos) {
+    else if (framing.body.find(expectedMarker(type)) ==
+             std::string_view::npos)
+        res.reason =
+            "missing type marker: " + std::string(expectedMarker(type));
+    else if (type == RequestType::Login &&
+             framing.header.find("Set-Cookie: session=") ==
+                 std::string_view::npos)
         res.reason = "login response missing session cookie";
-        return res;
-    }
-    res.ok = true;
+    else
+        res.ok = true;
     return res;
 }
 

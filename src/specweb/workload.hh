@@ -92,7 +92,7 @@ class WorkloadGenerator
   private:
     const backend::BankDb &db_;
     Rng rng_;
-    double cumulative_[kNumRequestTypes];
+    MixSampler mix_;
     std::vector<uint64_t> checkTxIds_;
 };
 

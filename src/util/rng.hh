@@ -12,6 +12,8 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "util/logging.hh"
 
@@ -69,6 +71,46 @@ class Rng
 
   private:
     uint64_t state_[4];
+};
+
+/**
+ * Samples rows of a mix table (request types and their shares of the
+ * traffic): the running sums of the shares over their total, the last
+ * pinned to 1.0. A draw takes one nextDouble() and returns the first
+ * row whose running share covers it.
+ */
+class MixSampler
+{
+  public:
+    /** Builds from the member @p share of each row of @p rows. */
+    template <class Row, size_t Extent>
+    MixSampler(std::span<const Row, Extent> rows, double Row::*share)
+    {
+        RHYTHM_ASSERT(!rows.empty());
+        double total = 0.0;
+        for (const Row &row : rows)
+            total += row.*share;
+        double acc = 0.0;
+        for (const Row &row : rows) {
+            acc += row.*share / total;
+            cumulative_.push_back(acc);
+        }
+        cumulative_.back() = 1.0;
+    }
+
+    /** Draws one row index from @p rng. */
+    size_t
+    draw(Rng &rng) const
+    {
+        const double u = rng.nextDouble();
+        size_t row = 0;
+        while (u > cumulative_[row])
+            ++row;
+        return row;
+    }
+
+  private:
+    std::vector<double> cumulative_;
 };
 
 } // namespace rhythm

@@ -204,52 +204,6 @@ TEST(ProfileCache, ClearDropsEntriesButKeepsStats)
     EXPECT_EQ(cache.stats().insertions, 1u);
 }
 
-TEST(WarpFingerprint, EmptyTagSpanMatchesUntaggedKey)
-{
-    // The tag-aware overload with no tags must be byte-identical to
-    // the untagged key, so single-type launches keep their cross-launch
-    // cache entries when fusion is enabled.
-    const WarpModel model;
-    auto warp = makeWarp(0x6000'0000);
-    auto p = ptrs(warp);
-    EXPECT_EQ(warpFingerprint(p, model),
-              warpFingerprint(p, model, std::span<const uint32_t>{}));
-}
-
-TEST(WarpFingerprint, LaneTagsArePartOfTheKey)
-{
-    // A fused warp must never alias an untagged one even when the lane
-    // traces coincide, and distinct tag layouts must hash apart: the
-    // memoized stats depend on which request type occupies each lane.
-    const WarpModel model;
-    auto warp = makeWarp(0, 4);
-    auto p = ptrs(warp);
-    const std::vector<uint32_t> ab = {1, 1, 2, 2};
-    const std::vector<uint32_t> ba = {2, 2, 1, 1};
-    const std::vector<uint32_t> uniform = {1, 1, 1, 1};
-    const WarpKey untagged = warpFingerprint(p, model);
-    const WarpKey k_ab = warpFingerprint(p, model, ab);
-    const WarpKey k_ba = warpFingerprint(p, model, ba);
-    const WarpKey k_uniform = warpFingerprint(p, model, uniform);
-    EXPECT_NE(k_ab, untagged);
-    EXPECT_NE(k_uniform, untagged);
-    EXPECT_NE(k_ab, k_ba); // placement matters, not just the multiset
-    EXPECT_NE(k_ab, k_uniform);
-}
-
-TEST(WarpFingerprint, TaggedNullLanesStayDistinct)
-{
-    // Tags cover padded lanes too: the same active trace with the idle
-    // lane attributed to a different type is a different fused layout.
-    const WarpModel model;
-    auto warp = makeWarp(0, 1);
-    const ThreadTrace *lanes[] = {&warp[0], nullptr};
-    const std::vector<uint32_t> pad_a = {1, 1};
-    const std::vector<uint32_t> pad_b = {1, 2};
-    EXPECT_NE(warpFingerprint(lanes, model, pad_a),
-              warpFingerprint(lanes, model, pad_b));
-}
-
 TEST(ProfileCache, TraceBytesCountActiveLanesOnly)
 {
     auto warp = makeWarp(0, 2);

@@ -285,6 +285,35 @@ TEST(Recovery, SessionMutationsReplayToIdenticalArray)
     EXPECT_EQ(sessions.lookup(created[3], null), 0u);
 }
 
+TEST(Recovery, SessionRecordsCheckpointAtTheInterval)
+{
+    // A journal that sees only session mutations (logins, logouts)
+    // still checkpoints every interval, so its replay stays bounded.
+    backend::BankDb db(20, 3);
+    backend::BackendService service(db);
+    bp::RecoveryConfig config;
+    config.checkpointInterval = 4;
+    backend::RecoverableBackend recovery(service, db, config);
+    core::SessionArray sessions(64, 8);
+    simt::NullTracer null;
+    core::attachSessionRecovery(recovery, sessions);
+
+    std::vector<uint64_t> created;
+    for (uint64_t user = 1; user <= 13; ++user)
+        created.push_back(sessions.create(user, null));
+    for (size_t i = 0; i < created.size(); i += 3)
+        EXPECT_TRUE(sessions.destroy(created[i], null));
+    EXPECT_EQ(recovery.stats().journaledRecords, 18u);
+    EXPECT_GT(recovery.stats().checkpoints, 0u);
+    EXPECT_LT(recovery.journal().records(), config.checkpointInterval);
+
+    const uint64_t before = sessions.digest();
+    recovery.crashAndRecover(/*torn=*/false);
+    EXPECT_EQ(sessions.digest(), before);
+    EXPECT_LT(recovery.stats().replayedRecords, config.checkpointInterval);
+    EXPECT_EQ(recovery.stats().replayMismatches, 0u);
+}
+
 // ---- Server-level watchdog / hedging tests ----------------------------
 
 struct WatchdogRig

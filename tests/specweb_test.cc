@@ -344,10 +344,9 @@ TEST(Html, ContentLengthBackPatch)
 {
     simt::NullTracer null;
     StringResponseWriter w(null);
-    const size_t cl = html::beginResponse(w);
-    const size_t header_end = w.size();
+    const html::PageFrame frame = html::beginResponse(w);
     w.appendStatic(1, "0123456789");
-    const size_t body = html::finishResponse(w, cl, header_end);
+    const size_t body = html::finishResponse(w, frame);
     EXPECT_EQ(body, 10u);
     EXPECT_NE(w.str().find("Content-Length: 10"), std::string::npos);
 }

@@ -97,6 +97,64 @@ TEST(Rng, BoolProbabilityEdges)
     EXPECT_TRUE(rng.nextBool(1.0));
 }
 
+/** A mix-table row: MixSampler reads the share through a member. */
+struct MixRow
+{
+    double share;
+};
+
+/**
+ * The loop each workload generator ran before MixSampler: cumulative
+ * shares over the total, the last pinned to 1.0, and the first row
+ * whose cumulative share covers one nextDouble().
+ */
+size_t
+referenceMixDraw(const std::vector<MixRow> &rows, Rng &rng)
+{
+    double total = 0.0;
+    for (const MixRow &row : rows)
+        total += row.share;
+    std::vector<double> cumulative(rows.size());
+    double acc = 0.0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+        acc += rows[i].share / total;
+        cumulative[i] = acc;
+    }
+    cumulative.back() = 1.0;
+    const double u = rng.nextDouble();
+    for (size_t i = 0; i < rows.size(); ++i) {
+        if (u <= cumulative[i])
+            return i;
+    }
+    return rows.size() - 1;
+}
+
+TEST(MixSampler, DrawsWhatTheGeneratorLoopsDrew)
+{
+    const std::vector<std::vector<MixRow>> tables = {
+        // Table 2 (Banking), Chat, Search.
+        {{28.17}, {19.77}, {1.47}, {18.18}, {2.92}, {1.60}, {11.06},
+         {1.60}, {1.15}, {1.05}, {1.60}, {1.15}, {2.24}, {8.06}},
+        {{5.0}, {25.0}, {15.0}, {55.0}},
+        {{12.0}, {62.0}, {16.0}, {10.0}},
+        // A zero share is never drawn; one row is always drawn.
+        {{0.1}, {0.0}, {0.2}, {0.3}},
+        {{7.0}},
+    };
+    for (const auto &rows : tables) {
+        const MixSampler mix{std::span(rows), &MixRow::share};
+        for (uint64_t seed = 1; seed <= 200; ++seed) {
+            Rng drawn(seed);
+            Rng reference(seed);
+            for (int i = 0; i < 500; ++i)
+                ASSERT_EQ(mix.draw(drawn), referenceMixDraw(rows, reference))
+                    << "seed " << seed << " draw " << i;
+            // One nextDouble() per draw, as before.
+            EXPECT_EQ(drawn.state(), reference.state());
+        }
+    }
+}
+
 TEST(Summary, EmptyIsZero)
 {
     Summary s;
