@@ -19,7 +19,6 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,7 +32,6 @@
 #include "fault/plan.hh"
 #include "net/arrival.hh"
 #include "obs/json.hh"
-#include "obs/metrics.hh"
 #include "platform/titan.hh"
 #include "rhythm/banking_service.hh"
 #include "rhythm/fleet.hh"
@@ -201,13 +199,14 @@ parseArgs(int argc, char **argv, std::initializer_list<FlagTable> tables = {})
  * one requires regenerating the baselines.
  *
  * Benches that also measure host-side performance opt into a fourth
- * top-level "host" object (enableHostStats): wall-clock since Reporter
- * construction ("host_ms"), peak RSS ("peak_rss_kb") and any values
- * recorded with hostStat(). Host values are machine-dependent, so
- * check_bench.py gates them with a separate, wider tolerance band
- * (--host-tolerance) than the exact deterministic metrics — and the
- * section stays off by default so outputs that CI byte-compares across
- * runs (e.g. rhythm_sim at different --sim-threads) remain identical.
+ * top-level "host" object by recording a value with hostStat(): it
+ * holds wall-clock since Reporter construction ("host_ms"), peak RSS
+ * ("peak_rss_kb") and the recorded values. Host values are
+ * machine-dependent, so check_bench.py gates them with a separate,
+ * wider tolerance band (--host-tolerance) than the exact deterministic
+ * metrics — and the section stays off by default so outputs that CI
+ * byte-compares across runs (e.g. rhythm_sim at different
+ * --sim-threads) remain identical.
  */
 class Reporter
 {
@@ -240,34 +239,9 @@ class Reporter
         metrics_.push_back({std::move(key), value});
     }
 
-    /**
-     * Records every metric of a registry (flattened dotted keys),
-     * minus any whose name starts with @p exclude_prefix.
-     */
-    void metricsFrom(const obs::MetricsRegistry &registry,
-                     const std::string &prefix = "",
-                     std::string_view exclude_prefix = {})
-    {
-        for (auto &[key, value] : registry.flatten(exclude_prefix))
-            metric(prefix + key, value);
-    }
-
-    /** Multi-prefix variant (see MetricsRegistry::flatten overload). */
-    void metricsFrom(const obs::MetricsRegistry &registry,
-                     const std::string &prefix,
-                     std::span<const std::string_view> exclude_prefixes)
-    {
-        for (auto &[key, value] : registry.flatten(exclude_prefixes))
-            metric(prefix + key, value);
-    }
-
-    /** Turns on the "host" section of the document (see class docs). */
-    void enableHostStats() { hostStats_ = true; }
-
-    /** Records one host-section value (implies enableHostStats). */
+    /** Records one host-section value; turns the section on. */
     void hostStat(std::string key, double value)
     {
-        hostStats_ = true;
         host_.push_back({std::move(key), value});
     }
 
@@ -306,7 +280,7 @@ class Reporter
             w.value(value);
         }
         w.endObject();
-        if (hostStats_) {
+        if (!host_.empty()) {
             w.key("host");
             w.beginObject();
             w.key("host_ms");
@@ -340,7 +314,6 @@ class Reporter
     std::vector<ConfigEntry> config_;
     std::vector<std::pair<std::string, double>> metrics_;
     std::vector<std::pair<std::string, double>> host_;
-    bool hostStats_ = false;
     std::chrono::steady_clock::time_point start_ =
         std::chrono::steady_clock::now();
 };

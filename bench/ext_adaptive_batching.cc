@@ -74,7 +74,7 @@ runPoint(const net::ArrivalConfig &acfg, bool adaptive,
         }
     };
     auto inspect = [&](const core::RhythmStats &stats,
-                       const core::RhythmConfig &) {
+                       const simt::DeviceConfig &) {
         // Attainment is measured over requests that received a real
         // response: server-side misses minus admission sheds
         // (shedRequest books every 503 as a deadline miss) plus

@@ -73,12 +73,9 @@ runPoint(const net::ArrivalConfig &acfg, bool fusion, uint64_t requests,
         }
     };
     auto inspect = [&](const core::RhythmStats &stats,
-                       const core::RhythmConfig &cfg) {
+                       const simt::DeviceConfig &device) {
         r.simdEfficiency =
-            stats.processIssueSlots > 0
-                ? stats.processLaneInstructions /
-                      (stats.processIssueSlots * cfg.warpModel.warpWidth)
-                : 0.0;
+            stats.processSimdEfficiency(device.warpModel.warpWidth);
         r.cohortsLaunched = stats.cohortsLaunched;
         r.fusedLaunches = stats.fusedLaunches;
         r.fusedCohorts = stats.fusedCohorts;

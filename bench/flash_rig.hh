@@ -89,8 +89,8 @@ struct FlashArm
  * Runs one arm of a point: @p requests arrivals on @p arrivals, the
  * fault flags applied and armed. @p configure sets the arm's cohort
  * size, contexts, formation timeout, lane sample, policy and knobs on
- * the shared server config; @p inspect(stats, config) reads the arm's
- * own counters from the drained server.
+ * the shared server config; @p inspect(stats, device config) reads the
+ * arm's own counters from the drained server.
  */
 template <class Configure, class Inspect>
 FlashArm
@@ -140,7 +140,7 @@ runFlashArm(const net::ArrivalConfig &arrivals, uint64_t requests,
             static_cast<double>(stats.responsesCompleted) / elapsed;
     }
     arm.p99Ms = stats.latencyMs.percentile(99.0);
-    inspect(stats, cfg);
+    inspect(stats, dcfg);
     return arm;
 }
 

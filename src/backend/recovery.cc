@@ -2,7 +2,6 @@
 
 #include <charconv>
 
-#include "obs/obs.hh"
 #include "util/logging.hh"
 
 namespace rhythm::backend {
@@ -74,7 +73,6 @@ RecoverableBackend::appendRecord(char kind, uint64_t token,
     rec.payload = std::move(payload);
     journal_.append(rec);
     ++stats_.journaledRecords;
-    OBS_COUNTER_ADD("recovery.journaled_records", 1);
 }
 
 void
@@ -108,7 +106,6 @@ RecoverableBackend::execute(std::string_view request, uint64_t token,
 
     if (auto it = memo_.find(token); it != memo_.end()) {
         ++stats_.memoHits;
-        OBS_COUNTER_ADD("recovery.memo_hits", 1);
         return it->second;
     }
 
@@ -134,7 +131,6 @@ RecoverableBackend::execute(std::string_view request, uint64_t token,
 
     if (crash.fire) {
         ++stats_.crashes;
-        OBS_COUNTER_ADD("recovery.crashes", 1);
         const bool torn =
             faultPlan_ &&
             faultPlan_->at(fault::Site::JournalTorn, clock_ ? clock_() : 0)
@@ -145,7 +141,6 @@ RecoverableBackend::execute(std::string_view request, uint64_t token,
             // response are gone. The client retry (same token) finds no
             // memo entry and re-executes — applied exactly once overall.
             ++stats_.reexecutions;
-            OBS_COUNTER_ADD("recovery.reexecutions", 1);
             response = service_.execute(request, rec);
             memo_[token] = response;
             std::string payload;
@@ -171,7 +166,6 @@ RecoverableBackend::checkpoint()
         sessionHooks_.checkpoint();
     journal_.clear();
     ++stats_.checkpoints;
-    OBS_COUNTER_ADD("recovery.checkpoints", 1);
 }
 
 void
@@ -191,10 +185,8 @@ RecoverableBackend::crashAndRecover(bool torn)
     // Everything in memory dies with the process; only the checkpoint
     // and the journal image survive.
     const Journal::ScanResult scanned = Journal::scan(journal_.data());
-    if (scanned.torn) {
+    if (scanned.torn)
         ++stats_.tornRecords;
-        OBS_COUNTER_ADD("recovery.torn_records", 1);
-    }
     db_ = *dbCheckpoint_;
     memo_ = memoCheckpoint_;
     if (sessionHooks_.restore)
@@ -207,7 +199,6 @@ RecoverableBackend::crashAndRecover(bool torn)
     simt::NullTracer null;
     for (const JournalRecord &rec : scanned.records) {
         ++stats_.replayedRecords;
-        OBS_COUNTER_ADD("recovery.replayed_records", 1);
         if (rec.kind == 'B') {
             const size_t sep = rec.payload.find(kReqRespSep);
             RHYTHM_ASSERT(sep != std::string::npos,

@@ -15,48 +15,20 @@ HostServer::HostServer(backend::BankDb &db,
 std::string
 HostServer::serve(std::string_view raw_request, simt::TraceRecorder &rec)
 {
-    return serveDetailed(raw_request, rec).response;
-}
-
-HostServer::Result
-HostServer::serveDetailed(std::string_view raw_request,
-                          simt::TraceRecorder &rec)
-{
-    Result result;
-
     http::Request request;
-    if (!http::parseRequest(raw_request, 0, rec, request)) {
-        result.failed = true;
-        result.response =
-            "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n";
-        return result;
-    }
+    if (!http::parseRequest(raw_request, 0, rec, request))
+        return "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n";
 
     if (staticContent_ &&
         specweb::StaticContent::isStaticPath(request.path) &&
-        staticContent_->lookup(request.path)) {
-        result.recognized = true;
-        result.response = staticContent_->buildResponse(request.path);
-        return result;
-    }
-    if (request.path == specweb::kQuickPayPath) {
-        result.recognized = true;
-        result.response =
-            specweb::serveQuickPay(request, backend_, sessions_, rec);
-        result.failed =
-            result.response.find("page:error") != std::string::npos;
-        return result;
-    }
+        staticContent_->lookup(request.path))
+        return staticContent_->buildResponse(request.path);
+    if (request.path == specweb::kQuickPayPath)
+        return specweb::serveQuickPay(request, backend_, sessions_, rec);
 
     specweb::RequestType type;
-    if (!specweb::typeFromPath(request.path, type)) {
-        result.failed = true;
-        result.response =
-            "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n";
-        return result;
-    }
-    result.recognized = true;
-    result.type = type;
+    if (!specweb::typeFromPath(request.path, type))
+        return "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n";
 
     specweb::StringResponseWriter writer(rec);
     specweb::HandlerContext ctx;
@@ -76,10 +48,7 @@ HostServer::serveDetailed(std::string_view raw_request,
             ctx.backendRequest.clear();
         }
     }
-
-    result.failed = ctx.failed;
-    result.response = writer.str();
-    return result;
+    return writer.str();
 }
 
 } // namespace rhythm::host

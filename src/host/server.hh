@@ -53,22 +53,6 @@ class HostServer
     std::string serve(std::string_view raw_request,
                       simt::TraceRecorder &rec);
 
-    /** Structured serve: also reports the resolved type and outcome. */
-    struct Result
-    {
-        std::string response;
-        specweb::RequestType type = specweb::RequestType::Login;
-        bool recognized = false;
-        bool failed = false;
-    };
-
-    /** Serves one request, returning structured metadata. */
-    Result serveDetailed(std::string_view raw_request,
-                         simt::TraceRecorder &rec);
-
-    /** The backend service (exposed for harness accounting). */
-    backend::BackendService &backendService() { return backend_; }
-
   private:
     backend::BackendService backend_;
     specweb::SessionProvider &sessions_;

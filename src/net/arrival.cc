@@ -11,9 +11,6 @@ namespace {
 /** Smallest inter-arrival gap, in seconds (1 ps: the des::Time tick). */
 constexpr double kMinGapSeconds = 1e-12;
 
-/** Salt separating a schedule's type stream from its time stream. */
-constexpr uint64_t kTypeStreamSalt = 0x7ad5'1e57'9e37'79b9ull;
-
 } // namespace
 
 std::string_view
@@ -149,44 +146,6 @@ ArrivalProcess::arrive()
     inject_(next_++);
     if (next_ < count_)
         queue_->scheduleAfter(nextGap(), [this] { arrive(); });
-}
-
-std::vector<ScheduleEntry>
-buildSchedule(const ArrivalConfig &config,
-              std::span<const double> typeWeights, uint64_t count)
-{
-    RHYTHM_ASSERT(!typeWeights.empty());
-    double total = 0.0;
-    for (double w : typeWeights) {
-        RHYTHM_ASSERT(w >= 0.0);
-        total += w;
-    }
-    RHYTHM_ASSERT(total > 0.0);
-
-    ArrivalProcess arrivals(config);
-    // Independent type stream: same seed family, different stream, so
-    // changing the mix never perturbs the arrival times (and vice
-    // versa).
-    Rng type_rng(config.seed ^ kTypeStreamSalt);
-
-    std::vector<ScheduleEntry> schedule;
-    schedule.reserve(count);
-    des::Time at = 0;
-    for (uint64_t i = 0; i < count; ++i) {
-        at += arrivals.nextGap();
-        const double pick = type_rng.nextDouble() * total;
-        double cumulative = 0.0;
-        uint32_t type = static_cast<uint32_t>(typeWeights.size()) - 1;
-        for (size_t t = 0; t < typeWeights.size(); ++t) {
-            cumulative += typeWeights[t];
-            if (pick < cumulative) {
-                type = static_cast<uint32_t>(t);
-                break;
-            }
-        }
-        schedule.push_back(ScheduleEntry{at, type});
-    }
-    return schedule;
 }
 
 } // namespace rhythm::net

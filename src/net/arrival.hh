@@ -1,7 +1,7 @@
 /**
  * @file
- * Open-loop traffic generation: seeded arrival processes and replayable
- * mixed-type schedules (DESIGN.md Section 6i).
+ * Open-loop traffic generation: seeded arrival processes (DESIGN.md
+ * Section 6i).
  *
  * A production server does not see the paper's idealized pre-generated
  * request stream; it sees an open-loop arrival process whose rate moves
@@ -28,9 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include "des/event_queue.hh"
 #include "des/time.hh"
@@ -133,28 +131,6 @@ class ArrivalProcess
     uint64_t next_ = 0;
     std::function<void(uint64_t)> inject_;
 };
-
-/** One entry of a replayable mixed-type schedule. */
-struct ScheduleEntry
-{
-    /** Absolute arrival time. */
-    des::Time at = 0;
-    /** Index into the type-weight vector the schedule was built from. */
-    uint32_t type = 0;
-};
-
-/**
- * Builds a replayable mixed-type schedule: @p count arrivals with
- * times drawn from an ArrivalProcess over @p config and types drawn
- * from the cumulative distribution of @p typeWeights on an independent
- * stream derived from the same seed. Deterministic: the same
- * (config, weights, count) always yields the identical schedule, so a
- * run can be replayed exactly. Weights must be non-negative with a
- * positive sum.
- */
-std::vector<ScheduleEntry>
-buildSchedule(const ArrivalConfig &config,
-              std::span<const double> typeWeights, uint64_t count);
 
 } // namespace rhythm::net
 

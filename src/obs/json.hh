@@ -2,10 +2,9 @@
  * @file
  * Minimal streaming JSON writer.
  *
- * Shared by the observability exporters (metrics registry dump, Chrome
- * trace output) and the benchmark JSON reporter, so every machine-read
- * artifact this repo produces goes through one escaping/formatting
- * implementation.
+ * Shared by the Chrome trace exporter and the benchmark JSON reporter,
+ * so every machine-read artifact this repo produces goes through one
+ * escaping/formatting implementation.
  */
 
 #ifndef RHYTHM_OBS_JSON_HH
@@ -24,8 +23,8 @@ std::string jsonEscape(std::string_view s);
 
 /**
  * Appends the escaped form of @p s to @p out without allocating a
- * temporary. Exporters on hot emission paths (trace events, metric
- * dumps) reuse one scratch string across calls.
+ * temporary. Exporters on hot emission paths (trace events) reuse one
+ * scratch string across calls.
  */
 void jsonEscapeTo(std::string_view s, std::string &out);
 

@@ -2,19 +2,20 @@
  * @file
  * The observability context and the OBS_* instrumentation macro layer.
  *
- * One process-wide Observability object bundles the metrics registry
- * and the tracer and binds them to a DES clock. It is DISABLED by
- * default: every OBS_* macro compiles to a single branch on one global
- * bool, so the instrumented hot paths (server stages, kernel launches,
- * PCIe transfers) cost nothing measurable when observability is off and
- * the default figure outputs stay byte-identical to the seed.
+ * One process-wide Observability object binds the span tracer to a DES
+ * clock. It is DISABLED by default: every OBS_* macro compiles to a
+ * single branch on one global bool, so the instrumented hot paths
+ * (server stages, kernel launches, PCIe transfers) cost nothing
+ * measurable when observability is off and the default figure outputs
+ * stay byte-identical to the seed.
  *
- * Drivers that want traces/metrics call
+ * Counts are not kept here: each lives once, in its component's stats
+ * (RhythmStats, Device::Stats, RecoveryStats, ...), and rhythm_sim and
+ * the benches read them from there. A program that wants a trace calls
  *
  *     obs::global().enable(queue);   // right after creating the queue
  *     ... run the simulation ...
  *     obs::global().tracer().writeChromeTrace(out);
- *     obs::global().metrics().writeJson(w);
  *     obs::global().disable();       // and reset() between runs
  *
  * Defining RHYTHM_OBS_DISABLED at compile time removes the
@@ -26,9 +27,10 @@
 #define RHYTHM_OBS_OBS_HH
 
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "des/event_queue.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 
 namespace rhythm::obs {
@@ -91,45 +93,33 @@ class Observability
         clock_ = nullptr;
     }
 
-    /** Clears trace events and zeroes metric values. */
-    void reset()
-    {
-        tracer_.clear();
-        metrics_.reset();
-    }
+    /** Clears trace events. */
+    void reset() { tracer_.clear(); }
 
     /** Current simulated time (0 when no clock is bound). */
     des::Time now() const { return clock_ ? clock_->now() : 0; }
 
     /**
-     * Binds a DES event stream to a fleet device. Instrumentation
-     * fired while an event on @p stream is being dispatched (or under
-     * a StreamScope for that stream) records metrics under a
-     * "dev<index>." prefix and trace spans in the device's track
-     * block — so N devices' pipelines land in N separate trace
-     * processes instead of interleaving into one. Call after
-     * enable(), before running; unbound streams (always stream 0)
-     * record exactly as a single-device run.
+     * Binds a DES event stream to a fleet device. Spans fired while an
+     * event on @p stream is being dispatched (or under a StreamScope
+     * for that stream) land in the device's track block, and the block
+     * renders as trace process "dev<index>" — so N devices' pipelines
+     * land in N separate trace processes instead of interleaving into
+     * one. Call after enable(), before running; unbound streams
+     * (always stream 0) record exactly as a single-device run.
      */
     void bindStreamDevice(des::StreamId stream, uint32_t device_index)
     {
-        if (streamPrefix_.size() <= stream) {
-            streamPrefix_.resize(stream + 1);
+        if (streamTrackOffset_.size() <= stream)
             streamTrackOffset_.resize(stream + 1, 0);
-        }
-        const std::string dev = "dev" + std::to_string(device_index);
-        streamPrefix_[stream] = dev + ".";
         streamTrackOffset_[stream] =
             (device_index + 1) * track::kDeviceStride;
-        tracer_.setProcessName(device_index + 1, dev);
+        tracer_.setProcessName(device_index + 1,
+                               "dev" + std::to_string(device_index));
     }
 
     /** Drops all stream→device bindings (between fleet runs). */
-    void clearDeviceBindings()
-    {
-        streamPrefix_.clear();
-        streamTrackOffset_.clear();
-    }
+    void clearDeviceBindings() { streamTrackOffset_.clear(); }
 
     /**
      * Maps a base track id into the current stream's device block
@@ -142,38 +132,6 @@ class Observability
                                              : track;
     }
 
-    /**
-     * Device-namespaced registry accessors used by the OBS_* macros:
-     * the metric name gains the current stream's "dev<N>." prefix
-     * when the stream is bound. Safe from engine pool workers for
-     * counters/gauges: the current stream only changes between DES
-     * events, and workers are joined inside each event.
-     */
-    Counter &counter(std::string_view name)
-    {
-        const std::string_view p = currentPrefix();
-        if (p.empty())
-            return metrics_.counter(name);
-        return metrics_.counter(prefixed(p, name));
-    }
-
-    Gauge &gauge(std::string_view name)
-    {
-        const std::string_view p = currentPrefix();
-        if (p.empty())
-            return metrics_.gauge(name);
-        return metrics_.gauge(prefixed(p, name));
-    }
-
-    FixedHistogram &histogram(std::string_view name)
-    {
-        const std::string_view p = currentPrefix();
-        if (p.empty())
-            return metrics_.histogram(name);
-        return metrics_.histogram(prefixed(p, name));
-    }
-
-    MetricsRegistry &metrics() { return metrics_; }
     Tracer &tracer() { return tracer_; }
 
   private:
@@ -182,35 +140,16 @@ class Observability
         return clock_ ? clock_->currentStream() : 0;
     }
 
-    std::string_view currentPrefix() const
-    {
-        const size_t s = currentStreamIndex();
-        return s < streamPrefix_.size() ? std::string_view(streamPrefix_[s])
-                                        : std::string_view{};
-    }
-
-    static std::string prefixed(std::string_view prefix,
-                                std::string_view name)
-    {
-        std::string full;
-        full.reserve(prefix.size() + name.size());
-        full.append(prefix);
-        full.append(name);
-        return full;
-    }
-
     std::atomic<bool> enabled_{false};
     const des::EventQueue *clock_ = nullptr;
-    MetricsRegistry metrics_;
     Tracer tracer_;
-    std::vector<std::string> streamPrefix_;     //!< By stream id; "" = unbound.
-    std::vector<uint32_t> streamTrackOffset_;   //!< By stream id; 0 = unbound.
+    std::vector<uint32_t> streamTrackOffset_; //!< By stream id; 0 = unbound.
 };
 
 /**
  * The global observability context. Lifecycle calls (enable/disable/
- * reset) and tracer/histogram use are DES-thread-only; enabled(),
- * counters and gauges are safe from engine pool workers.
+ * reset) and tracer use are DES-thread-only; enabled() is safe from
+ * engine pool workers.
  */
 Observability &global();
 
@@ -239,25 +178,15 @@ Observability &global();
 #define OBS_INSTANT(track, name, cat, ...) \
     do {                                   \
     } while (0)
-#define OBS_COUNTER_ADD(name, delta) \
-    do {                             \
-    } while (0)
-#define OBS_GAUGE_SET(name, v) \
-    do {                       \
-    } while (0)
-#define OBS_HIST_ADD(name, v) \
-    do {                      \
-    } while (0)
 
 #else
 
 #define OBS_ENABLED() (::rhythm::obs::global().enabled())
 
-// Track and metric-name arguments below route through the global
-// context's device mapping: when the current DES stream is bound to a
-// fleet device, tracks shift into the device's block and metric names
-// gain a "dev<N>." prefix. Unbound streams (every single-device run)
-// resolve to the raw track/name.
+// Track arguments below route through the global context's device
+// mapping: when the current DES stream is bound to a fleet device,
+// tracks shift into the device's block. Unbound streams (every
+// single-device run) resolve to the raw track.
 
 /** Names a trace track (idempotent). */
 #define OBS_TRACK_NAME(track, name)                                  \
@@ -305,27 +234,6 @@ Observability &global();
                 ::rhythm::obs::global().mapTrack(track), (name),      \
                 (cat), ::rhythm::obs::global().now(),                 \
                 {__VA_ARGS__});                                       \
-    } while (0)
-
-/** Bumps a registry counter. */
-#define OBS_COUNTER_ADD(name, delta)                                  \
-    do {                                                              \
-        if (OBS_ENABLED())                                            \
-            ::rhythm::obs::global().counter(name).add(delta);         \
-    } while (0)
-
-/** Sets a registry gauge. */
-#define OBS_GAUGE_SET(name, v)                                       \
-    do {                                                             \
-        if (OBS_ENABLED())                                           \
-            ::rhythm::obs::global().gauge(name).set(v);              \
-    } while (0)
-
-/** Adds a sample to a registry histogram (default latency buckets). */
-#define OBS_HIST_ADD(name, v)                                        \
-    do {                                                             \
-        if (OBS_ENABLED())                                           \
-            ::rhythm::obs::global().histogram(name).add(v);          \
     } while (0)
 
 #endif // RHYTHM_OBS_DISABLED

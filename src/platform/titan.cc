@@ -150,12 +150,8 @@ runIsolated(const TitanVariant &variant, core::Service &service,
     result.memoryUtilization = util.memory;
     result.copyUtilization = util.copy;
     result.hostBackendUtilization = util.hostBackend;
-    result.simdEfficiency =
-        stats.processIssueSlots > 0.0
-            ? stats.processLaneInstructions /
-                  (stats.processIssueSlots *
-                   variant.server.warpModel.warpWidth)
-            : 0.0;
+    result.simdEfficiency = stats.processSimdEfficiency(
+        device.config().warpModel.warpWidth);
     result.paddedLanes = stats.paddedLanes;
     result.pcieBytesPerRequest =
         result.requests
@@ -256,10 +252,10 @@ evaluateTitan(const TitanVariant &variant,
     // The per-type isolated runs are fully self-contained simulations
     // (own event queue, device, database, server), so they execute
     // concurrently on the sim pool, each writing only its index's slot.
-    // The tracer and histogram sinks of the *global* obs context are
-    // DES-thread-only, so when observability is recording the runs stay
-    // serial — the merged result below is identical either way because
-    // the aggregation always happens here, in type order.
+    // The tracer of the *global* obs context is DES-thread-only, so
+    // when observability is recording the runs stay serial — the merged
+    // result below is identical either way because the aggregation
+    // always happens here, in type order.
     std::vector<TypeRunResult> runs(specweb::kNumRequestTypes);
     auto run_one = [&variant, &options, &runs](size_t i) {
         runs[i] = runIsolatedType(variant, specweb::typeTable()[i].type,

@@ -256,7 +256,6 @@ RhythmServer::injectRequest(std::string raw, uint64_t client_id)
     if (forming_ && forming_->entries.size() >= config_.cohortSize &&
         parserSaturated()) {
         ++stats_.readerDrops;
-        OBS_COUNTER_ADD("server.reader_drops", 1);
         return false; // reader stall: both buffers occupied
     }
     if (sheddingActive()) {
@@ -272,7 +271,6 @@ RhythmServer::injectRequest(std::string raw, uint64_t client_id)
     forming_->entries.push_back(
         RawEntry{std::move(raw), client_id, queue_.now()});
     ++stats_.requestsAccepted;
-    OBS_COUNTER_ADD("server.requests_accepted", 1);
     ++inflightRequests_;
     noteAccepted(client_id);
     maybeLaunchBatch(false);
@@ -313,7 +311,6 @@ RhythmServer::sheddingActive()
         // request is doomed — shed it now while the 503 is cheap.
         shed = true;
         ++stats_.adaptiveAdmissionSheds;
-        OBS_COUNTER_ADD("adaptive.admission_sheds", 1);
     }
     // Accumulate degraded time incrementally (not only on the
     // degraded->healthy edge) so an interval still open when the run
@@ -339,7 +336,6 @@ RhythmServer::shedRequest(uint64_t client_id)
     ++stats_.requestsShed;
     if (deadlinesTracked_)
         ++stats_.typedDeadlineMisses; // a shed request never attains
-    OBS_COUNTER_ADD("server.requests_shed", 1);
     OBS_INSTANT(obs::track::kEvents, "shed", "degradation",
                 {"client", client_id});
     if (responseCb_)
@@ -426,7 +422,6 @@ RhythmServer::preemptForType(uint32_t type)
     if (!victim)
         return;
     ++stats_.adaptivePreemptions;
-    OBS_COUNTER_ADD("adaptive.preemptions", 1);
     OBS_INSTANT(obs::track::kEvents, "adaptive-preempt", "adaptive",
                 {"victim_type",
                  std::string(service_.typeName(victim->type()))},
@@ -477,7 +472,6 @@ RhythmServer::pump()
         forming_->entries.push_back(
             RawEntry{std::move(*raw), client_id, queue_.now()});
         ++stats_.requestsAccepted;
-        OBS_COUNTER_ADD("server.requests_accepted", 1);
         ++inflightRequests_;
         noteAccepted(client_id);
     }
@@ -599,7 +593,8 @@ RhythmServer::parseBatch(std::unique_ptr<ReaderBatch> batch, uint64_t seq)
         ptrs.push_back(&parseTraces_[i]);
     const double scale = static_cast<double>(n) / sample;
     simt::KernelProfile parser_profile = scaleProfile(
-        device_.engine().profile(ptrs, config_.warpModel, "parser"),
+        device_.engine().profile(ptrs, device_.config().warpModel,
+                                 "parser"),
         scale);
     const simt::KernelCost parser_cost =
         computeKernelCost(parser_profile, device_.config());
@@ -631,7 +626,8 @@ RhythmServer::parseBatch(std::unique_ptr<ReaderBatch> batch, uint64_t seq)
         }
         simt::KernelProfile tp = simt::KernelProfile::streaming(
             n, 2ull * n * config_.requestSlotBytes,
-            kTransposeInstsPerThread, config_.warpModel, "req-transpose");
+            kTransposeInstsPerThread, device_.config().warpModel,
+            "req-transpose");
         device_.launchKernel(pstream,
                              computeKernelCost(tp, device_.config()),
                              launch_parser);
@@ -897,13 +893,11 @@ RhythmServer::scheduleTimeoutScan()
             const des::Time oldest = forming_->firstArrival;
             if (timed && now - oldest >= config_.cohortTimeout) {
                 ++stats_.cohortTimeouts;
-                OBS_COUNTER_ADD("server.cohort_timeouts", 1);
                 maybeLaunchBatch(true);
             } else if (parser_idle &&
                        out_of_slack(oldest, CohortEntry::kTypeUnresolved,
                                     minDeadline_)) {
                 ++stats_.adaptiveEarlyDispatches;
-                OBS_COUNTER_ADD("adaptive.early_dispatches", 1);
                 maybeLaunchBatch(true);
             } else {
                 anything_forming = true;
@@ -932,12 +926,10 @@ RhythmServer::scheduleTimeoutScan()
         launches.reserve(expired.size() + early.size());
         for (CohortContext *ctx : expired) {
             ++stats_.cohortTimeouts;
-            OBS_COUNTER_ADD("server.cohort_timeouts", 1);
             launches.push_back(ctx);
         }
         for (CohortContext *ctx : early) {
             ++stats_.adaptiveEarlyDispatches;
-            OBS_COUNTER_ADD("adaptive.early_dispatches", 1);
             launches.push_back(ctx);
         }
         launchCohortGroup(launches);
@@ -945,13 +937,11 @@ RhythmServer::scheduleTimeoutScan()
             const des::Time oldest = pendingImages_.front().arrival;
             if (timed && now - oldest >= config_.cohortTimeout) {
                 ++stats_.cohortTimeouts;
-                OBS_COUNTER_ADD("server.cohort_timeouts", 1);
                 launchImageCohort();
             } else if (device_headroom &&
                        out_of_slack(oldest, CohortEntry::kTypeUnresolved,
                                     config_.defaultDeadline)) {
                 ++stats_.adaptiveEarlyDispatches;
-                OBS_COUNTER_ADD("adaptive.early_dispatches", 1);
                 launchImageCohort();
             } else {
                 anything_forming = true;
@@ -1008,11 +998,9 @@ RhythmServer::completeRequest(uint64_t client_id,
         ++stats_.errorResponses;
     else
         ++stats_.responsesCompleted;
-    OBS_COUNTER_ADD(failed ? "server.errors" : "server.responses", 1);
     if (config_.requestDeadline && latency > config_.requestDeadline)
         ++stats_.deadlineMisses;
     stats_.latencyMs.add(des::toMillis(latency));
-    OBS_HIST_ADD("server.latency_ms", des::toMillis(latency));
     if (config_.shedLatencySlo)
         sloLatencyMs_.add(des::toMillis(latency));
     if (responseCb_)
@@ -1079,7 +1067,7 @@ RhythmServer::canFuse(const std::vector<LaunchMember> &group,
     // tail separately — full warps gain nothing and would only widen
     // the blast radius of a hang or hedge.
     const uint32_t width =
-        static_cast<uint32_t>(config_.warpModel.warpWidth);
+        static_cast<uint32_t>(device_.config().warpModel.warpWidth);
     auto warps_of = [&](uint32_t lanes) {
         return (lanes + width - 1) / width;
     };
@@ -1129,7 +1117,6 @@ RhythmServer::beginCohort(CohortContext &ctx, uint32_t slot)
             tr, "dispatch", "stage", ctx.firstArrival(), queue_.now(),
             {"requests", static_cast<uint64_t>(ctx.entries().size())},
             {"type", std::string(service_.typeName(ctx.type()))});
-        OBS_COUNTER_ADD("server.cohorts_launched", 1);
     }
     executeCohortHost(member);
     return member;
@@ -1170,7 +1157,6 @@ RhythmServer::maybeInjectHang(CohortRun &run, bool hedge)
         return;
     ++stats_.kernelHangs;
     ++stats_.faultsInjected;
-    OBS_COUNTER_ADD("watchdog.kernel_hangs", 1);
     OBS_INSTANT(obs::track::kEvents, "kernel-hang", "fault",
                 {"cohort", run.seq});
     // The cohort's first kernel wedges: model it as a huge-but-finite
@@ -1222,7 +1208,7 @@ RhythmServer::executeCohortHost(LaunchMember &m)
                                               : BufferLayout::RowMajor;
     buf_cfg.padToWarpMax =
         config_.padResponses && config_.transposeBuffers;
-    buf_cfg.warpWidth = config_.warpModel.warpWidth;
+    buf_cfg.warpWidth = device_.config().warpModel.warpWidth;
     // Per-shape buffer reuse: writers and lane storage keep their heap
     // capacity across cohorts; reset() scrubs the content. The run
     // owns the buffer (responses are zero-copy views into it) and
@@ -1463,7 +1449,7 @@ RhythmServer::buildCommands(std::span<LaunchMember> members)
                 stage_ptrs[si].push_back(&memberTraces_[m.slot][si][lane]);
         }
         launches[si].traces = &stage_ptrs[si];
-        launches[si].model = &config_.warpModel;
+        launches[si].model = &device_.config().warpModel;
         launches[si].name = name + "-stage" + std::to_string(s);
     }
     // Profile every pipeline stage in one engine region (warps of all
@@ -1500,7 +1486,7 @@ RhythmServer::buildCommands(std::span<LaunchMember> members)
     // idle on each process-stage launch (executed-lane granularity).
     // A fused launch shares one tail warp instead of one per cohort.
     const uint32_t width =
-        static_cast<uint32_t>(config_.warpModel.warpWidth);
+        static_cast<uint32_t>(device_.config().warpModel.warpWidth);
     auto warps_of = [&](uint32_t lanes) {
         return (lanes + width - 1) / width;
     };
@@ -1509,7 +1495,6 @@ RhythmServer::buildCommands(std::span<LaunchMember> members)
         static_cast<uint64_t>(fused_warps * width - total_sample) *
         static_cast<uint64_t>(stages);
     stats_.paddedLanes += padded;
-    OBS_COUNTER_ADD("warp.fusion.padded_lanes", padded);
     if (fused) {
         uint64_t separate_warps = 0;
         for (const LaunchMember &m : members)
@@ -1519,10 +1504,6 @@ RhythmServer::buildCommands(std::span<LaunchMember> members)
         ++stats_.fusedLaunches;
         stats_.fusedCohorts += members.size();
         stats_.fusionSavedWarps += saved;
-        OBS_COUNTER_ADD("warp.fusion.fused_launches", 1);
-        OBS_COUNTER_ADD("warp.fusion.fused_cohorts",
-                        static_cast<uint64_t>(members.size()));
-        OBS_COUNTER_ADD("warp.fusion.saved_warps", saved);
     }
 
     // ---- Shared command sequence on the leader ----------------------
@@ -1557,7 +1538,7 @@ RhythmServer::buildCommands(std::span<LaunchMember> members)
                     backend_calls ? backend_insts / backend_calls : 1000);
                 simt::KernelProfile bp = simt::KernelProfile::streaming(
                     total_n, backend_req_bytes + backend_resp_bytes,
-                    insts_per_thread, config_.warpModel, "backend");
+                    insts_per_thread, device_.config().warpModel, "backend");
                 leader.sequence.push_back(
                     Cmd{Cmd::Kind::Kernel,
                         computeKernelCost(bp, device_.config()), 0, 0});
@@ -1568,8 +1549,8 @@ RhythmServer::buildCommands(std::span<LaunchMember> members)
                     simt::KernelProfile tp =
                         simt::KernelProfile::streaming(
                             total_n, 2 * backend_req_bytes,
-                            kTransposeInstsPerThread, config_.warpModel,
-                            "breq-transpose");
+                            kTransposeInstsPerThread,
+                            device_.config().warpModel, "breq-transpose");
                     leader.sequence.push_back(
                         Cmd{Cmd::Kind::Kernel,
                             computeKernelCost(tp, device_.config()), 0,
@@ -1588,8 +1569,8 @@ RhythmServer::buildCommands(std::span<LaunchMember> members)
                     simt::KernelProfile tp =
                         simt::KernelProfile::streaming(
                             total_n, 2 * backend_resp_bytes,
-                            kTransposeInstsPerThread, config_.warpModel,
-                            "bresp-transpose");
+                            kTransposeInstsPerThread,
+                            device_.config().warpModel, "bresp-transpose");
                     leader.sequence.push_back(
                         Cmd{Cmd::Kind::Kernel,
                             computeKernelCost(tp, device_.config()), 0,
@@ -1648,7 +1629,7 @@ RhythmServer::buildCommands(std::span<LaunchMember> members)
             resp_buf_bytes += 2ull * m.laneBytes * static_cast<uint64_t>(m.n);
         simt::KernelProfile tp = simt::KernelProfile::streaming(
             total_n, resp_buf_bytes, kTransposeInstsPerThread,
-            config_.warpModel, "resp-transpose");
+            device_.config().warpModel, "resp-transpose");
         leader.sequence.push_back(Cmd{
             Cmd::Kind::Kernel, computeKernelCost(tp, device_.config()),
             0, 0});
@@ -1750,7 +1731,6 @@ RhythmServer::execCompleted(CohortContext &ctx,
         // were released at delivery and may already serve a new
         // cohort.
         ++stats_.hedgeCancelled;
-        OBS_COUNTER_ADD("watchdog.hedge_cancelled", 1);
         OBS_INSTANT(obs::track::kEvents,
                     hedge ? "hedge-cancelled" : "primary-cancelled",
                     "watchdog", {"cohort", run->seq});
@@ -1763,10 +1743,8 @@ RhythmServer::execCompleted(CohortContext &ctx,
         queue_.cancel(run->watchdogEvent);
         run->watchdogArmed = false;
     }
-    if (hedge) {
+    if (hedge)
         ++stats_.hedgeWins;
-        OBS_COUNTER_ADD("watchdog.hedge_wins", 1);
-    }
     cohortCompleted(ctx, run);
 }
 
@@ -1776,7 +1754,6 @@ RhythmServer::hedgeCohort(CohortContext &ctx,
 {
     run->hedged = true;
     ++stats_.watchdogFires;
-    OBS_COUNTER_ADD("watchdog.fires", 1);
     OBS_INSTANT(obs::track::kEvents, "watchdog-hedge", "watchdog",
                 {"cohort", run->seq},
                 {"ctx", static_cast<uint64_t>(ctx.id())});
@@ -1795,11 +1772,8 @@ RhythmServer::hedgeCohort(CohortContext &ctx,
             const std::string resp =
                 service_.executeBackend(call.request, call.token, gNull);
             ++stats_.hedgeReplayedCalls;
-            OBS_COUNTER_ADD("watchdog.replayed_calls", 1);
-            if (resp != call.response) {
+            if (resp != call.response)
                 ++stats_.hedgeReplayMismatches;
-                OBS_COUNTER_ADD("watchdog.replay_mismatches", 1);
-            }
         }
     }
 
@@ -1844,10 +1818,6 @@ RhythmServer::deliverRun(CohortContext &ctx, CohortRun &run,
         stats_.formationMs.add(
             des::toMillis(run.launchedAt - entries[i].arrival));
         stats_.pipelineMs.add(des::toMillis(now - run.launchedAt));
-        OBS_HIST_ADD("server.formation_ms",
-                     des::toMillis(run.launchedAt - entries[i].arrival));
-        OBS_HIST_ADD("server.pipeline_ms",
-                     des::toMillis(now - run.launchedAt));
         completeRequest(entries[i].clientId,
                         executed ? run.responses[i] : std::string_view(),
                         now - entries[i].arrival, failed, ctx.type());
@@ -1860,7 +1830,6 @@ RhythmServer::deliverRun(CohortContext &ctx, CohortRun &run,
         if (ctx.type() < typeCostMs_.size())
             typeCostMs_[ctx.type()].add(pipeline_ms);
         aggCostMs_.add(pipeline_ms);
-        OBS_GAUGE_SET("adaptive.cost_estimate_ms", aggCostMs_.value());
     }
     // Delivery done: the response views are dead, so the buffer can go
     // back to the per-shape pool for the next cohort of this shape.

@@ -98,8 +98,6 @@ struct RhythmConfig
      * change.
      */
     uint32_t traceTemplateCacheEntries = 0;
-    /** Warp model for kernel profiling. */
-    simt::WarpModel warpModel;
 
     // ---- Robustness / graceful degradation (all off by default, so
     // ---- a default config reproduces the paper's figures exactly) --
@@ -274,6 +272,15 @@ struct RhythmStats
     /** Aggregate SIMD efficiency of process-stage kernels. */
     double processIssueSlots = 0;
     double processLaneInstructions = 0;
+    /** Process-stage SIMD efficiency on a device of @p warp_width
+     *  lanes (0 before any process-stage launch). */
+    double processSimdEfficiency(int warp_width) const
+    {
+        return processIssueSlots > 0
+                   ? processLaneInstructions /
+                         (processIssueSlots * warp_width)
+                   : 0.0;
+    }
 
     // ---- Robustness / degradation counters -------------------------
     /** Requests rejected with an immediate 503 by the load shedder. */

@@ -93,7 +93,6 @@ Device::startCommand(int queue_index)
             OBS_INSTANT(obs::track::kEvents, "stream-stall", "fault",
                         {"queue", static_cast<uint64_t>(queue_index)},
                         {"stall_us", des::toMicros(stall)});
-            OBS_COUNTER_ADD("device.stream_stalls", 1);
             // The stream wedges: its hardware queue stays blocked for
             // the stall duration, then the command proceeds normally.
             queue_.scheduleAfter(stall, [this, queue_index]() {
@@ -188,17 +187,10 @@ Device::assignEngine(CopyDirection &dir, PendingCopy copy)
     // transfer still completes as one unit.
     if (faultHooks_.copyExtra)
         eng.extra = faultHooks_.copyExtra(dir.toDevice, copy.bytes, nominal);
-    if (OBS_ENABLED()) {
-        OBS_COUNTER_ADD(dir.toDevice ? "device.pcie_bytes_h2d"
-                                     : "device.pcie_bytes_d2h",
-                        copy.bytes);
-        if (eng.extra > 0) {
-            OBS_INSTANT(obs::track::kEvents, "pcie-fault", "fault",
-                        {"extra_us", des::toMicros(eng.extra)},
-                        {"bytes", copy.bytes});
-            OBS_COUNTER_ADD("device.pcie_faults", 1);
-        }
-    }
+    if (eng.extra > 0)
+        OBS_INSTANT(obs::track::kEvents, "pcie-fault", "fault",
+                    {"extra_us", des::toMicros(eng.extra)},
+                    {"bytes", copy.bytes});
     // DMA setup / per-transfer link latency: engines pay it
     // concurrently, then arbitrate for the serial wire chunk by chunk.
     // With one engine and whole transfers this is the serial model:
@@ -246,17 +238,6 @@ Device::startNextChunk(CopyDirection &dir)
         stats_.pcieCrcErrors += xfer.crcErrors;
         stats_.pcieRetransmittedBytes += xfer.retransmittedBytes;
         stats_.pcieRetrains += xfer.retrains;
-        if (OBS_ENABLED()) {
-            OBS_COUNTER_ADD("pcie.crc.frames", xfer.frames);
-            OBS_COUNTER_ADD("pcie.crc.wire_bytes", xfer.wireBytes);
-            if (xfer.crcErrors > 0)
-                OBS_COUNTER_ADD("pcie.crc.errors", xfer.crcErrors);
-            if (xfer.retransmittedBytes > 0)
-                OBS_COUNTER_ADD("pcie.crc.retransmitted_bytes",
-                                xfer.retransmittedBytes);
-            if (xfer.retrains > 0)
-                OBS_COUNTER_ADD("pcie.crc.retrains", xfer.retrains);
-        }
     } else {
         duration = link.wireTime(chunk);
     }
@@ -335,8 +316,6 @@ Device::kernelAdmitted(KernelCost cost, int queue_index)
     rk.admitted = queue_.now();
     ++stats_.kernelsLaunched;
     stats_.kernelMemoryBytes += cost.memoryBytes;
-    if (OBS_ENABLED())
-        OBS_COUNTER_ADD("device.kernels", 1);
     rk.cost = std::move(cost);
     pool_.push_back(std::move(rk));
     recomputeRates();

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "obs/obs.hh"
 #include "util/logging.hh"
 
 namespace rhythm::simt {
@@ -31,7 +30,7 @@ struct WarpWork
  * cross-launch LRU plus an intra-batch equivalence map, parallel
  * simulation of class representatives only, then serial replication
  * and cache publication. Every serial step walks warps in canonical
- * (flattened) order, so cache state and all emitted metrics are
+ * (flattened) order, so cache state and cache accounting are
  * identical for any worker count — and the filled slots are bit-equal
  * to the uncached path's.
  */
@@ -50,7 +49,6 @@ profileMemoized(util::ThreadPool &pool, ProfileCache &cache,
     // fingerprint, each represented by its first (canonical) member.
     constexpr size_t kFromCache = std::numeric_limits<size_t>::max();
     ProfileCache::Stats &cs = cache.stats();
-    const ProfileCache::Stats before = cs;
     std::vector<size_t> rep(work.size());
     std::vector<size_t> to_sim;
     std::unordered_map<WarpKey, size_t, WarpKeyHash> classes;
@@ -83,25 +81,6 @@ profileMemoized(util::ThreadPool &pool, ProfileCache &cache,
     }
     for (size_t i : to_sim)
         cache.insert(keys[i], slots[i]);
-
-    // Aggregate emission equals the uncached path's per-warp total, so
-    // the engine counter stays byte-identical with the cache on. The
-    // cache's own meta-metrics live under a distinct "profile_cache."
-    // prefix that comparable outputs exclude (see rhythm_sim).
-    OBS_COUNTER_ADD("engine.warps_simulated",
-                    static_cast<uint64_t>(work.size()));
-    if (OBS_ENABLED()) {
-        OBS_COUNTER_ADD("profile_cache.hits", cs.hits - before.hits);
-        OBS_COUNTER_ADD("profile_cache.intra_hits",
-                        cs.intraHits - before.intraHits);
-        OBS_COUNTER_ADD("profile_cache.misses", cs.misses - before.misses);
-        OBS_COUNTER_ADD("profile_cache.evictions",
-                        cs.evictions - before.evictions);
-        OBS_GAUGE_SET("profile_cache.bytes_saved",
-                      static_cast<double>(cs.bytesSaved));
-        OBS_GAUGE_SET("profile_cache.entries",
-                      static_cast<double>(cache.size()));
-    }
 }
 
 } // namespace
@@ -160,9 +139,6 @@ Engine::profileMany(const std::vector<Launch> &launches)
     } else {
         pool().parallelFor(work.size(), [&work, &slots](size_t i) {
             slots[i] = simulateWarp(work[i].span(), *work[i].model);
-            // Cross-thread metric emission; the obs counter sinks are
-            // atomic, and the total is thread-count-invariant.
-            OBS_COUNTER_ADD("engine.warps_simulated", 1);
         });
     }
 

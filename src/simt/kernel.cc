@@ -79,7 +79,7 @@ computeKernelCost(const KernelProfile &profile, const DeviceConfig &config)
         cost.maxShare = 0.0;
     cost.name = profile.name;
     cost.warps = profile.warps;
-    cost.simdEfficiency = profile.simdEfficiency(config.warpWidth);
+    cost.simdEfficiency = profile.simdEfficiency(config.warpModel.warpWidth);
     cost.globalTransactions = profile.totals.globalTransactions;
     return cost;
 }

@@ -30,8 +30,8 @@ struct DeviceConfig
     int numSms = 14;
     /** Core clock in GHz. */
     double clockGhz = 0.837;
-    /** SIMT width. */
-    int warpWidth = 32;
+    /** The SIMT warp: width, coalescing segment, reconvergence window. */
+    WarpModel warpModel;
     /** CUDA cores per SM (Kepler SMX: 192). */
     int coresPerSm = 192;
     /** Peak DRAM bandwidth, GB/s (GTX Titan: 288). */
@@ -97,7 +97,7 @@ struct DeviceConfig
     /** Warp-instruction issue slots per cycle per SM. */
     double issueSlotsPerCyclePerSm() const
     {
-        return static_cast<double>(coresPerSm) / warpWidth;
+        return static_cast<double>(coresPerSm) / warpModel.warpWidth;
     }
 
     /** Device-wide issue slots per second. */

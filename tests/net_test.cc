@@ -4,7 +4,7 @@
  * DESIGN.md Section 6i). Four families of properties:
  *
  *  - Seeded determinism: the same ArrivalConfig always reproduces the
- *    identical arrival stream and schedule; different seeds diverge.
+ *    identical arrival stream; different seeds diverge.
  *  - Empirical rate: a long sample's mean rate lands within a tolerance
  *    band of the configured mean (Poisson exactly; diurnal/flash
  *    against their analytic envelope averages).
@@ -65,48 +65,6 @@ TEST(NetArrival, DifferentSeedsDiverge)
     for (int i = 0; i < 100 && !diverged; ++i)
         diverged = a.nextGap() != b.nextGap();
     EXPECT_TRUE(diverged);
-}
-
-TEST(NetArrival, ScheduleIsReplayable)
-{
-    net::ArrivalConfig cfg = poissonConfig(200e3, 11);
-    cfg.kind = net::ArrivalKind::Flash;
-    const std::vector<double> weights = {0.5, 0.3, 0.15, 0.05};
-    const auto s1 = net::buildSchedule(cfg, weights, 4000);
-    const auto s2 = net::buildSchedule(cfg, weights, 4000);
-    ASSERT_EQ(s1.size(), s2.size());
-    ASSERT_EQ(s1.size(), 4000u);
-    for (size_t i = 0; i < s1.size(); ++i) {
-        ASSERT_EQ(s1[i].at, s2[i].at) << "entry " << i;
-        ASSERT_EQ(s1[i].type, s2[i].type) << "entry " << i;
-    }
-}
-
-TEST(NetArrival, ScheduleTimesStrictlyIncreaseAndTypesInRange)
-{
-    const std::vector<double> weights = {1.0, 2.0, 1.0};
-    const auto sched =
-        net::buildSchedule(poissonConfig(150e3, 3), weights, 3000);
-    for (size_t i = 0; i < sched.size(); ++i) {
-        if (i > 0)
-            ASSERT_GT(sched[i].at, sched[i - 1].at) << "entry " << i;
-        ASSERT_LT(sched[i].type, weights.size()) << "entry " << i;
-    }
-}
-
-TEST(NetArrival, ScheduleTypeFrequenciesTrackWeights)
-{
-    const std::vector<double> weights = {0.6, 0.3, 0.1};
-    const uint64_t n = 30000;
-    const auto sched =
-        net::buildSchedule(poissonConfig(150e3, 5), weights, n);
-    std::vector<uint64_t> counts(weights.size(), 0);
-    for (const net::ScheduleEntry &e : sched)
-        ++counts[e.type];
-    for (size_t t = 0; t < weights.size(); ++t) {
-        const double got = static_cast<double>(counts[t]) / n;
-        EXPECT_NEAR(got, weights[t], 0.02) << "type " << t;
-    }
 }
 
 // ---- empirical rate ----------------------------------------------------

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the observability layer: fixed-bucket histogram percentile
- * estimation, the metrics registry, span nesting in the tracer, the
- * Chrome trace_event JSON export, and the guarantee that everything is
- * inert — no metrics, no events — until explicitly enabled (what keeps
- * default figure outputs byte-identical to the seed).
+ * Tests for the observability layer: span nesting in the tracer, the
+ * Chrome trace_event JSON export, the bench JSON reporter, and the
+ * guarantee that the instrumentation is inert — no events — until
+ * explicitly enabled (what keeps default figure outputs byte-identical
+ * to the seed).
  */
 
 #include <gtest/gtest.h>
@@ -14,118 +14,11 @@
 #include "bench/common.hh"
 #include "des/event_queue.hh"
 #include "obs/json.hh"
-#include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/trace.hh"
 
 namespace rhythm::obs {
 namespace {
-
-// ---- FixedHistogram --------------------------------------------------
-
-TEST(FixedHistogramTest, EmptyReturnsZero)
-{
-    FixedHistogram h({1.0, 2.0, 4.0});
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.percentile(50.0), 0.0);
-    EXPECT_EQ(h.mean(), 0.0);
-    EXPECT_EQ(h.min(), 0.0);
-    EXPECT_EQ(h.max(), 0.0);
-}
-
-TEST(FixedHistogramTest, PercentilesWithFineBuckets)
-{
-    // Unit-width buckets over [0, 100]: interpolation error < 1.
-    std::vector<double> bounds;
-    for (int i = 1; i <= 100; ++i)
-        bounds.push_back(i);
-    FixedHistogram h(bounds);
-    for (int v = 1; v <= 100; ++v)
-        h.add(v);
-    EXPECT_EQ(h.count(), 100u);
-    EXPECT_NEAR(h.percentile(50.0), 50.0, 1.0);
-    EXPECT_NEAR(h.percentile(95.0), 95.0, 1.0);
-    EXPECT_NEAR(h.percentile(99.0), 99.0, 1.0);
-    EXPECT_DOUBLE_EQ(h.min(), 1.0);
-    EXPECT_DOUBLE_EQ(h.max(), 100.0);
-    EXPECT_NEAR(h.mean(), 50.5, 1e-9);
-}
-
-TEST(FixedHistogramTest, PercentileClampedToObservedRange)
-{
-    FixedHistogram h({10.0, 100.0, 1000.0});
-    h.add(42.0);
-    h.add(43.0);
-    // Every percentile of two nearby samples stays inside [min, max]
-    // even though the owning bucket spans [10, 100].
-    EXPECT_GE(h.percentile(1.0), 42.0);
-    EXPECT_LE(h.percentile(99.0), 43.0);
-}
-
-TEST(FixedHistogramTest, OverflowBucketCatchesLargeSamples)
-{
-    FixedHistogram h({1.0, 2.0});
-    h.add(1000.0);
-    ASSERT_EQ(h.bucketCounts().size(), 3u);
-    EXPECT_EQ(h.bucketCounts()[2], 1u);
-    // The overflow bucket has no upper bound; the estimate clamps to
-    // the observed max.
-    EXPECT_DOUBLE_EQ(h.percentile(99.0), 1000.0);
-}
-
-TEST(FixedHistogramTest, ExponentialBoundsAndReset)
-{
-    const auto bounds = FixedHistogram::exponentialBounds(1.0, 2.0, 4);
-    ASSERT_EQ(bounds.size(), 4u);
-    EXPECT_DOUBLE_EQ(bounds[0], 1.0);
-    EXPECT_DOUBLE_EQ(bounds[3], 8.0);
-
-    FixedHistogram h(bounds);
-    h.add(3.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.percentile(50.0), 0.0);
-}
-
-// ---- MetricsRegistry -------------------------------------------------
-
-TEST(MetricsRegistryTest, HandlesAreStableAndResettable)
-{
-    MetricsRegistry reg;
-    Counter &c = reg.counter("reqs");
-    c.add(3);
-    EXPECT_EQ(reg.counter("reqs").value(), 3u);
-    EXPECT_EQ(&reg.counter("reqs"), &c);
-
-    reg.gauge("depth").set(7.5);
-    reg.histogram("lat").add(1.0);
-    EXPECT_TRUE(reg.has("reqs"));
-    EXPECT_TRUE(reg.has("depth"));
-    EXPECT_FALSE(reg.has("nope"));
-
-    reg.reset();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(reg.gauge("depth").value(), 0.0);
-    EXPECT_EQ(reg.histogram("lat").count(), 0u);
-    EXPECT_TRUE(reg.has("reqs")); // registrations survive reset
-}
-
-TEST(MetricsRegistryTest, FlattenUsesDottedHistogramKeys)
-{
-    MetricsRegistry reg;
-    reg.counter("a").add(2);
-    reg.gauge("b").set(4.0);
-    reg.histogram("lat").add(10.0);
-
-    std::map<std::string, double> flat;
-    for (auto &[k, v] : reg.flatten())
-        flat[k] = v;
-    EXPECT_EQ(flat.at("a"), 2.0);
-    EXPECT_EQ(flat.at("b"), 4.0);
-    EXPECT_EQ(flat.at("lat.count"), 1.0);
-    EXPECT_EQ(flat.at("lat.p99"), 10.0);
-    EXPECT_EQ(flat.at("lat.max"), 10.0);
-}
 
 // ---- Tracer ----------------------------------------------------------
 
@@ -250,18 +143,16 @@ TEST(ObservabilityTest, MacrosAreInertWhenDisabled)
 
     // With obs off, the macros must record nothing: this is what keeps
     // the default driver/bench outputs byte-identical to the seed.
-    OBS_COUNTER_ADD("guard.counter", 1);
-    OBS_GAUGE_SET("guard.gauge", 1.0);
-    OBS_HIST_ADD("guard.hist", 1.0);
+    OBS_TRACK_NAME(1, "guard");
     OBS_SPAN_BEGIN(1, "guard", "test");
     OBS_SPAN_END(1);
     OBS_INSTANT(1, "guard", "test");
     OBS_SPAN_COMPLETE(1, "guard", "test", 0, 1);
 
-    EXPECT_FALSE(o.metrics().has("guard.counter"));
-    EXPECT_FALSE(o.metrics().has("guard.gauge"));
-    EXPECT_FALSE(o.metrics().has("guard.hist"));
     EXPECT_TRUE(o.tracer().events().empty());
+    std::ostringstream out;
+    o.tracer().writeChromeTrace(out);
+    EXPECT_EQ(out.str().find("guard"), std::string::npos);
 }
 
 TEST(ObservabilityTest, EnableBindsClockAndRecords)
@@ -271,17 +162,15 @@ TEST(ObservabilityTest, EnableBindsClockAndRecords)
     o.reset();
     o.enable(queue);
 
-    OBS_COUNTER_ADD("on.counter", 2);
     OBS_SPAN_COMPLETE(1, "span", "test", 0, 100,
                       {"k", uint64_t{1}});
-    EXPECT_EQ(o.metrics().counter("on.counter").value(), 2u);
-    ASSERT_EQ(o.tracer().events().size(), 1u);
+    OBS_INSTANT(1, "mark", "test");
+    ASSERT_EQ(o.tracer().events().size(), 2u);
     EXPECT_EQ(o.now(), queue.now());
 
     o.disable();
     o.reset();
-    OBS_COUNTER_ADD("off.counter", 1);
-    EXPECT_FALSE(o.metrics().has("off.counter"));
+    OBS_INSTANT(1, "off", "test");
     EXPECT_TRUE(o.tracer().events().empty());
 }
 

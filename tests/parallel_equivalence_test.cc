@@ -6,20 +6,20 @@
  * (Titan variant evaluation), fig9 (PCIe-bound Titan A) and sec6.2
  * (Titan C scaling) experiments — at --sim-threads ∈ {1, 2, 4, 8} and
  * asserts that *everything observable* is identical to the serial run:
- * the flattened metrics registry (what `--json` serializes), the Chrome
- * trace export, the final DES clock, the event count and dispatch-order
- * hash, and the engine's per-SM counters. Exact equality of doubles is
- * intentional: all parallel accounting is integer-based and merged in
- * canonical order, so there is nothing to be approximately equal about.
+ * every server's and device's counts and latency histograms (what
+ * `--json` serializes, per shard in a fleet), the Chrome trace export,
+ * the final DES clock, the event count and dispatch-order hash, and the
+ * engine's per-SM counters. Exact equality of doubles is intentional:
+ * all parallel accounting is integer-based and merged in canonical
+ * order, so there is nothing to be approximately equal about.
  *
  * Under tsan (the CI sanitizer matrix runs this binary) the multi-thread
- * runs also prove the pool/engine/metrics layers are race-free.
+ * runs also prove the pool/engine/tracer layers are race-free.
  */
 
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "backend/bankdb.hh"
+#include "backend/recovery.hh"
 #include "chat/service.hh"
 #include "chat/store.hh"
 #include "des/event_queue.hh"
@@ -98,6 +99,54 @@ expectIdentical(const Fingerprint &serial, const Fingerprint &parallel,
     EXPECT_EQ(serial.responseDigestSum, parallel.responseDigestSum);
 }
 
+/**
+ * Appends one server's and its device's counts to @p fp's metrics,
+ * read from their stats: the server, adaptive and watchdog counters,
+ * the device's kernels and PCIe bytes, and the mean, p50 and p99 of the
+ * latency, formation and pipeline histograms. @p prefix names a fleet
+ * shard ("dev<i>.").
+ */
+void
+addServerMetrics(Fingerprint &fp, const core::RhythmStats &s,
+                 const simt::Device &device, const std::string &prefix = "")
+{
+    const simt::Device::Stats d = device.stats();
+    const std::pair<const char *, uint64_t> counts[] = {
+        {"server.accepted", s.requestsAccepted},
+        {"server.responses", s.responsesCompleted},
+        {"server.errors", s.errorResponses},
+        {"server.shed", s.requestsShed},
+        {"server.reader_drops", s.readerDrops},
+        {"server.cohorts", s.cohortsLaunched},
+        {"server.cohort_timeouts", s.cohortTimeouts},
+        {"adaptive.early_dispatches", s.adaptiveEarlyDispatches},
+        {"adaptive.preemptions", s.adaptivePreemptions},
+        {"adaptive.admission_sheds", s.adaptiveAdmissionSheds},
+        {"watchdog.kernel_hangs", s.kernelHangs},
+        {"watchdog.fires", s.watchdogFires},
+        {"watchdog.hedge_wins", s.hedgeWins},
+        {"watchdog.hedge_cancelled", s.hedgeCancelled},
+        {"watchdog.replayed_calls", s.hedgeReplayedCalls},
+        {"watchdog.replay_mismatches", s.hedgeReplayMismatches},
+        {"device.kernels", d.kernelsLaunched},
+        {"device.pcie_bytes_h2d", d.bytesToDevice},
+        {"device.pcie_bytes_d2h", d.bytesToHost},
+    };
+    for (const auto &[key, value] : counts)
+        fp.metrics.emplace_back(prefix + key, static_cast<double>(value));
+    const std::pair<const char *, const Histogram *> histograms[] = {
+        {"latency.", &s.latencyMs},
+        {"formation.", &s.formationMs},
+        {"pipeline.", &s.pipelineMs},
+    };
+    for (const auto &[name, ms] : histograms) {
+        fp.metrics.emplace_back(prefix + name + "mean_ms", ms->mean());
+        fp.metrics.emplace_back(prefix + name + "p50_ms", ms->median());
+        fp.metrics.emplace_back(prefix + name + "p99_ms",
+                                ms->percentile(99));
+    }
+}
+
 /** Which authentication traffic the banking run carries. */
 enum class AuthMode : uint8_t {
     None,       //!< Browsing steady state (Login/Logout excluded).
@@ -112,8 +161,7 @@ enum class AuthMode : uint8_t {
  *
  * @param cache_entries When nonzero, a ProfileCache of that capacity is
  *        attached to the engine (the --profile-cache=on path). The
- *        fingerprint's metrics exclude the cache's own "profile_cache."
- *        meta-counters — those describe the cache, not the simulation,
+ *        cache's own counters describe the cache, not the simulation,
  *        and are asserted separately via Fingerprint::cacheStats.
  * @param auth Session-churning traffic mix: Login creates sessions and
  *        Logout destroys them, so both mutate the shared session store
@@ -206,9 +254,7 @@ runBanking(unsigned threads, size_t cache_entries = 0,
     fp.engineLaunches = device.engine().launches();
     fp.engineWarps = device.engine().warps();
     fp.sms = device.engine().smCounters();
-    fp.metrics = obs::global().metrics().flatten(
-        std::span<const std::string_view>(
-            obs::kBaselineExcludedPrefixes));
+    addServerMetrics(fp, server.stats(), device);
     std::ostringstream trace;
     obs::global().tracer().writeChromeTrace(trace);
     fp.trace = trace.str();
@@ -228,8 +274,8 @@ runBanking(unsigned threads, size_t cache_entries = 0,
  * timestamp, then lowest stream id) makes the whole run — dispatch
  * order, responses, per-device metrics, trace — byte-identical across
  * thread counts and profile-cache settings, exactly like one device.
- * The fingerprint's metrics use the unfiltered flatten, so the
- * per-device "dev<i>." namespaces are compared too.
+ * The fingerprint's metrics hold every shard's server, device and
+ * recovery counts under its "dev<i>." prefix.
  */
 Fingerprint
 runFleet(unsigned threads, uint32_t devices, size_t cache_entries = 0)
@@ -327,8 +373,23 @@ runFleet(unsigned threads, uint32_t devices, size_t cache_entries = 0)
         fp.engineWarps += engine.warps();
         const auto &sms = engine.smCounters();
         fp.sms.insert(fp.sms.end(), sms.begin(), sms.end());
+        const std::string prefix = "dev" + std::to_string(i) + ".";
+        addServerMetrics(fp, fleet.server(i).stats(), fleet.device(i),
+                         prefix);
+        const backend::RecoveryStats &r = fleet.recovery(i)->stats();
+        const std::pair<const char *, uint64_t> recovery[] = {
+            {"recovery.journaled_records", r.journaledRecords},
+            {"recovery.memo_hits", r.memoHits},
+            {"recovery.crashes", r.crashes},
+            {"recovery.torn_records", r.tornRecords},
+            {"recovery.replayed_records", r.replayedRecords},
+            {"recovery.checkpoints", r.checkpoints},
+            {"recovery.reexecutions", r.reexecutions},
+        };
+        for (const auto &[key, value] : recovery)
+            fp.metrics.emplace_back(prefix + key,
+                                    static_cast<double>(value));
     }
-    fp.metrics = obs::global().metrics().flatten();
     std::ostringstream trace;
     obs::global().tracer().writeChromeTrace(trace);
     fp.trace = trace.str();
@@ -518,9 +579,7 @@ runAdaptiveFlash(unsigned threads, size_t cache_entries = 0,
     fp.engineWarps = device.engine().warps();
     fp.kernelHangs = server.stats().kernelHangs;
     fp.sms = device.engine().smCounters();
-    fp.metrics = obs::global().metrics().flatten(
-        std::span<const std::string_view>(
-            obs::kBaselineExcludedPrefixes));
+    addServerMetrics(fp, server.stats(), device);
     std::ostringstream trace;
     obs::global().tracer().writeChromeTrace(trace);
     fp.trace = trace.str();
@@ -660,11 +719,8 @@ runFusionFlash(unsigned threads, bool fusion, size_t cache_entries = 0,
     fp.engineLaunches = device.engine().launches();
     fp.engineWarps = device.engine().warps();
     fp.sms = device.engine().smCounters();
-    fp.metrics = obs::global().metrics().flatten(
-        std::span<const std::string_view>(
-            obs::kBaselineExcludedPrefixes));
-    // The flatten excludes warp.fusion.* (baseline-gated), so fold the
-    // fusion accounting in explicitly: it too must be thread-invariant.
+    addServerMetrics(fp, server.stats(), device);
+    // The fusion accounting must be thread-invariant too.
     fp.metrics.emplace_back(
         "fusion.fused_launches",
         static_cast<double>(server.stats().fusedLaunches));
@@ -767,9 +823,7 @@ runService(Workload workload, unsigned threads, size_t cache_entries = 0)
     fp.engineLaunches = device.engine().launches();
     fp.engineWarps = device.engine().warps();
     fp.sms = device.engine().smCounters();
-    fp.metrics = obs::global().metrics().flatten(
-        std::span<const std::string_view>(
-            obs::kBaselineExcludedPrefixes));
+    addServerMetrics(fp, server.stats(), device);
     std::ostringstream trace;
     obs::global().tracer().writeChromeTrace(trace);
     fp.trace = trace.str();
@@ -781,7 +835,7 @@ runService(Workload workload, unsigned threads, size_t cache_entries = 0)
     return fp;
 }
 
-/** Looks up one flattened metric; -1 when absent. */
+/** Looks up one fingerprint metric; -1 when absent. */
 double
 metricValue(const Fingerprint &fp, std::string_view name)
 {
@@ -1024,8 +1078,8 @@ TEST(ParallelEquivalenceTest, UnfusableFusionOnMatchesFusionOff)
     // begins every cohort of a scan instant before building any
     // group's command sequence, yet launches each cohort alone. That
     // must reproduce fusion off in the whole fingerprint: dispatch
-    // order and order hash, responses, trace and every metric (the
-    // flatten already excludes the warp.fusion.* counters).
+    // order and order hash, responses, trace and every metric, the
+    // fusion counters (zero in both arms) included.
     const Fingerprint off = runFusionFlash(1, false);
     ASSERT_GT(off.responses, 0u);
     for (unsigned threads : {1u, 8u}) {
@@ -1033,9 +1087,8 @@ TEST(ParallelEquivalenceTest, UnfusableFusionOnMatchesFusionOff)
         EXPECT_EQ(metricValue(on, "fusion.fused_launches"), 0.0);
         expectIdentical(off, on, threads);
     }
-    // Sanity, run last because obs::reset() keeps metric registrations:
-    // at the default threshold the same arrivals do fuse, so the run
-    // has scan instants that launch several cohorts at once.
+    // Sanity: at the default threshold the same arrivals do fuse, so
+    // the run has scan instants that launch several cohorts at once.
     EXPECT_GT(metricValue(runFusionFlash(1, true), "fusion.fused_launches"),
               0.0);
 }

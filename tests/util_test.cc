@@ -155,6 +155,20 @@ TEST(MixSampler, DrawsWhatTheGeneratorLoopsDrew)
     }
 }
 
+TEST(MixSampler, DrawFrequenciesTrackShares)
+{
+    const std::vector<MixRow> rows = {{0.6}, {0.3}, {0.1}};
+    const MixSampler mix{std::span(rows), &MixRow::share};
+    Rng rng(5);
+    const int n = 30000;
+    std::vector<int> counts(rows.size(), 0);
+    for (int i = 0; i < n; ++i)
+        ++counts[mix.draw(rng)];
+    for (size_t t = 0; t < rows.size(); ++t)
+        EXPECT_NEAR(static_cast<double>(counts[t]) / n, rows[t].share, 0.02)
+            << "row " << t;
+}
+
 TEST(Summary, EmptyIsZero)
 {
     Summary s;

@@ -24,7 +24,7 @@ the baseline but missing from the measured run is a failure; new metrics
 not yet in the baseline are notes only.
 
 Documents may also carry an optional top-level "host" object
-(bench/common.hh Reporter::enableHostStats) with wall-clock and memory
+(bench/common.hh Reporter::hostStat) with wall-clock and memory
 numbers. Unlike "metrics", host values are machine-dependent, so they
 are gated with a separate, much wider band (--host-tolerance, default
 0.5) using the same direction rules; a host key present on only one

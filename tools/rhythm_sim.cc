@@ -163,11 +163,8 @@ report(const core::RhythmServer &server, const simt::Device &device,
         platform::measureUtilization(server, device, elapsed);
     const double dynamic_watts = pm.dynamicWatts(util);
     const core::RhythmConfig &scfg = server.config();
-    const double simd_eff =
-        stats.processIssueSlots > 0
-            ? stats.processLaneInstructions /
-                  (stats.processIssueSlots * scfg.warpModel.warpWidth)
-            : 0.0;
+    const double simd_eff = stats.processSimdEfficiency(
+        device.config().warpModel.warpWidth);
 
     TableWriter t({"metric", "value"});
     t.addRow({"requests completed",
@@ -342,17 +339,32 @@ report(const core::RhythmServer &server, const simt::Device &device,
                         static_cast<double>(
                             sms[s].stats.globalTransactions));
         }
-        // The instrumentation counters/histograms ride along under an
-        // "obs." prefix when recording was on for this run. Feature
-        // meta-metrics (profile cache, recovery, watchdog, PCIe CRC)
-        // are excluded: they differ between feature-on and feature-off
-        // runs whose simulated outputs the equivalence gate
-        // byte-compares.
-        if (obs::global().enabled())
-            rep->metricsFrom(
-                obs::global().metrics(), "obs.",
-                std::span<const std::string_view>(
-                    obs::kBaselineExcludedPrefixes));
+        // Server and device counts, read once from their owners' stats
+        // on every run (zeros included), so the key set does not depend
+        // on which code paths ran.
+        const std::pair<const char *, uint64_t> counts[] = {
+            {"server.accepted", stats.requestsAccepted},
+            {"server.responses", stats.responsesCompleted},
+            {"server.errors", stats.errorResponses},
+            {"server.shed", stats.requestsShed},
+            {"server.reader_drops", stats.readerDrops},
+            {"server.cohorts", stats.cohortsLaunched},
+            {"server.cohort_timeouts", stats.cohortTimeouts},
+            {"device.kernels", dstats.kernelsLaunched},
+            {"device.pcie_bytes_h2d", dstats.bytesToDevice},
+            {"device.pcie_bytes_d2h", dstats.bytesToHost},
+        };
+        for (const auto &[key, value] : counts)
+            rep->metric(key, static_cast<double>(value));
+        const std::pair<const char *, const Histogram *> spans[] = {
+            {"latency.formation_", &stats.formationMs},
+            {"latency.pipeline_", &stats.pipelineMs},
+        };
+        for (const auto &[prefix, ms] : spans) {
+            rep->metric(std::string(prefix) + "mean_ms", ms->mean());
+            rep->metric(std::string(prefix) + "p50_ms", ms->median());
+            rep->metric(std::string(prefix) + "p99_ms", ms->percentile(99));
+        }
     }
 }
 
@@ -360,9 +372,7 @@ report(const core::RhythmServer &server, const simt::Device &device,
  * Fleet-mode report (DESIGN.md 6k): aggregate goodput plus a
  * per-device section. Every number is simulated state, so the JSON
  * document is byte-identical across --sim-threads and --profile-cache
- * settings exactly like the single-device report. The obs.* ride-along
- * uses the same baseline-excluded span; the flatten rule additionally
- * drops the per-device "dev<i>." namespaces from that gated set.
+ * settings exactly like the single-device report.
  */
 void
 fleetReport(core::Fleet &fleet, const des::EventQueue &queue,
@@ -478,10 +488,6 @@ fleetReport(core::Fleet &fleet, const des::EventQueue &queue,
                     fleet.device(i).kernelUtilization());
         rep->metric(p + "latency.p99_ms", s.latencyMs.percentile(99));
     }
-    if (obs::global().enabled())
-        rep->metricsFrom(obs::global().metrics(), "obs.",
-                         std::span<const std::string_view>(
-                             obs::kBaselineExcludedPrefixes));
 }
 
 /**
@@ -661,7 +667,7 @@ main(int argc, char **argv)
     // ---- Observability -----------------------------------------------
     bench::Reporter json_report("rhythm_sim", flags);
     const std::string trace_path = flags.text("trace-out");
-    const bool observe = json_report.enabled() || !trace_path.empty();
+    const bool observe = !trace_path.empty();
     json_report.config("workload", workload);
     json_report.config("platform", preset);
     json_report.config("cohorts", static_cast<double>(cohorts));

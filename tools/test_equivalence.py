@@ -18,9 +18,17 @@ between their runs:
     every track starts, lasts and is named alike.
 
 A flag set shared by several rows runs once; it writes a trace only
-when a "trace" row compares it. Every run must exit 0.
+when a "trace" row compares it. Every run must exit 0, and every run's
+--json document must conserve requests (DESIGN.md 6b): one device
+answers each accepted request exactly once,
+
+    server.accepted == server.responses + server.errors + server.shed,
+
+and a fleet's accepted total equals the sum over its devices of
+dev<i>.responses + dev<i>.errors + dev<i>.shed.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -168,6 +176,25 @@ def run(sim, flags, outdir, cache, traced):
     return cache[key]
 
 
+def conservation_error(document):
+    """Why a --json document breaks request conservation, or None."""
+    metrics = json.loads(document)["metrics"]
+    if "fleet.accepted" in metrics:
+        accepted = metrics["fleet.accepted"]
+        answered = sum(metrics["dev%d.%s" % (i, what)]
+                       for i in range(int(metrics["fleet.devices"]))
+                       for what in ("responses", "errors", "shed"))
+        label = "fleet.accepted"
+    else:
+        accepted = metrics["server.accepted"]
+        answered = sum(metrics["server." + what]
+                       for what in ("responses", "errors", "shed"))
+        label = "server.accepted"
+    if accepted == answered:
+        return None
+    return "%s %d != %d answered" % (label, accepted, answered)
+
+
 def main(argv):
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -189,9 +216,17 @@ def main(argv):
             print("%s  %-6s  %s:  %s  vs  %s" %
                   ("ok  " if same else "FAIL", what, " ".join(common),
                    " ".join(only_a), " ".join(only_b)))
-    print("%d of %d rows match (%d runs)" %
-          (len(table) - failures, len(table), len(cache)))
-    return 1 if failures else 0
+        broken = 0
+        for flags, outputs in cache.items():
+            error = conservation_error(outputs["json"])
+            if error:
+                broken += 1
+                print("FAIL  conservation  %s:  %s" %
+                      (" ".join(flags), error))
+    print("%d of %d rows match; %d of %d runs conserve requests" %
+          (len(table) - failures, len(table), len(cache) - broken,
+           len(cache)))
+    return 1 if failures or broken else 0
 
 
 if __name__ == "__main__":
