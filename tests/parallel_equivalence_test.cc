@@ -102,9 +102,9 @@ expectIdentical(const Fingerprint &serial, const Fingerprint &parallel,
 /**
  * Appends one server's and its device's counts to @p fp's metrics,
  * read from their stats: the server, adaptive and watchdog counters,
- * the device's kernels and PCIe bytes, and the mean, p50 and p99 of the
- * latency, formation and pipeline histograms. @p prefix names a fleet
- * shard ("dev<i>.").
+ * the device's kernels, PCIe bytes and CRC link counts, its engine's
+ * simulated warps, and the mean, p50 and p99 of the latency, formation
+ * and pipeline histograms. @p prefix names a fleet shard ("dev<i>.").
  */
 void
 addServerMetrics(Fingerprint &fp, const core::RhythmStats &s,
@@ -131,6 +131,12 @@ addServerMetrics(Fingerprint &fp, const core::RhythmStats &s,
         {"device.kernels", d.kernelsLaunched},
         {"device.pcie_bytes_h2d", d.bytesToDevice},
         {"device.pcie_bytes_d2h", d.bytesToHost},
+        {"pcie.crc.frames", d.pcieFrames},
+        {"pcie.crc.wire_bytes", d.pcieWireBytes},
+        {"pcie.crc.errors", d.pcieCrcErrors},
+        {"pcie.crc.retransmitted_bytes", d.pcieRetransmittedBytes},
+        {"pcie.crc.retrains", d.pcieRetrains},
+        {"engine.warps_simulated", device.engine().warps()},
     };
     for (const auto &[key, value] : counts)
         fp.metrics.emplace_back(prefix + key, static_cast<double>(value));
@@ -275,7 +281,8 @@ runBanking(unsigned threads, size_t cache_entries = 0,
  * order, responses, per-device metrics, trace — byte-identical across
  * thread counts and profile-cache settings, exactly like one device.
  * The fingerprint's metrics hold every shard's server, device and
- * recovery counts under its "dev<i>." prefix.
+ * recovery counts under its "dev<i>." prefix, and with @p cache_entries
+ * nonzero its profile cache's accounting too.
  */
 Fingerprint
 runFleet(unsigned threads, uint32_t devices, size_t cache_entries = 0)
@@ -387,6 +394,22 @@ runFleet(unsigned threads, uint32_t devices, size_t cache_entries = 0)
             {"recovery.reexecutions", r.reexecutions},
         };
         for (const auto &[key, value] : recovery)
+            fp.metrics.emplace_back(prefix + key,
+                                    static_cast<double>(value));
+        if (caches.empty())
+            continue;
+        const simt::ProfileCache &cache = *caches[i];
+        const simt::ProfileCache::Stats c = cache.stats();
+        const std::pair<const char *, uint64_t> cached[] = {
+            {"profile_cache.hits", c.hits},
+            {"profile_cache.intra_hits", c.intraHits},
+            {"profile_cache.misses", c.misses},
+            {"profile_cache.insertions", c.insertions},
+            {"profile_cache.evictions", c.evictions},
+            {"profile_cache.bytes_saved", c.bytesSaved},
+            {"profile_cache.entries", cache.size()},
+        };
+        for (const auto &[key, value] : cached)
             fp.metrics.emplace_back(prefix + key,
                                     static_cast<double>(value));
     }
@@ -1189,6 +1212,17 @@ TEST(ParallelEquivalenceTest, FleetWithProfileCacheIsByteIdentical)
     const Fingerprint on = runFleet(1, 2, 512);
     EXPECT_EQ(off.responseDigestSum, on.responseDigestSum);
     EXPECT_EQ(off.orderHash, on.orderHash);
+    // Each device's cache did real work, and its accounting (compared
+    // per device through the metrics) does not depend on thread count.
+    for (const char *dev : {"dev0.", "dev1."}) {
+        EXPECT_GT(metricValue(on, std::string(dev) +
+                                      "profile_cache.insertions"),
+                  0.0)
+            << dev;
+        EXPECT_EQ(metricValue(off, std::string(dev) + "profile_cache.hits"),
+                  -1.0)
+            << dev; // no cache attached
+    }
     expectIdentical(on, runFleet(8, 2, 512), 8);
 }
 
