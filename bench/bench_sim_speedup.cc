@@ -20,17 +20,12 @@
 
 #include <chrono>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "backend/bankdb.hh"
 #include "bench/common.hh"
-#include "des/event_queue.hh"
-#include "platform/titan.hh"
+#include "platform/simulation.hh"
 #include "rhythm/banking_service.hh"
-#include "rhythm/server.hh"
-#include "simt/device.hh"
-#include "simt/profile_cache.hh"
 #include "specweb/workload.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
@@ -43,7 +38,7 @@ using namespace rhythm;
 constexpr uint64_t kUsers = 2000;
 constexpr uint64_t kSeed = 42;
 constexpr uint32_t kLaneSample = 128;
-constexpr size_t kCacheEntries = 4096;
+constexpr uint32_t kCacheEntries = 4096;
 
 constexpr FlagSpec kSpeedupSpecs[] = {
     {"cohorts", FlagKind::Count, "24", "cohorts per timed run",
@@ -63,7 +58,6 @@ struct RunResult
     double latencySumMs = 0.0;
     //! Cache accounting (zero for cache-off runs).
     simt::ProfileCache::Stats cache;
-    size_t cacheSize = 0;
 };
 
 /** True when the simulated outputs of two runs are bit-identical. */
@@ -82,26 +76,19 @@ runOnce(bool cache_on, unsigned threads, uint32_t cohorts)
     util::setSimThreads(threads);
 
     platform::TitanVariant variant = platform::titanB();
-    core::RhythmConfig cfg = variant.server;
-    cfg.laneSample = kLaneSample;
-    if (cache_on)
-        cfg.traceTemplateCacheEntries = kCacheEntries;
+    variant.server.laneSample = kLaneSample;
     const uint64_t total =
-        static_cast<uint64_t>(cohorts) * cfg.cohortSize;
+        static_cast<uint64_t>(cohorts) * variant.server.cohortSize;
 
     // The input corpus is identical either way and not what the cache
     // accelerates, so it is generated outside the timed section; the
     // timed section is the simulator itself.
     backend::BankDb db(kUsers, kSeed);
     specweb::WorkloadGenerator gen(db, kSeed * 977 + 13);
-    des::EventQueue queue;
-    simt::ProfileCache cache(kCacheEntries);
-    simt::Device device(queue, variant.device);
-    if (cache_on)
-        device.engine().setProfileCache(&cache);
     core::BankingService service(db);
-    core::RhythmServer server(queue, device, service, cfg);
-    auto sessions = server.sessions().populate(
+    platform::Simulation sim(variant.device, variant.server, service,
+                             cache_on ? kCacheEntries : 0);
+    auto sessions = sim.server().sessions().populate(
         std::min<uint64_t>(total, 8192), kUsers);
     std::vector<std::string> requests;
     requests.reserve(total);
@@ -111,27 +98,24 @@ runOnce(bool cache_on, unsigned threads, uint32_t cohorts)
                 .raw);
 
     const auto start = std::chrono::steady_clock::now();
-    uint64_t issued = 0;
-    server.start([&]() -> std::optional<std::string> {
-        if (issued >= total)
-            return std::nullopt;
-        return std::move(requests[issued++]);
-    });
-    queue.run();
+    sim.pull(total, [&](uint64_t i) { return std::move(requests[i]); });
+    sim.run();
     const auto stop = std::chrono::steady_clock::now();
 
+    const des::EventQueue &queue = sim.queue();
+    const core::RhythmStats &stats = sim.server().stats();
     RunResult r;
     r.hostMs =
         std::chrono::duration<double, std::milli>(stop - start).count();
     r.clock = queue.now();
     r.dispatched = queue.dispatched();
     r.orderHash = queue.orderHash();
-    r.responses = server.stats().responsesCompleted;
-    r.engineWarps = device.engine().warps();
-    r.latencySumMs = server.stats().latencyMs.mean() *
-                     static_cast<double>(server.stats().latencyMs.count());
-    r.cache = cache.stats();
-    r.cacheSize = cache.size();
+    r.responses = stats.responsesCompleted;
+    r.engineWarps = sim.device().engine().warps();
+    r.latencySumMs =
+        stats.latencyMs.mean() * static_cast<double>(stats.latencyMs.count());
+    if (const simt::ProfileCache *cache = sim.profileCache())
+        r.cache = cache->stats();
     util::setSimThreads(1);
     return r;
 }

@@ -17,7 +17,6 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -27,13 +26,11 @@
 #include <sys/resource.h>
 #endif
 
-#include "backend/recovery.hh"
 #include "des/time.hh"
 #include "fault/plan.hh"
 #include "net/arrival.hh"
 #include "obs/json.hh"
 #include "platform/titan.hh"
-#include "rhythm/banking_service.hh"
 #include "rhythm/fleet.hh"
 #include "rhythm/server.hh"
 #include "simt/device.hh"
@@ -478,20 +475,6 @@ struct FaultFlags
     fault::FaultPlan *plan(std::optional<fault::FaultPlan> &storage) const
     {
         return config.allQuiet() ? nullptr : &storage.emplace(config);
-    }
-
-    /**
-     * Arms a directly-driven run (core::armRun): the schedule and, with
-     * --recovery, the journaled backend. @p plan is the caller's
-     * storage and, like the returned journal, must outlive the run.
-     * Call after session population.
-     */
-    std::unique_ptr<backend::RecoverableBackend>
-    arm(core::RhythmServer &server, simt::Device &device,
-        des::EventQueue &queue, std::optional<fault::FaultPlan> &plan) const
-    {
-        return core::armRun(server, device, queue, this->plan(plan),
-                            recovery, checkpointInterval);
     }
 
     /**

@@ -17,8 +17,8 @@
 #include "backend/bankdb.hh"
 #include "bench/common.hh"
 #include "fault/plan.hh"
+#include "platform/simulation.hh"
 #include "rhythm/banking_service.hh"
-#include "rhythm/server.hh"
 #include "specweb/workload.hh"
 
 namespace {
@@ -41,8 +41,6 @@ struct RunResult
 RunResult
 runOnce(double fail_prob, uint32_t retry_budget, uint64_t fault_seed)
 {
-    des::EventQueue queue;
-    simt::Device device(queue, simt::DeviceConfig{});
     backend::BankDb db(2000, 5);
     core::BankingService service(db);
 
@@ -53,46 +51,35 @@ runOnce(double fail_prob, uint32_t retry_budget, uint64_t fault_seed)
     cfg.networkOverPcie = false;
     cfg.laneSample = 64;
     cfg.backendRetryBudget = retry_budget;
-    core::RhythmServer server(queue, device, service, cfg);
+    platform::Simulation sim(simt::DeviceConfig{}, cfg, service);
 
     fault::FaultConfig fcfg;
     fcfg.seed = fault_seed;
     fcfg.at(fault::Site::BackendFail).probability = fail_prob;
-    fault::FaultPlan plan(fcfg);
-    if (fail_prob > 0.0)
-        server.setFaultPlan(&plan);
-
     specweb::WorkloadGenerator gen(db, 31);
-    auto sessions = server.sessions().populate(8192, 2000);
-    const uint64_t total = 20ull * cfg.cohortSize;
-    uint64_t issued = 0;
-    server.start([&]() -> std::optional<std::string> {
-        if (issued >= total)
-            return std::nullopt;
-        return gen
-            .fromPool(specweb::RequestType::AccountSummary, sessions,
-                      issued++)
+    auto sessions = sim.server().sessions().populate(8192, 2000);
+    sim.arm(fcfg, false, 0);
+    sim.pull(20ull * cfg.cohortSize, [&](uint64_t i) {
+        return gen.fromPool(specweb::RequestType::AccountSummary, sessions, i)
             .raw;
     });
 
     // Watchdog: a hung simulation either stops draining or spins on
     // same-time events; stepping with a dispatch cap catches both
     // without wall-clock timers (which would break determinism).
-    const uint64_t max_events = 50'000'000;
-    while (queue.pending() && queue.dispatched() < max_events)
-        queue.step();
+    sim.run(50'000'000);
 
-    const core::RhythmStats &stats = server.stats();
+    const core::RhythmStats &stats = sim.server().stats();
     RunResult r;
     r.completed = stats.responsesCompleted;
     r.errors = stats.errorResponses;
     r.retries = stats.backendRetries;
     r.failedLanes = stats.backendFailedLanes;
-    r.faults = stats.faultsInjected;
+    r.faults = sim.plan() ? sim.plan()->totalInjected() : 0;
     r.goodputKrps = static_cast<double>(stats.responsesCompleted) /
-                    des::toSeconds(queue.now()) / 1e3;
+                    des::toSeconds(sim.queue().now()) / 1e3;
     r.p99Ms = stats.latencyMs.percentile(99.0);
-    r.drained = !queue.pending();
+    r.drained = !sim.queue().pending();
     r.conserved = stats.requestsAccepted ==
                   stats.responsesCompleted + stats.errorResponses +
                       stats.requestsShed;

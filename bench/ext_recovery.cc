@@ -20,15 +20,14 @@
 
 #include <iostream>
 #include <map>
-#include <memory>
 
 #include "backend/bankdb.hh"
 #include "backend/journal.hh"
 #include "backend/recovery.hh"
 #include "bench/common.hh"
 #include "fault/plan.hh"
+#include "platform/simulation.hh"
 #include "rhythm/banking_service.hh"
-#include "rhythm/server.hh"
 #include "specweb/workload.hh"
 
 namespace {
@@ -66,10 +65,8 @@ ChaosOutcome
 runOnce(const fault::FaultConfig &fcfg, bool resilience,
         uint32_t cohorts)
 {
-    des::EventQueue queue;
     simt::DeviceConfig dcfg;
     dcfg.pcieCrcEnabled = resilience;
-    simt::Device device(queue, dcfg);
     backend::BankDb db(2000, 5);
     core::BankingService service(db);
 
@@ -90,24 +87,20 @@ runOnce(const fault::FaultConfig &fcfg, bool resilience,
     // only fire for injected hangs, not healthy stragglers.
     if (resilience)
         cfg.watchdogTimeout = 250 * des::kMillisecond;
-    core::RhythmServer server(queue, device, service, cfg);
+    platform::Simulation sim(dcfg, cfg, service);
+    core::RhythmServer &server = sim.server();
 
     ChaosOutcome out;
     server.setResponseCallback(
-        [&out, &queue](uint64_t client, std::string_view response,
-                       des::Time) {
+        [&out, &sim](uint64_t client, std::string_view response,
+                     des::Time) {
             out.responseSums[client] = backend::journalChecksum(response);
-            out.lastDelivery = queue.now();
+            out.lastDelivery = sim.queue().now();
         });
 
     specweb::WorkloadGenerator gen(db, 31);
     auto sessions = server.sessions().populate(8192, 2000);
-    std::optional<fault::FaultPlan> plan;
-    if (!fcfg.allQuiet())
-        plan.emplace(fcfg);
-    const auto recovery = core::armRun(
-        server, device, queue, plan ? &*plan : nullptr, resilience,
-        backend::RecoveryConfig{}.checkpointInterval);
+    sim.arm(fcfg, resilience, backend::RecoveryConfig{}.checkpointInterval);
 
     // Alternate a read-heavy and a mutating type so the journal, the
     // memo and the hedge replay path all carry real traffic. Reads and
@@ -121,41 +114,33 @@ runOnce(const fault::FaultConfig &fcfg, bool resilience,
     std::vector<std::pair<uint64_t, uint64_t>> readers, writers;
     for (const auto &s : sessions)
         (s.second % 2 ? writers : readers).push_back(s);
-    const uint64_t total = static_cast<uint64_t>(cohorts) * cfg.cohortSize;
-    uint64_t issued = 0;
-    server.start([&]() -> std::optional<std::string> {
-        if (issued >= total)
-            return std::nullopt;
-        const auto &pool = issued % 2 ? writers : readers;
-        const auto &[sid, user] = pool[(issued / 2) % pool.size()];
-        const specweb::RequestType type =
-            issued % 2 ? specweb::RequestType::PostTransfer
-                       : specweb::RequestType::AccountSummary;
-        specweb::GeneratedRequest req = gen.generate(type, user, sid);
-        ++issued;
-        return std::move(req.raw);
-    });
+    sim.pull(static_cast<uint64_t>(cohorts) * cfg.cohortSize,
+             [&](uint64_t i) {
+                 const auto &pool = i % 2 ? writers : readers;
+                 const auto &[sid, user] = pool[(i / 2) % pool.size()];
+                 return gen
+                     .generate(i % 2 ? specweb::RequestType::PostTransfer
+                                     : specweb::RequestType::AccountSummary,
+                               user, sid)
+                     .raw;
+             });
 
     // Hang watchdog for the harness itself: injected hangs are finite,
     // so a bounded dispatch cap distinguishes "slow" from "wedged"
     // without wall-clock timers.
-    const uint64_t max_events = 50'000'000;
-    while (queue.pending() && queue.dispatched() < max_events)
-        queue.step();
+    sim.run(50'000'000);
 
     const core::RhythmStats &stats = server.stats();
     out.completed = stats.responsesCompleted;
     out.errors = stats.errorResponses;
     out.kernelHangs = stats.kernelHangs;
     out.hedgeWins = stats.hedgeWins;
-    // The plan counts every fire once; the server's faultsInjected
-    // re-counts the fires of its own sites (kernel hangs here).
-    out.faults = plan ? plan->totalInjected() : 0;
-    if (recovery) {
-        out.crashes = recovery->stats().crashes;
-        out.tornRecords = recovery->stats().tornRecords;
+    out.faults = sim.plan() ? sim.plan()->totalInjected() : 0;
+    if (const backend::RecoverableBackend *journal = sim.journal()) {
+        out.crashes = journal->stats().crashes;
+        out.tornRecords = journal->stats().tornRecords;
     }
-    out.crcErrors = device.stats().pcieCrcErrors;
+    out.crcErrors = sim.device().stats().pcieCrcErrors;
     out.dbDigest = db.digest();
     out.sessionDigest = server.sessions().digest();
     // Goodput over the client-visible window (first request to last
@@ -167,7 +152,7 @@ runOnce(const fault::FaultConfig &fcfg, bool resilience,
                   des::toSeconds(out.lastDelivery) / 1e3
             : 0.0;
     out.p99Ms = stats.latencyMs.percentile(99.0);
-    out.drained = !queue.pending();
+    out.drained = !sim.queue().pending();
     out.conserved = stats.requestsAccepted ==
                     stats.responsesCompleted + stats.errorResponses +
                         stats.requestsShed;

@@ -19,8 +19,8 @@
 
 #include "backend/bankdb.hh"
 #include "bench/common.hh"
+#include "platform/simulation.hh"
 #include "rhythm/banking_service.hh"
-#include "rhythm/server.hh"
 #include "specweb/workload.hh"
 
 namespace {
@@ -40,11 +40,9 @@ runAtRate(double arrival_rate, des::Time timeout, uint64_t requests,
           const bench::FaultFlags &faults,
           const bench::OverlapFlags &overlap)
 {
-    des::EventQueue queue;
     simt::DeviceConfig dcfg;
     faults.apply(dcfg);
     overlap.apply(dcfg);
-    simt::Device device(queue, dcfg);
     backend::BankDb db(2000, 5);
     core::BankingService service(db);
 
@@ -57,27 +55,28 @@ runAtRate(double arrival_rate, des::Time timeout, uint64_t requests,
     cfg.laneSample = 64;
     faults.apply(cfg);
     overlap.apply(cfg);
-    core::RhythmServer server(queue, device, service, cfg);
+    platform::Simulation sim(dcfg, cfg, service);
+    core::RhythmServer &server = sim.server();
+    des::EventQueue &queue = sim.queue();
     specweb::WorkloadGenerator gen(db, 31);
     const auto sessions = server.sessions().populate(8192, 2000);
-    std::optional<fault::FaultPlan> plan;
-    const auto journal = faults.arm(server, device, queue, plan);
+    sim.arm(faults.config, faults.recovery, faults.checkpointInterval);
 
     // Open-loop Poisson arrivals of a single request type (isolating
-    // the formation trade-off from multi-type context contention).
+    // the formation trade-off from multi-type context contention). The
+    // first arrival comes at t = 0, so this chain is not
+    // Simulation::arrive's, which waits one gap.
     Rng arrival_rng(7);
     uint64_t issued = 0;
-    uint64_t dropped = 0;
     std::function<void()> arrive = [&]() {
         if (issued >= requests)
             return;
         specweb::GeneratedRequest req = gen.fromPool(
             specweb::RequestType::AccountSummary, sessions, issued);
         // Open loop: a full reader drops the arrival (the client sees
-        // no response). Track drops instead of retrying so the arrival
-        // process stays independent of server state.
-        if (!server.injectRequest(std::move(req.raw), issued))
-            ++dropped;
+        // no response, RhythmStats::readerDrops counts it) so the
+        // arrival process stays independent of server state.
+        server.injectRequest(std::move(req.raw), issued);
         ++issued;
         queue.scheduleAfter(
             des::fromSeconds(
@@ -85,12 +84,12 @@ runAtRate(double arrival_rate, des::Time timeout, uint64_t requests,
             arrive);
     };
     arrive();
-    queue.run();
-    if (dropped > 0)
-        std::cerr << "note: reader dropped " << dropped << " of "
-                  << requests << " open-loop arrivals\n";
+    sim.run();
 
     const core::RhythmStats &stats = server.stats();
+    if (stats.readerDrops > 0)
+        std::cerr << "note: reader dropped " << stats.readerDrops << " of "
+                  << requests << " open-loop arrivals\n";
     RunResult r;
     r.throughput = static_cast<double>(stats.responsesCompleted) /
                    des::toSeconds(queue.now());

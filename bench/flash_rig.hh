@@ -19,6 +19,8 @@
 
 #include "backend/bankdb.hh"
 #include "bench/common.hh"
+#include "platform/simulation.hh"
+#include "rhythm/banking_service.hh"
 #include "specweb/workload.hh"
 
 namespace rhythm::bench {
@@ -97,10 +99,8 @@ FlashArm
 runFlashArm(const net::ArrivalConfig &arrivals, uint64_t requests,
             const FaultFlags &faults, Configure configure, Inspect inspect)
 {
-    des::EventQueue queue;
     simt::DeviceConfig dcfg;
     faults.apply(dcfg);
-    simt::Device device(queue, dcfg);
     backend::BankDb db(2000, 5);
     core::BankingService service(db);
 
@@ -116,30 +116,25 @@ runFlashArm(const net::ArrivalConfig &arrivals, uint64_t requests,
             des::fromSeconds(kFlashInteractiveDeadlineMs / 1e3);
     cfg.defaultDeadline = des::fromSeconds(kFlashDefaultDeadlineMs / 1e3);
     configure(cfg);
-    core::RhythmServer server(queue, device, service, cfg);
+    platform::Simulation sim(dcfg, cfg, service);
     specweb::WorkloadGenerator gen(db, 31);
-    const auto sessions = server.sessions().populate(8192, 2000);
-    std::optional<fault::FaultPlan> plan;
-    const auto journal = faults.arm(server, device, queue, plan);
-
-    FlashArm arm;
-    net::ArrivalProcess process(arrivals);
-    process.drive(queue, requests, [&](uint64_t i) {
-        if (!server.injectRequest(
-                gen.fromPool(gen.sampleBrowsingType(), sessions, i).raw,
-                i + 1))
-            ++arm.drops;
+    const auto sessions = sim.server().sessions().populate(8192, 2000);
+    sim.arm(faults.config, faults.recovery, faults.checkpointInterval);
+    sim.arrive(arrivals, requests, [&](uint64_t i) {
+        return gen.fromPool(gen.sampleBrowsingType(), sessions, i).raw;
     });
-    queue.run();
+    sim.run();
 
-    const core::RhythmStats &stats = server.stats();
-    const double elapsed = des::toSeconds(queue.now());
+    const core::RhythmStats &stats = sim.server().stats();
+    const double elapsed = des::toSeconds(sim.queue().now());
+    FlashArm arm;
     if (elapsed > 0) {
         arm.goodput = static_cast<double>(stats.typedDeadlineHits) / elapsed;
         arm.throughput =
             static_cast<double>(stats.responsesCompleted) / elapsed;
     }
     arm.p99Ms = stats.latencyMs.percentile(99.0);
+    arm.drops = stats.readerDrops;
     inspect(stats, dcfg);
     return arm;
 }

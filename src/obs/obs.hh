@@ -27,8 +27,6 @@
 #define RHYTHM_OBS_OBS_HH
 
 #include <atomic>
-#include <string>
-#include <vector>
 
 #include "des/event_queue.hh"
 #include "obs/trace.hh"
@@ -54,10 +52,11 @@ inline constexpr uint32_t kPcieD2HEngineBase = 550;
 /** Instant events: faults, shedding, degradation transitions. */
 inline constexpr uint32_t kEvents = 600;
 /**
- * Per-device track offset stride for fleet runs: device i's tracks
- * live at (i + 1) * kDeviceStride + base, which the Chrome exporter
- * renders as process "dev<i>" (see trace.hh kTrackPidStride). All
- * base tracks above are < kDeviceStride, so blocks never collide.
+ * Per-stream track offset stride: the tracks of DES stream s live at
+ * s * kDeviceStride + base, which the Chrome exporter renders as
+ * process s (see trace.hh kTrackPidStride). A fleet runs device i on
+ * stream i + 1 and names that process "dev<i>". All base tracks above
+ * are < kDeviceStride, so blocks never collide.
  */
 inline constexpr uint32_t kDeviceStride = kTrackPidStride;
 } // namespace track
@@ -99,51 +98,28 @@ class Observability
     /** Current simulated time (0 when no clock is bound). */
     des::Time now() const { return clock_ ? clock_->now() : 0; }
 
-    /**
-     * Binds a DES event stream to a fleet device. Spans fired while an
-     * event on @p stream is being dispatched (or under a StreamScope
-     * for that stream) land in the device's track block, and the block
-     * renders as trace process "dev<index>" — so N devices' pipelines
-     * land in N separate trace processes instead of interleaving into
-     * one. Call after enable(), before running; unbound streams
-     * (always stream 0) record exactly as a single-device run.
-     */
-    void bindStreamDevice(des::StreamId stream, uint32_t device_index)
-    {
-        if (streamTrackOffset_.size() <= stream)
-            streamTrackOffset_.resize(stream + 1, 0);
-        streamTrackOffset_[stream] =
-            (device_index + 1) * track::kDeviceStride;
-        tracer_.setProcessName(device_index + 1,
-                               "dev" + std::to_string(device_index));
-    }
-
-    /** Drops all stream→device bindings (between fleet runs). */
-    void clearDeviceBindings() { streamTrackOffset_.clear(); }
+    /** Nothing to clear: track blocks follow stream ids (mapTrack).
+     *  Kept because perfbench/runner.cc still calls it. */
+    void clearDeviceBindings() {}
 
     /**
-     * Maps a base track id into the current stream's device block
-     * (identity for unbound streams). Used by the OBS_* span macros.
+     * Maps a base track id into the block of the DES stream being
+     * dispatched (or set by a StreamScope): stream s's tracks live at
+     * s * kDeviceStride + track. Single-device runs use stream 0 only,
+     * so their tracks are the raw ids. Used by the OBS_* macros.
      */
     uint32_t mapTrack(uint32_t track) const
     {
-        const size_t s = currentStreamIndex();
-        return s < streamTrackOffset_.size() ? track + streamTrackOffset_[s]
-                                             : track;
+        return clock_ ? track + clock_->currentStream() * track::kDeviceStride
+                      : track;
     }
 
     Tracer &tracer() { return tracer_; }
 
   private:
-    size_t currentStreamIndex() const
-    {
-        return clock_ ? clock_->currentStream() : 0;
-    }
-
     std::atomic<bool> enabled_{false};
     const des::EventQueue *clock_ = nullptr;
     Tracer tracer_;
-    std::vector<uint32_t> streamTrackOffset_; //!< By stream id; 0 = unbound.
 };
 
 /**
@@ -166,12 +142,6 @@ Observability &global();
 #define OBS_TRACK_NAME(track, name) \
     do {                            \
     } while (0)
-#define OBS_SPAN_BEGIN(track, name, cat) \
-    do {                                 \
-    } while (0)
-#define OBS_SPAN_END(track) \
-    do {                    \
-    } while (0)
 #define OBS_SPAN_COMPLETE(track, name, cat, start, end, ...) \
     do {                                                     \
     } while (0)
@@ -183,10 +153,9 @@ Observability &global();
 
 #define OBS_ENABLED() (::rhythm::obs::global().enabled())
 
-// Track arguments below route through the global context's device
-// mapping: when the current DES stream is bound to a fleet device,
-// tracks shift into the device's block. Unbound streams (every
-// single-device run) resolve to the raw track.
+// Track arguments below route through mapTrack: a fleet device's
+// stream shifts them into its block, and stream 0 (every
+// single-device run) resolves to the raw track.
 
 /** Names a trace track (idempotent). */
 #define OBS_TRACK_NAME(track, name)                                  \
@@ -194,24 +163,6 @@ Observability &global();
         if (OBS_ENABLED())                                           \
             ::rhythm::obs::global().tracer().setTrackName(           \
                 ::rhythm::obs::global().mapTrack(track), (name));    \
-    } while (0)
-
-/** Opens a nested span at the current simulated time. */
-#define OBS_SPAN_BEGIN(track, name, cat)                              \
-    do {                                                              \
-        if (OBS_ENABLED())                                            \
-            ::rhythm::obs::global().tracer().begin(                   \
-                ::rhythm::obs::global().mapTrack(track), (name),      \
-                (cat), ::rhythm::obs::global().now());                \
-    } while (0)
-
-/** Closes the innermost span on the track. */
-#define OBS_SPAN_END(track)                                         \
-    do {                                                            \
-        if (OBS_ENABLED())                                          \
-            ::rhythm::obs::global().tracer().end(                   \
-                ::rhythm::obs::global().mapTrack(track),            \
-                ::rhythm::obs::global().now());                     \
     } while (0)
 
 /**

@@ -45,27 +45,6 @@ Tracer::setProcessName(uint32_t pid, std::string_view name)
 }
 
 void
-Tracer::begin(uint32_t track, std::string name, const char *category,
-              des::Time now, std::vector<TraceArg> args)
-{
-    events_.push_back(TraceEvent{track, TraceEvent::Phase::Begin,
-                                 std::move(name), category, now, 0,
-                                 std::move(args)});
-    ++openSpans_[track];
-}
-
-void
-Tracer::end(uint32_t track, des::Time now)
-{
-    auto it = openSpans_.find(track);
-    if (it == openSpans_.end() || it->second == 0)
-        return; // unbalanced end: drop
-    --it->second;
-    events_.push_back(TraceEvent{track, TraceEvent::Phase::End, "", "",
-                                 now, 0, {}});
-}
-
-void
 Tracer::complete(uint32_t track, std::string name, const char *category,
                  des::Time start, des::Time end,
                  std::vector<TraceArg> args)
@@ -85,18 +64,10 @@ Tracer::instant(uint32_t track, std::string name, const char *category,
                                  std::move(args)});
 }
 
-size_t
-Tracer::openSpans(uint32_t track) const
-{
-    auto it = openSpans_.find(track);
-    return it == openSpans_.end() ? 0 : it->second;
-}
-
 void
 Tracer::clear()
 {
     events_.clear();
-    openSpans_.clear();
 }
 
 void
@@ -104,8 +75,8 @@ Tracer::writeChromeTrace(std::ostream &out) const
 {
     // Stable sort by timestamp: complete events are recorded at their
     // *end* time, so recording order is not timestamp order; viewers
-    // want sorted input. Stability preserves begin/end pairing at
-    // identical instants.
+    // want sorted input. Stability keeps same-instant events in
+    // recording order, so the export is deterministic.
     std::vector<size_t> order(events_.size());
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(),
@@ -169,13 +140,11 @@ Tracer::writeChromeTrace(std::ostream &out) const
             ew.key("dur");
             ew.value(toTraceUs(e.dur));
         }
-        if (e.phase != TraceEvent::Phase::End) {
-            ew.key("name");
-            ew.value(std::string_view(e.name));
-            if (e.category[0] != '\0') {
-                ew.key("cat");
-                ew.value(std::string_view(e.category));
-            }
+        ew.key("name");
+        ew.value(std::string_view(e.name));
+        if (e.category[0] != '\0') {
+            ew.key("cat");
+            ew.value(std::string_view(e.category));
         }
         if (e.phase == TraceEvent::Phase::Instant) {
             ew.key("s");

@@ -10,12 +10,9 @@
  * cohort contexts overlapping, kernels sharing hardware queues, PCIe
  * engines serializing copies.
  *
- * Two span styles:
- *  - begin()/end(): nested duration events ("B"/"E") paired per track
- *    (LIFO), for call-graph-like nesting.
- *  - complete(): one event with a known start and end ("X"), the
- *    common case in an event-driven pipeline where the end of a stage
- *    is the natural recording point.
+ * A span is one complete event with a known start and end ("X"): in an
+ * event-driven pipeline the end of a stage is the natural recording
+ * point. Instants ("i") mark faults, shedding and degradation.
  */
 
 #ifndef RHYTHM_OBS_TRACE_HH
@@ -65,8 +62,6 @@ struct TraceArg
 struct TraceEvent
 {
     enum class Phase : char {
-        Begin = 'B',
-        End = 'E',
         Complete = 'X',
         Instant = 'i',
     };
@@ -94,17 +89,6 @@ class Tracer
      */
     void setProcessName(uint32_t pid, std::string_view name);
 
-    /** Opens a nested span on @p track. */
-    void begin(uint32_t track, std::string name, const char *category,
-               des::Time now, std::vector<TraceArg> args = {});
-
-    /**
-     * Closes the innermost open span on @p track. Unbalanced calls
-     * (no open span) are dropped — the exporter never emits an "E"
-     * without its "B".
-     */
-    void end(uint32_t track, des::Time now);
-
     /** Records a span with known start and end. */
     void complete(uint32_t track, std::string name,
                   const char *category, des::Time start, des::Time end,
@@ -118,16 +102,13 @@ class Tracer
     /** Events recorded so far. */
     const std::vector<TraceEvent> &events() const { return events_; }
 
-    /** Open (unclosed) begin() spans on @p track. */
-    size_t openSpans(uint32_t track) const;
-
-    /** Drops all events and open-span state (track names survive). */
+    /** Drops all events (track names survive). */
     void clear();
 
     /**
      * Writes the Chrome trace_event JSON object. Events are sorted by
-     * timestamp (stable, so same-instant begin/end pairs keep their
-     * recording order); track names become thread_name metadata.
+     * timestamp (stable, so same-instant events keep their recording
+     * order); track names become thread_name metadata.
      */
     void writeChromeTrace(std::ostream &out) const;
 
@@ -135,7 +116,6 @@ class Tracer
     std::vector<TraceEvent> events_;
     std::map<uint32_t, std::string> trackNames_;
     std::map<uint32_t, std::string> processNames_;
-    std::map<uint32_t, uint32_t> openSpans_;
 };
 
 } // namespace rhythm::obs

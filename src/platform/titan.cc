@@ -1,12 +1,10 @@
 #include "platform/titan.hh"
 
 #include <algorithm>
-#include <memory>
-#include <optional>
 
 #include "backend/protocol.hh"
-#include "backend/recovery.hh"
 #include "obs/obs.hh"
+#include "platform/simulation.hh"
 #include "rhythm/banking_service.hh"
 #include "specweb/workload.hh"
 #include "util/logging.hh"
@@ -29,29 +27,6 @@ baseServerConfig()
 }
 
 } // namespace
-
-RunUtilization
-measureUtilization(const core::RhythmServer &server,
-                   const simt::Device &device, double elapsed)
-{
-    RunUtilization u;
-    u.device = device.kernelUtilization();
-    if (elapsed <= 0.0)
-        return u;
-    const simt::Device::Stats dstats = device.stats();
-    const simt::DeviceConfig &dcfg = device.config();
-    const core::RhythmConfig &cfg = server.config();
-    u.memory = static_cast<double>(dstats.kernelMemoryBytes) /
-               (dcfg.memBandwidthGBs * dcfg.memoryEfficiency * 1e9 *
-                elapsed);
-    u.copy = std::max(dstats.h2dBusySeconds, dstats.d2hBusySeconds) /
-             elapsed;
-    if (!cfg.backendOnDevice)
-        u.hostBackend =
-            static_cast<double>(server.stats().backendRequests) /
-            cfg.hostBackendReqsPerSec / elapsed;
-    return u;
-}
 
 double
 TitanPowerModel::dynamicWatts(const RunUtilization &u) const
@@ -100,91 +75,16 @@ runIsolated(const TitanVariant &variant, core::Service &service,
             const IsolatedRunOptions &options,
             const std::function<RequestSource(core::RhythmServer &)> &prepare)
 {
-    const uint64_t total_requests =
-        static_cast<uint64_t>(options.cohorts) *
-        variant.server.cohortSize;
-
-    core::RhythmConfig cfg = variant.server;
-    if (options.profileCacheEntries > 0)
-        cfg.traceTemplateCacheEntries = options.profileCacheEntries;
-
-    des::EventQueue queue;
-    simt::ProfileCache profile_cache(
-        std::max<size_t>(options.profileCacheEntries, 1));
-    simt::Device device(queue, variant.device);
-    if (options.profileCacheEntries > 0)
-        device.engine().setProfileCache(&profile_cache);
-    core::RhythmServer server(queue, device, service, cfg);
-
-    const RequestSource source = prepare(server);
-    std::optional<fault::FaultPlan> plan;
-    if (!options.faults.allQuiet())
-        plan.emplace(options.faults);
-    const auto journal =
-        core::armRun(server, device, queue, plan ? &*plan : nullptr,
-                     options.recovery, options.checkpointInterval);
-
-    uint64_t issued = 0;
-    server.start([&]() -> std::optional<std::string> {
-        if (issued >= total_requests)
-            return std::nullopt;
-        return source(issued++);
-    });
-    queue.run();
-    RHYTHM_ASSERT(server.drained(), "pipeline failed to drain");
-
-    const core::RhythmStats &stats = server.stats();
-    const simt::Device::Stats dstats = device.stats();
-    const double elapsed = des::toSeconds(queue.now());
-
-    TypeRunResult result;
-    result.requests = stats.responsesCompleted;
-    result.elapsedSeconds = elapsed;
-    result.throughput =
-        elapsed > 0.0 ? static_cast<double>(result.requests) / elapsed
-                      : 0.0;
-    result.avgLatencyMs = stats.latencyMs.mean();
-    result.p99LatencyMs = stats.latencyMs.percentile(99.0);
-    const RunUtilization util = measureUtilization(server, device, elapsed);
-    result.deviceUtilization = util.device;
-    result.memoryUtilization = util.memory;
-    result.copyUtilization = util.copy;
-    result.hostBackendUtilization = util.hostBackend;
-    result.simdEfficiency = stats.processSimdEfficiency(
-        device.config().warpModel.warpWidth);
-    result.paddedLanes = stats.paddedLanes;
-    result.pcieBytesPerRequest =
-        result.requests
-            ? (dstats.bytesToDevice + dstats.bytesToHost) /
-                  result.requests
-            : 0;
-    result.responseBytesPerRequest =
-        result.requests ? static_cast<double>(stats.responseBytes) /
-                              static_cast<double>(result.requests)
-                        : 0.0;
-    if (elapsed > 0.0) {
-        result.h2dUtilization = dstats.h2dBusySeconds / elapsed;
-        result.d2hUtilization = dstats.d2hBusySeconds / elapsed;
-    }
-    if (result.requests) {
-        result.h2dBytesPerRequest = dstats.bytesToDevice / result.requests;
-        result.d2hBytesPerRequest = dstats.bytesToHost / result.requests;
-        result.pcieWireBytesPerRequest =
-            dstats.pcieWireBytes / result.requests;
-    }
-    if (dstats.copyBusySeconds > 0.0)
-        result.overlapFraction =
-            dstats.overlapSeconds / dstats.copyBusySeconds;
-
-    const TitanPowerModel &pm = variant.power;
-    result.dynamicWatts = pm.dynamicWatts(util);
-    if (result.dynamicWatts > 0.0) {
-        result.reqsPerJouleDynamic =
-            result.throughput / result.dynamicWatts;
-        result.reqsPerJouleWall =
-            result.throughput / (pm.idleWatts + result.dynamicWatts);
-    }
-    return result;
+    Simulation sim(variant.device, variant.server, service,
+                   options.profileCacheEntries);
+    RequestSource source = prepare(sim.server());
+    sim.arm(options.faults, options.recovery, options.checkpointInterval);
+    sim.pull(static_cast<uint64_t>(options.cohorts) *
+                 variant.server.cohortSize,
+             std::move(source));
+    sim.run();
+    RHYTHM_ASSERT(sim.server().drained(), "pipeline failed to drain");
+    return sim.measure(variant.power);
 }
 
 TypeRunResult
@@ -251,22 +151,17 @@ evaluateTitan(const TitanVariant &variant,
 
     // The per-type isolated runs are fully self-contained simulations
     // (own event queue, device, database, server), so they execute
-    // concurrently on the sim pool, each writing only its index's slot.
-    // The tracer of the *global* obs context is DES-thread-only, so
-    // when observability is recording the runs stay serial — the merged
-    // result below is identical either way because the aggregation
-    // always happens here, in type order.
+    // concurrently on the sim pool, each writing only its index's slot;
+    // the aggregation below happens here, in type order. The global
+    // tracer is DES-thread-only, so nothing may be recording.
+    RHYTHM_ASSERT(!obs::global().enabled(),
+                  "evaluateTitan runs in parallel and cannot be traced");
     std::vector<TypeRunResult> runs(specweb::kNumRequestTypes);
-    auto run_one = [&variant, &options, &runs](size_t i) {
-        runs[i] = runIsolatedType(variant, specweb::typeTable()[i].type,
-                                  options);
-    };
-    if (obs::global().enabled()) {
-        for (size_t i = 0; i < specweb::kNumRequestTypes; ++i)
-            run_one(i);
-    } else {
-        util::simPool().parallelFor(specweb::kNumRequestTypes, run_one);
-    }
+    util::simPool().parallelFor(
+        specweb::kNumRequestTypes, [&variant, &options, &runs](size_t i) {
+            runs[i] = runIsolatedType(
+                variant, specweb::typeTable()[i].type, options);
+        });
 
     for (size_t i = 0; i < specweb::kNumRequestTypes; ++i) {
         const specweb::RequestTypeInfo &info = specweb::typeTable()[i];

@@ -35,14 +35,6 @@ struct RunUtilization
     double hostBackend = 0.0; //!< host backend (0 when on the device)
 };
 
-/**
- * Measures the utilizations of @p server's run on @p device over
- * @p elapsed simulated seconds.
- */
-RunUtilization measureUtilization(const core::RhythmServer &server,
-                                  const simt::Device &device,
-                                  double elapsed);
-
 /** Power model of a Titan-based server node. */
 struct TitanPowerModel
 {
@@ -172,12 +164,12 @@ struct IsolatedRunOptions
 using RequestSource = std::function<std::string(uint64_t i)>;
 
 /**
- * The service-independent body of an isolated run: builds the device
- * and a server for @p service from @p variant, lets @p prepare populate
- * the server's state and return the request source, arms the run's
- * faults and crash recovery (core::armRun), pulls cohorts × cohortSize
- * requests, runs to drain and measures the run (TypeRunResult::type is
- * left to the caller).
+ * The service-independent body of an isolated run: builds a Simulation
+ * of @p variant serving @p service, lets @p prepare populate the
+ * server's state and return the request source, arms the run's faults
+ * and crash recovery, pulls cohorts × cohortSize requests, runs to
+ * drain and measures the run (TypeRunResult::type is left to the
+ * caller).
  */
 TypeRunResult
 runIsolated(const TitanVariant &variant, core::Service &service,

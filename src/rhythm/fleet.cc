@@ -59,7 +59,12 @@ Fleet::Fleet(des::EventQueue &queue,
     for (uint32_t i = 0; i < config_.devices; ++i) {
         auto shard = std::make_unique<Shard>();
         shard->stream = queue_.createStream();
-        obs::global().bindStreamDevice(shard->stream, i);
+        // Trace tracks follow stream ids (obs::Observability::mapTrack):
+        // shard i's stream i + 1 renders as trace process "dev<i>".
+        RHYTHM_ASSERT(shard->stream == i + 1,
+                      "a fleet needs a queue of its own");
+        obs::global().tracer().setProcessName(i + 1,
+                                              "dev" + std::to_string(i));
         // Everything the shard schedules during construction and
         // startup must land on its stream; afterwards stream
         // inheritance keeps the causal chain there automatically.
@@ -82,14 +87,6 @@ Fleet::Fleet(des::EventQueue &queue,
             });
         shards_.push_back(std::move(shard));
     }
-}
-
-Fleet::~Fleet()
-{
-    // Sequential fleets in one process (the scaling bench runs its
-    // arms back to back) must not inherit this fleet's stream →
-    // device bindings: stream ids restart with every fresh queue.
-    obs::global().clearDeviceBindings();
 }
 
 uint32_t

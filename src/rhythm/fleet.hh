@@ -99,16 +99,15 @@ class Fleet
      * Builds the fleet: per shard a DES stream, a BankDb(users,
      * db_seed) (identical per-user state on every shard — routing
      * decides which copy is authoritative for a user), a Device, a
-     * BankingService and a RhythmServer. Also binds each stream to its
-     * device in the observability layer, so fleet metrics/traces
-     * namespace as "dev<i>." / per-device trace processes. The shards
+     * BankingService and a RhythmServer. @p queue must hold no stream
+     * but stream 0, so shard i runs on stream i + 1, whose trace tracks
+     * render as trace process "dev<i>". The shards
      * are armed (fault plan, journaled backend) later: by
      * populateSessions, or else by the first request, transfer or kill.
      */
     Fleet(des::EventQueue &queue, const simt::DeviceConfig &device_config,
           const RhythmConfig &server_config, const FleetConfig &config,
           uint64_t users, uint64_t db_seed);
-    ~Fleet();
 
     Fleet(const Fleet &) = delete;
     Fleet &operator=(const Fleet &) = delete;

@@ -435,7 +435,6 @@ RhythmServer::noteAccepted(uint64_t client_id)
     if (faultPlan_ &&
         faultPlan_->at(fault::Site::ClientDisconnect, queue_.now())
             .fire) {
-        ++stats_.faultsInjected;
         OBS_INSTANT(obs::track::kEvents, "client-disconnect", "fault",
                     {"client", client_id});
         disconnected_.insert(client_id);
@@ -1156,7 +1155,6 @@ RhythmServer::maybeInjectHang(CohortRun &run, bool hedge)
     if (!hang.fire)
         return;
     ++stats_.kernelHangs;
-    ++stats_.faultsInjected;
     OBS_INSTANT(obs::track::kEvents, "kernel-hang", "fault",
                 {"cohort", run.seq});
     // The cohort's first kernel wedges: model it as a huge-but-finite
@@ -1254,7 +1252,6 @@ RhythmServer::executeCohortHost(LaunchMember &m)
                             simt::TraceRecorder &rec) -> std::string {
         if (faultPlan_ &&
             faultPlan_->at(fault::Site::BackendFail, queue_.now()).fire) {
-            ++stats_.faultsInjected;
             OBS_INSTANT(obs::track::kEvents, "backend-fail", "fault");
             return backend::response::error(
                 backend::response::kUnavailableReason);
@@ -1591,7 +1588,6 @@ RhythmServer::buildCommands(std::span<LaunchMember> members)
                     const fault::Decision slow = faultPlan_->at(
                         fault::Site::BackendSlow, queue_.now());
                     if (slow.fire) {
-                        ++stats_.faultsInjected;
                         OBS_INSTANT(
                             obs::track::kEvents, "backend-slow", "fault",
                             {"delay_us", des::toMicros(slow.delay)});

@@ -295,8 +295,6 @@ struct RhythmStats
     uint64_t deadlineMisses = 0;
     /** Responses undeliverable because the client disconnected. */
     uint64_t clientDisconnects = 0;
-    /** Fault-plan injections observed at server-consulted sites. */
-    uint64_t faultsInjected = 0;
     /** Simulated time spent in degraded (shedding) mode. */
     des::Time degradedTime = 0;
 

@@ -255,7 +255,7 @@ TEST(FaultInjection, PartialCohortTimeoutUnderBackendSlowdown)
     const core::RhythmStats &st = rig.server.stats();
     EXPECT_GE(st.cohortTimeouts, 1u);
     EXPECT_EQ(st.responsesCompleted, 40u);
-    EXPECT_GT(st.faultsInjected, 0u);
+    EXPECT_GT(rig.plan.totalInjected(), 0u);
     expectConserved(st);
     EXPECT_TRUE(rig.server.drained());
     EXPECT_EQ(rig.responses.size(), 40u);
@@ -280,7 +280,7 @@ TEST(FaultInjection, SameSeedSamePlanIdenticalStats)
                                rig.server.stats().backendRetries,
                                rig.server.stats().backendFailedLanes,
                                rig.server.stats().clientDisconnects,
-                               rig.server.stats().faultsInjected,
+                               rig.plan.totalInjected(),
                                rig.queue.now());
     };
     EXPECT_EQ(run(), run());

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the observability layer: span nesting in the tracer, the
- * Chrome trace_event JSON export, the bench JSON reporter, and the
+ * Tests for the observability layer: the tracer's spans and instants,
+ * the Chrome trace_event JSON export, the bench JSON reporter, and the
  * guarantee that the instrumentation is inert — no events — until
  * explicitly enabled (what keeps default figure outputs byte-identical
  * to the seed).
@@ -21,30 +21,6 @@ namespace rhythm::obs {
 namespace {
 
 // ---- Tracer ----------------------------------------------------------
-
-TEST(TracerTest, NestedSpansPairLifo)
-{
-    Tracer t;
-    t.begin(1, "outer", "test", 100);
-    t.begin(1, "inner", "test", 200);
-    EXPECT_EQ(t.openSpans(1), 2u);
-    t.end(1, 300); // closes "inner"
-    t.end(1, 400); // closes "outer"
-    EXPECT_EQ(t.openSpans(1), 0u);
-
-    ASSERT_EQ(t.events().size(), 4u);
-    EXPECT_EQ(t.events()[0].phase, TraceEvent::Phase::Begin);
-    EXPECT_EQ(t.events()[0].name, "outer");
-    EXPECT_EQ(t.events()[2].phase, TraceEvent::Phase::End);
-    EXPECT_EQ(t.events()[3].phase, TraceEvent::Phase::End);
-}
-
-TEST(TracerTest, UnbalancedEndIsDropped)
-{
-    Tracer t;
-    t.end(1, 100); // no open span: must not record an orphan "E"
-    EXPECT_TRUE(t.events().empty());
-}
 
 TEST(TracerTest, CompleteAndInstantRecordArgs)
 {
@@ -101,8 +77,8 @@ TEST(TracerTest, ChromeTraceExportIsWellFormed)
     Tracer t;
     t.setTrackName(1, "reader");
     // Names that need escaping must survive the export.
-    t.begin(1, "has \"quotes\" and \\slashes\\", "test", 1'000'000);
-    t.end(1, 2'000'000);
+    t.complete(1, "has \"quotes\" and \\slashes\\", "test", 1'000'000,
+               2'000'000);
     t.complete(1, "line\nbreak", "test", 500'000, 800'000,
                {{"note", std::string("tab\there")}});
     t.instant(1, "mark", "test", 1'500'000);
@@ -144,8 +120,6 @@ TEST(ObservabilityTest, MacrosAreInertWhenDisabled)
     // With obs off, the macros must record nothing: this is what keeps
     // the default driver/bench outputs byte-identical to the seed.
     OBS_TRACK_NAME(1, "guard");
-    OBS_SPAN_BEGIN(1, "guard", "test");
-    OBS_SPAN_END(1);
     OBS_INSTANT(1, "guard", "test");
     OBS_SPAN_COMPLETE(1, "guard", "test", 0, 1);
 

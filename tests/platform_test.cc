@@ -1,19 +1,30 @@
 /**
  * @file
  * Tests for the platform models: CPU rows, scaling analysis, workload
- * measurement, Titan variants and the PCIe bound, plus Figure 2
- * similarity analysis.
+ * measurement, Titan variants and the PCIe bound, the Simulation object
+ * against a hand-built run, plus Figure 2 similarity analysis.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "analysis/fingerprint.hh"
 #include "analysis/similarity.hh"
+#include "backend/bankdb.hh"
+#include "backend/recovery.hh"
+#include "fault/plan.hh"
+#include "net/arrival.hh"
 #include "platform/cpu.hh"
 #include "platform/measure.hh"
+#include "platform/simulation.hh"
 #include "platform/titan.hh"
+#include "rhythm/banking_service.hh"
+#include "simt/profile_cache.hh"
+#include "specweb/workload.hh"
+#include "util/hash.hh"
 
 namespace rhythm::platform {
 namespace {
@@ -223,6 +234,228 @@ TEST(Titan, TitanCOutperformsTitanB)
         runIsolatedType(c, specweb::RequestType::AccountSummary, opts);
     EXPECT_GT(rc.throughput, rb.throughput);
     EXPECT_GT(rc.reqsPerJouleDynamic, rb.reqsPerJouleDynamic);
+}
+
+// ---- Simulation against a hand-built run ------------------------------
+
+constexpr uint64_t kSimUsers = 400;
+constexpr uint64_t kSimCheckpointInterval = 64;
+
+/** One banking run: the browsing mix over a 512-session pool. */
+struct SimScenario
+{
+    simt::DeviceConfig device;
+    core::RhythmConfig server;
+    uint32_t profileCacheEntries = 0;
+    fault::FaultConfig faults;
+    bool recovery = false;
+    /** Open loop when set, else a closed loop. */
+    std::optional<net::ArrivalConfig> arrivals;
+    uint64_t requests = 2048;
+    uint64_t maxEvents = 0;
+};
+
+/** What both builds of a run must agree on. */
+struct SimPrint
+{
+    des::Time clock = 0;
+    uint64_t dispatched = 0;
+    uint64_t orderHash = 0;
+    uint64_t responseDigest = 0;
+    /** Indexed by SimCount. */
+    std::vector<uint64_t> counts;
+};
+
+/** The run's counts, in SimPrint::counts order. */
+enum SimCount : size_t {
+    kAccepted, kResponses, kErrors, kShed, kReaderDrops, kCohorts,
+    kCohortTimeouts, kResponseBytes, kBackendRequests, kRetries, kHangs,
+    kWatchdogFires, kHedgeWins, kLatencySamples, kFaults, kCrashes,
+    kTornRecords, kCacheHits, kCacheMisses,
+};
+
+void
+expectSameRun(const SimPrint &sim, const SimPrint &ref)
+{
+    EXPECT_EQ(sim.clock, ref.clock);
+    EXPECT_EQ(sim.dispatched, ref.dispatched);
+    EXPECT_EQ(sim.orderHash, ref.orderHash);
+    EXPECT_EQ(sim.responseDigest, ref.responseDigest);
+    EXPECT_EQ(sim.counts, ref.counts);
+}
+
+SimScenario
+simScenario()
+{
+    SimScenario sc;
+    sc.server.cohortSize = 256;
+    sc.server.cohortContexts = 8;
+    sc.server.laneSample = 32;
+    return sc;
+}
+
+/** Order-insensitive sum of per-response hashes, like rhythm_sim's
+ *  --digest-out. */
+void
+digestResponses(core::RhythmServer &server, uint64_t &digest)
+{
+    server.setResponseCallback([&digest](uint64_t client,
+                                         std::string_view response,
+                                         des::Time) {
+        util::Fnv1a64 h;
+        h.update(client);
+        for (const char c : response)
+            h.update(static_cast<unsigned char>(c));
+        digest += h.digest();
+    });
+}
+
+SimPrint
+simPrint(const des::EventQueue &queue, const core::RhythmStats &st,
+         uint64_t digest, const fault::FaultPlan *plan,
+         const backend::RecoverableBackend *journal,
+         const simt::ProfileCache *cache)
+{
+    return SimPrint{
+        queue.now(), queue.dispatched(), queue.orderHash(), digest,
+        {st.requestsAccepted, st.responsesCompleted, st.errorResponses,
+         st.requestsShed, st.readerDrops, st.cohortsLaunched,
+         st.cohortTimeouts, st.responseBytes, st.backendRequests,
+         st.backendRetries, st.kernelHangs, st.watchdogFires, st.hedgeWins,
+         st.latencyMs.count(), plan ? plan->totalInjected() : 0,
+         journal ? journal->stats().crashes : 0,
+         journal ? journal->stats().tornRecords : 0,
+         cache ? cache->stats().hits : 0, cache ? cache->stats().misses : 0}};
+}
+
+/** The run built by hand, part by part, as harnesses did before
+ *  Simulation: the reference. */
+SimPrint
+runByHand(const SimScenario &sc)
+{
+    backend::BankDb db(kSimUsers, 5);
+    core::BankingService service(db);
+    core::RhythmConfig cfg = sc.server;
+    if (sc.profileCacheEntries > 0)
+        cfg.traceTemplateCacheEntries = sc.profileCacheEntries;
+    des::EventQueue queue;
+    simt::ProfileCache cache(std::max<size_t>(sc.profileCacheEntries, 1));
+    simt::Device device(queue, sc.device);
+    if (sc.profileCacheEntries > 0)
+        device.engine().setProfileCache(&cache);
+    core::RhythmServer server(queue, device, service, cfg);
+    uint64_t digest = 0;
+    digestResponses(server, digest);
+    specweb::WorkloadGenerator gen(db, 31);
+    const auto sessions = server.sessions().populate(512, kSimUsers);
+    std::optional<fault::FaultPlan> plan;
+    if (!sc.faults.allQuiet())
+        plan.emplace(sc.faults);
+    const auto journal =
+        core::armRun(server, device, queue, plan ? &*plan : nullptr,
+                     sc.recovery, kSimCheckpointInterval);
+
+    auto request = [&](uint64_t i) {
+        return gen.fromPool(gen.sampleBrowsingType(), sessions, i).raw;
+    };
+    std::optional<net::ArrivalProcess> arrivals;
+    uint64_t issued = 0;
+    if (sc.arrivals) {
+        arrivals.emplace(*sc.arrivals)
+            .drive(queue, sc.requests, [&](uint64_t i) {
+                server.injectRequest(request(i), i + 1);
+            });
+    } else {
+        server.start([&]() -> std::optional<std::string> {
+            if (issued >= sc.requests)
+                return std::nullopt;
+            return request(issued++);
+        });
+    }
+    if (sc.maxEvents == 0)
+        queue.run();
+    while (queue.pending() && queue.dispatched() < sc.maxEvents)
+        queue.step();
+    return simPrint(queue, server.stats(), digest,
+                    plan ? &*plan : nullptr, journal.get(), &cache);
+}
+
+/** The same run through Simulation. */
+SimPrint
+runThroughSimulation(const SimScenario &sc)
+{
+    backend::BankDb db(kSimUsers, 5);
+    core::BankingService service(db);
+    Simulation sim(sc.device, sc.server, service, sc.profileCacheEntries);
+    uint64_t digest = 0;
+    digestResponses(sim.server(), digest);
+    specweb::WorkloadGenerator gen(db, 31);
+    const auto sessions = sim.server().sessions().populate(512, kSimUsers);
+    sim.arm(sc.faults, sc.recovery, kSimCheckpointInterval);
+
+    const RequestSource request = [&](uint64_t i) {
+        return gen.fromPool(gen.sampleBrowsingType(), sessions, i).raw;
+    };
+    if (sc.arrivals)
+        sim.arrive(*sc.arrivals, sc.requests, request);
+    else
+        sim.pull(sc.requests, request);
+    sim.run(sc.maxEvents);
+    return simPrint(sim.queue(), sim.server().stats(), digest, sim.plan(),
+                    sim.journal(), sim.profileCache());
+}
+
+TEST(Simulation, ClosedLoopWithProfileCacheMatchesHandBuiltRun)
+{
+    SimScenario sc = simScenario();
+    sc.profileCacheEntries = 256;
+    const SimPrint ref = runByHand(sc);
+    EXPECT_EQ(ref.counts[kResponses] + ref.counts[kErrors], sc.requests);
+    EXPECT_GT(ref.counts[kCacheMisses], 0u) << "no warp met the cache";
+    expectSameRun(runThroughSimulation(sc), ref);
+}
+
+TEST(Simulation, OpenLoopFlashArrivalsMatchHandBuiltRun)
+{
+    SimScenario sc = simScenario();
+    net::ArrivalConfig flash;
+    flash.kind = net::ArrivalKind::Flash;
+    flash.rate = 100e3;
+    flash.flashStartSec = 0.002;
+    flash.flashDurationSec = 0.004;
+    flash.flashMultiplier = 20.0;
+    sc.arrivals = flash;
+    const SimPrint ref = runByHand(sc);
+    EXPECT_GT(ref.counts[kResponses], 0u);
+    expectSameRun(runThroughSimulation(sc), ref);
+}
+
+TEST(Simulation, CrashRecoveryWithWatchdogAndHangsMatchesHandBuiltRun)
+{
+    SimScenario sc = simScenario();
+    sc.server.watchdogTimeout = 5 * des::kMillisecond;
+    sc.server.backendRetryBudget = 4;
+    sc.faults.seed = 3;
+    sc.faults.at(fault::Site::BackendCrash).probability = 0.05;
+    sc.faults.at(fault::Site::JournalTorn).probability = 0.5;
+    sc.faults.at(fault::Site::KernelHang).probability = 0.2;
+    sc.faults.at(fault::Site::KernelHang).meanDelay = 40 * des::kMillisecond;
+    sc.recovery = true;
+    const SimPrint ref = runByHand(sc);
+    EXPECT_GT(ref.counts[kHangs], 0u) << "no kernel hang fired";
+    EXPECT_GT(ref.counts[kWatchdogFires], 0u) << "no watchdog fired";
+    EXPECT_GT(ref.counts[kCrashes], 0u) << "no backend crash";
+    expectSameRun(runThroughSimulation(sc), ref);
+}
+
+TEST(Simulation, EventCappedRunMatchesHandBuiltRun)
+{
+    SimScenario sc = simScenario();
+    sc.maxEvents = 150;
+    const SimPrint ref = runByHand(sc);
+    EXPECT_EQ(ref.dispatched, sc.maxEvents) << "the cap must bind";
+    EXPECT_LT(ref.counts[kResponses], sc.requests);
+    expectSameRun(runThroughSimulation(sc), ref);
 }
 
 } // namespace

@@ -9,16 +9,19 @@
  * replay dedups, a crash between the phases never double-spends) and
  * the 4-device chaos path (kill one device mid-flight: committed
  * transactions survive the journal replay and re-sharded sessions are
- * served by the survivors through the cookie rewrite), and a fleet
- * whose shard journals draw a crash schedule (every crash recovers
- * transparently: no error, no replay mismatch, money conserved).
+ * served by the survivors through the cookie rewrite), a fleet whose
+ * shard journals draw a crash schedule (every crash recovers
+ * transparently: no error, no replay mismatch, money conserved), and
+ * the trace layout of a fleet (one trace process per device).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "des/event_queue.hh"
 #include "fault/plan.hh"
 #include "net/arrival.hh"
+#include "obs/obs.hh"
 #include "rhythm/fleet.hh"
 #include "simt/trace.hh"
 #include "specweb/workload.hh"
@@ -599,6 +603,73 @@ TEST(FleetChaos, CrashScheduleRecoversEveryShardTransparently)
     EXPECT_EQ(fleet.totalAccepted(),
               fleet.totalResponses() + fleet.totalShed());
     EXPECT_EQ(fleetMoney(fleet, kUsers), money_before);
+}
+
+// ---- Trace layout -------------------------------------------------------
+
+TEST(FleetTrace, EachDeviceTracesIntoItsOwnProcess)
+{
+    // Shard i runs on DES stream i + 1, and obs maps a stream's tracks
+    // into block i + 1 of the Chrome export: process "dev<i>".
+    obs::Observability &o = obs::global();
+    o.reset();
+    des::EventQueue queue;
+    o.enable(queue);
+    {
+        core::FleetConfig fc;
+        fc.devices = 2;
+        core::Fleet fleet(queue, simt::DeviceConfig{}, smallServerConfig(),
+                          fc, 64, 5);
+        const auto pool =
+            core::interleavePools(fleet.populateSessions(32, 64));
+        backend::BankDb front_db(64, 5);
+        specweb::WorkloadGenerator gen(front_db, 29);
+        net::ArrivalConfig acfg;
+        acfg.rate = 1e6;
+        net::ArrivalProcess arrivals(acfg);
+        arrivals.drive(queue, 256, [&](uint64_t i) {
+            specweb::GeneratedRequest req =
+                gen.fromPool(gen.sampleBrowsingType(), pool, i);
+            fleet.injectRequest(std::move(req.raw), i + 1, req.userId,
+                                static_cast<uint32_t>(req.type));
+        });
+        queue.run();
+        EXPECT_GT(fleet.server(0).stats().cohortsLaunched, 0u);
+        EXPECT_GT(fleet.server(1).stats().cohortsLaunched, 0u);
+    }
+    o.disable();
+
+    // pid -> {cohort-context spans, hardware-queue spans}.
+    std::map<uint32_t, std::pair<uint64_t, uint64_t>> per_pid;
+    for (const obs::TraceEvent &e : o.tracer().events()) {
+        const uint32_t tid = e.track % obs::track::kDeviceStride;
+        auto &[cohort, hwq] = per_pid[e.track / obs::track::kDeviceStride];
+        cohort += tid >= obs::track::kCohortBase && tid < obs::track::kHwqBase;
+        hwq += tid >= obs::track::kHwqBase && tid < obs::track::kPcieH2D;
+    }
+    std::ostringstream out;
+    o.tracer().writeChromeTrace(out);
+    o.reset();
+
+    for (uint32_t pid : {1u, 2u}) {
+        EXPECT_GT(per_pid[pid].first, 0u) << "pid " << pid;
+        EXPECT_GT(per_pid[pid].second, 0u) << "pid " << pid;
+        EXPECT_NE(out.str().find("{\"ph\": \"M\", \"pid\": " +
+                                 std::to_string(pid) +
+                                 ", \"tid\": 0, \"name\": "
+                                 "\"process_name\", \"args\": {\"name\": "
+                                 "\"dev" + std::to_string(pid - 1) + "\"}}"),
+                  std::string::npos)
+            << "pid " << pid;
+    }
+    // The front end (stream 0) runs no device work of its own, and no
+    // shard's work leaks past the two device blocks.
+    for (const auto &[pid, counts] : per_pid) {
+        if (pid != 1 && pid != 2) {
+            EXPECT_EQ(counts.first, 0u) << "pid " << pid;
+            EXPECT_EQ(counts.second, 0u) << "pid " << pid;
+        }
+    }
 }
 
 } // namespace

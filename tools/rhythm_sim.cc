@@ -24,7 +24,7 @@
 #include "chat/service.hh"
 #include "fault/plan.hh"
 #include "obs/obs.hh"
-#include "platform/titan.hh"
+#include "platform/simulation.hh"
 #include "rhythm/banking_service.hh"
 #include "rhythm/server.hh"
 #include "search/service.hh"
@@ -134,44 +134,29 @@ faultReport(const core::RhythmStats &stats, const fault::FaultPlan *plan,
         t.addRow({"idempotency memo hits", withCommas(rs.memoHits)});
         t.addRow({"checkpoints", withCommas(rs.checkpoints)});
     }
-    if (plan) {
-        uint64_t injected = plan->totalInjected();
-        // Server-side consultations (BackendFail/BackendSlow/
-        // ClientDisconnect) are also counted in stats.faultsInjected;
-        // the plan total covers the device-side sites too.
-        t.addRow({"faults injected", withCommas(injected)});
-    }
+    if (plan)
+        t.addRow({"faults injected", withCommas(plan->totalInjected())});
     t.printAscii(std::cout);
 }
 
 void
-report(const core::RhythmServer &server, const simt::Device &device,
-       const des::EventQueue &queue, const platform::TitanPowerModel &pm,
-       const fault::FaultPlan *plan = nullptr, bool robust = false,
-       bench::Reporter *rep = nullptr,
-       const simt::ProfileCache *cache = nullptr,
-       const backend::RecoverableBackend *recovery = nullptr)
+report(const platform::Simulation &sim, const platform::TitanPowerModel &pm,
+       bool robust, bench::Reporter *rep)
 {
+    const core::RhythmServer &server = sim.server();
     const core::RhythmStats &stats = server.stats();
-    const simt::Device::Stats dstats = device.stats();
-    const double elapsed = des::toSeconds(queue.now());
-    const double throughput =
-        elapsed > 0 ? static_cast<double>(stats.responsesCompleted) /
-                          elapsed
-                    : 0.0;
-    const platform::RunUtilization util =
-        platform::measureUtilization(server, device, elapsed);
-    const double dynamic_watts = pm.dynamicWatts(util);
+    const simt::Device::Stats dstats = sim.device().stats();
+    const des::EventQueue &queue = sim.queue();
+    const platform::TypeRunResult run = sim.measure(pm);
     const core::RhythmConfig &scfg = server.config();
-    const double simd_eff = stats.processSimdEfficiency(
-        device.config().warpModel.warpWidth);
 
     TableWriter t({"metric", "value"});
     t.addRow({"requests completed",
               withCommas(stats.responsesCompleted)});
     t.addRow({"error responses", withCommas(stats.errorResponses)});
-    t.addRow({"simulated time", formatDouble(elapsed * 1e3, 2) + " ms"});
-    t.addRow({"throughput", humanCount(throughput) + "reqs/s"});
+    t.addRow({"simulated time",
+              formatDouble(run.elapsedSeconds * 1e3, 2) + " ms"});
+    t.addRow({"throughput", humanCount(run.throughput) + "reqs/s"});
     t.addRow({"latency mean / p50 / p99",
               formatDouble(stats.latencyMs.mean(), 2) + " / " +
                   formatDouble(stats.latencyMs.median(), 2) + " / " +
@@ -184,11 +169,13 @@ report(const core::RhythmServer &server, const simt::Device &device,
                   " ms pipeline"});
     t.addRow({"cohorts launched", withCommas(stats.cohortsLaunched)});
     t.addRow({"cohort timeouts", withCommas(stats.cohortTimeouts)});
-    t.addRow({"device utilization", formatDouble(util.device, 3)});
+    t.addRow({"device utilization", formatDouble(run.deviceUtilization, 3)});
     t.addRow({"DRAM bandwidth utilization",
-              formatDouble(std::min(1.0, util.memory), 3)});
-    t.addRow({"PCIe engine utilization", formatDouble(util.copy, 3)});
-    t.addRow({"process SIMD efficiency", formatDouble(simd_eff, 3)});
+              formatDouble(std::min(1.0, run.memoryUtilization), 3)});
+    t.addRow({"PCIe engine utilization",
+              formatDouble(run.copyUtilization, 3)});
+    t.addRow({"process SIMD efficiency",
+              formatDouble(run.simdEfficiency, 3)});
     t.addRow({"PCIe bytes",
               humanBytes(static_cast<double>(dstats.bytesToDevice +
                                              dstats.bytesToHost))});
@@ -197,16 +184,15 @@ report(const core::RhythmServer &server, const simt::Device &device,
     t.addRow({"host fallback requests",
               withCommas(stats.hostFallbackRequests)});
     t.addRow({"est. dynamic power",
-              formatDouble(dynamic_watts, 1) + " W"});
+              formatDouble(run.dynamicWatts, 1) + " W"});
     t.addRow({"est. reqs/Joule (wall)",
-              formatDouble(throughput / (pm.idleWatts + dynamic_watts),
-                           0)});
+              formatDouble(run.reqsPerJouleWall, 0)});
     t.addRow({"device memory pools",
               humanBytes(static_cast<double>(
                   server.memoryFootprintBytes()))});
     t.printAscii(std::cout);
-    if (plan || robust)
-        faultReport(stats, plan, recovery);
+    if (sim.plan() || robust)
+        faultReport(stats, sim.plan(), sim.journal());
 
     // Deadline/adaptive section, printed (and emitted as metrics) only
     // when per-type deadline tracking is configured — default runs stay
@@ -259,7 +245,7 @@ report(const core::RhythmServer &server, const simt::Device &device,
         ft.addRow({"warps saved", withCommas(stats.fusionSavedWarps)});
         ft.addRow({"padded lanes", withCommas(stats.paddedLanes)});
         ft.addRow({"process SIMD efficiency",
-                   formatDouble(simd_eff, 4)});
+                   formatDouble(run.simdEfficiency, 4)});
         ft.printAscii(std::cout);
         if (rep) {
             rep->metric("fusion.fused_launches",
@@ -270,7 +256,7 @@ report(const core::RhythmServer &server, const simt::Device &device,
                         static_cast<double>(stats.fusionSavedWarps));
             rep->metric("fusion.padded_lanes",
                         static_cast<double>(stats.paddedLanes));
-            rep->metric("fusion.simd_efficiency", simd_eff);
+            rep->metric("fusion.simd_efficiency", run.simdEfficiency);
         }
     }
 
@@ -278,7 +264,7 @@ report(const core::RhythmServer &server, const simt::Device &device,
     // must stay byte-identical with the cache on or off, so these
     // numbers are deliberately NOT metrics — bench_sim_speedup emits
     // them in its own JSON instead).
-    if (cache) {
+    if (const simt::ProfileCache *cache = sim.profileCache()) {
         const simt::ProfileCache::Stats &cs = cache->stats();
         TableWriter ct({"profile cache", "value"});
         ct.addRow({"cross-launch hits", withCommas(cs.hits)});
@@ -294,26 +280,25 @@ report(const core::RhythmServer &server, const simt::Device &device,
     }
 
     if (rep) {
-        rep->metric("throughput", throughput);
+        rep->metric("throughput", run.throughput);
         rep->metric("latency.mean_ms", stats.latencyMs.mean());
         rep->metric("latency.p50_ms", stats.latencyMs.median());
         rep->metric("latency.p99_ms", stats.latencyMs.percentile(99));
-        rep->metric("device_utilization", util.device);
-        rep->metric("pcie_utilization", util.copy);
-        rep->metric("simd_efficiency", simd_eff);
+        rep->metric("device_utilization", run.deviceUtilization);
+        rep->metric("pcie_utilization", run.copyUtilization);
+        rep->metric("simd_efficiency", run.simdEfficiency);
         rep->metric("pcie_bytes",
                     static_cast<double>(dstats.bytesToDevice +
                                         dstats.bytesToHost));
-        rep->metric("dynamic_watts", dynamic_watts);
-        rep->metric("reqs_per_joule_wall",
-                    throughput / (pm.idleWatts + dynamic_watts));
+        rep->metric("dynamic_watts", run.dynamicWatts);
+        rep->metric("reqs_per_joule_wall", run.reqsPerJouleWall);
         // DES determinism fingerprints: the final clock, the event
         // count and the dispatch-order hash must be identical for any
         // --sim-threads value (the equivalence tests byte-compare the
         // whole document across thread counts). The hash is split into
         // 32-bit halves so each survives the double-typed metric value
         // exactly.
-        rep->metric("des.clock_seconds", elapsed);
+        rep->metric("des.clock_seconds", run.elapsedSeconds);
         rep->metric("des.events",
                     static_cast<double>(queue.dispatched()));
         rep->metric("des.order_hash_hi",
@@ -323,19 +308,19 @@ report(const core::RhythmServer &server, const simt::Device &device,
                                         0xffffffffull));
         // Per-SM accounting from the execution engine, in canonical SM
         // order — also thread-count-invariant.
-        const simt::Engine &engine = device.engine();
+        const simt::Engine &engine = sim.device().engine();
         rep->metric("engine.launches",
                     static_cast<double>(engine.launches()));
         rep->metric("engine.warps", static_cast<double>(engine.warps()));
         const auto &sms = engine.smCounters();
         for (size_t s = 0; s < sms.size(); ++s) {
-            char prefix[16];
-            std::snprintf(prefix, sizeof prefix, "sm.%02zu.", s);
-            rep->metric(std::string(prefix) + "warps",
+            const std::string prefix =
+                (s < 10 ? "sm.0" : "sm.") + std::to_string(s) + ".";
+            rep->metric(prefix + "warps",
                         static_cast<double>(sms[s].warps));
-            rep->metric(std::string(prefix) + "issue_slots",
+            rep->metric(prefix + "issue_slots",
                         static_cast<double>(sms[s].stats.issueSlots));
-            rep->metric(std::string(prefix) + "global_transactions",
+            rep->metric(prefix + "global_transactions",
                         static_cast<double>(
                             sms[s].stats.globalTransactions));
         }
@@ -656,13 +641,10 @@ main(int argc, char **argv)
         static_cast<uint64_t>(cohorts) * cfg.cohortSize;
 
     // ---- Warp profile cache (host-side memoization, off by default) --
-    const bool pc_on = flags.on("profile-cache");
-    const uint64_t pc_entries = flags.count("profile-cache-entries");
-    if (pc_on)
-        cfg.traceTemplateCacheEntries =
-            static_cast<uint32_t>(pc_entries);
-    // Outlives every workload branch's device; attached only when on.
-    simt::ProfileCache profile_cache(pc_entries);
+    const uint32_t pc_entries =
+        flags.on("profile-cache")
+            ? static_cast<uint32_t>(flags.count("profile-cache-entries"))
+            : 0;
 
     // ---- Observability -----------------------------------------------
     bench::Reporter json_report("rhythm_sim", flags);
@@ -688,7 +670,7 @@ main(int argc, char **argv)
               << cohorts << " cohorts x " << cfg.cohortSize << ")\n";
 
     // ---- The single-device run ------------------------------------------
-    // Every workload but the fleet runs one device and one server through
+    // Every workload but the fleet runs one platform::Simulation through
     // this sequence. Its branch below builds the service and passes
     // `prepare`, which readies the server and returns the request source
     // (DESIGN.md 6b: arming follows, so a journal's baseline holds what
@@ -699,38 +681,19 @@ main(int argc, char **argv)
         std::function<platform::RequestSource(core::RhythmServer &)>;
     auto serve = [&](core::Service &service, const Prepare &prepare,
                      const std::function<void()> &epilogue = {}) -> int {
-        des::EventQueue queue;
-        if (observe)
-            obs::global().enable(queue);
-        simt::Device device(queue, variant.device);
-        if (pc_on)
-            device.engine().setProfileCache(&profile_cache);
         batching.apply(cfg, service);
-        core::RhythmServer server(queue, device, service, cfg);
-        digest.attach(server);
-        const platform::RequestSource source = prepare(server);
-        std::optional<fault::FaultPlan> plan;
-        const auto journal = faults.arm(server, device, queue, plan);
-        std::optional<net::ArrivalProcess> arrivals;
-        uint64_t issued = 0;
-        if (arrival.open()) {
-            // injectRequest == false is a reader drop: an open-loop
-            // client does not retry (counted in RhythmStats::readerDrops).
-            arrivals.emplace(arrival.config).drive(
-                queue, total, [&](uint64_t i) {
-                    server.injectRequest(source(i), i + 1);
-                });
-        } else {
-            server.start([&]() -> std::optional<std::string> {
-                if (issued >= total)
-                    return std::nullopt;
-                return source(issued++);
-            });
-        }
-        queue.run();
-        report(server, device, queue, variant.power,
-               plan ? &*plan : nullptr, robust, &json_report,
-               pc_on ? &profile_cache : nullptr, journal.get());
+        platform::Simulation sim(variant.device, cfg, service, pc_entries);
+        if (observe)
+            obs::global().enable(sim.queue());
+        digest.attach(sim.server());
+        platform::RequestSource source = prepare(sim.server());
+        sim.arm(faults.config, faults.recovery, faults.checkpointInterval);
+        if (arrival.open())
+            sim.arrive(arrival.config, total, std::move(source));
+        else
+            sim.pull(total, std::move(source));
+        sim.run();
+        report(sim, variant.power, robust, &json_report);
         if (epilogue)
             epilogue();
         return finish(json_report, trace_path, digest);
@@ -781,6 +744,8 @@ main(int argc, char **argv)
             core::FleetConfig fc = sharding.toFleetConfig();
             fc.recovery = faults.recovery;
             fc.checkpointInterval = faults.checkpointInterval;
+            if (pc_entries > 0)
+                cfg.traceTemplateCacheEntries = pc_entries;
             // The batching policy resolves per-type deadline slugs
             // against a service instance; a front-end throwaway works
             // because every shard shares this one RhythmConfig.
@@ -799,7 +764,8 @@ main(int argc, char **argv)
             // Per-device profile caches: one shared cache would leak
             // warp profiles across shards.
             std::vector<std::unique_ptr<simt::ProfileCache>> caches;
-            for (uint32_t i = 0; pc_on && i < fleet.devices(); ++i) {
+            for (uint32_t i = 0; pc_entries > 0 && i < fleet.devices();
+                 ++i) {
                 caches.push_back(
                     std::make_unique<simt::ProfileCache>(pc_entries));
                 fleet.device(i).engine().setProfileCache(
